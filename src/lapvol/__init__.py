@@ -25,7 +25,6 @@ from .linforms import LinForm, P_VAR, Rat, rat
 from .polytope import (
     NormalizedInstance,
     PolytopeInstance,
-    check_compact,
     compact_witness,
     find_strict_interior,
     make_instance,
@@ -66,7 +65,6 @@ __all__ = [
     "rat",
     "NormalizedInstance",
     "PolytopeInstance",
-    "check_compact",
     "compact_witness",
     "find_strict_interior",
     "make_instance",

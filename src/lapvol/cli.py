@@ -6,8 +6,8 @@
     lapvol --gen simplex:N | box:N | paper-example
 
 Exit codes: 0 ok, 2 invalid file/usage, 3 nonpositive b, 4 unbounded,
-5 not pointed, 6 degenerate instance, 7 internal (divergent slice or
-malformed transform).
+5 not pointed, 6 degenerate instance, 7 internal (divergent slice,
+malformed transform or disagreeing methods).
 """
 from __future__ import annotations
 
@@ -30,15 +30,7 @@ from .errors import (
 from .direct import run_direct
 from .linforms import var_name
 from .oracle import known_instance, mc_volume
-from .polytope import (
-    PolytopeInstance,
-    check_compact,
-    compact_witness,
-    find_strict_interior,
-    make_instance,
-    normalize,
-    scale_and_dedupe,
-)
+from .polytope import PolytopeInstance, certify, make_instance, normalize, scale_and_dedupe
 from .transform import run_transform
 
 EXIT_OK = 0
@@ -136,6 +128,9 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict) or "A" not in doc or "b" not in doc:
         raise InstanceFormatError(f'{path}: expected an object with keys "A" and "b"')
+    if not (isinstance(doc["A"], list) and all(isinstance(row, list) for row in doc["A"])
+            and isinstance(doc["b"], list)):
+        raise InstanceFormatError(f'{path}: "A" must be a list of rows and "b" a list')
     try:
         A = [[_parse_rational(v, tolerate_floats) for v in row] for row in doc["A"]]
         b = [_parse_rational(v, tolerate_floats) for v in doc["b"]]
@@ -160,25 +155,21 @@ def _cmd_check_only(inst: PolytopeInstance) -> int:
     rows, dropped, merged = scale_and_dedupe(inst)
     print(f"normalize: m={len(rows)} n={len(rows[0])} "
           f"(dropped {dropped} vacuous, merged {merged} duplicate rows)")
-    u = compact_witness(rows)
-    compact = u is not None
-    print(f"compact: {str(compact).lower()}"
-          + (f" witness={_fmt_vec(u)}" if compact else ""))
-    pointed = True
     try:
-        c = find_strict_interior(rows)
-        print(f"pointed: true witness={_fmt_vec(c)}")
-    except NotPointed:
-        pointed = False
+        c, u = certify(rows)
+    except NotCompact:
+        # for b > 0 both gates fail together (the conditions are
+        # equivalent); the report exits with the deepest failed
+        # hypothesis, the Theorem-1 pointedness gate
+        print("compact: false")
         print("pointed: false")
-    valid = compact and pointed
-    print(f"valid: {str(valid).lower()}")
-    if valid:
-        return EXIT_OK
-    # both gates fail together for b > 0 (the conditions are equivalent);
-    # the report exits with the deepest failed hypothesis, the Theorem-1
-    # pointedness gate
-    return EXIT_NOT_POINTED if not pointed else EXIT_NOT_COMPACT
+        print("valid: false")
+        return EXIT_NOT_POINTED
+    print(f"compact: true witness={_fmt_vec(u)}")
+    print(f"pointed: true witness={_fmt_vec(c)}")
+    print("valid: true")
+    return EXIT_OK
+
 
 def _print_stats(kind: str, run) -> None:
     for i, lvl in enumerate(run.levels, start=1):
@@ -205,10 +196,10 @@ def _cmd_volume(args) -> int:
         runs["transform"] = run_transform(norm)
     values = {k: r.result for k, r in runs.items()}
     if len(set(values.values())) != 1:
-        raise AssertionError(
-            f"method disagreement: {values} on {args.file}; this is an engine "
-            "bug, please report the instance"
-        )
+        found = " ".join(f"{k}={v}" for k, v in values.items())
+        print(f"error: method disagreement on {args.file}: {found}; this is an "
+              "engine bug, please report the instance", file=sys.stderr)
+        return EXIT_INTERNAL
     volume = next(iter(values.values()))
     print(f"{volume} ({decimal_string(volume, args.digits)})")
     if args.method == "both":

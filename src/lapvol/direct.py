@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance
-from .linforms import LinForm, rat
-from .polytope import NormalizedInstance
+from .linforms import LinForm
+from .polytope import NormalizedInstance, contour_seed, is_strict_interior
 from .terms import (
     ContourConfig,
     LevelStats,
@@ -71,17 +71,8 @@ def initial_term(norm: NormalizedInstance) -> Term:
 
 
 def _direct_domain(rows):
-    m, n = len(rows), len(rows[0])
-
-    def ok(abscissae) -> bool:
-        c = [abscissae[i] for i in range(1, m + 1)]
-        if any(v <= 0 for v in c):
-            return False
-        return all(
-            sum(rows[i][j] * c[i] for i in range(m)) > 0 for j in range(n)
-        )
-
-    return ok
+    m = len(rows)
+    return lambda abscissae: is_strict_interior(rows, [abscissae[i] for i in range(1, m + 1)])
 
 
 def run_direct(
@@ -90,7 +81,7 @@ def run_direct(
     """Full direct-method run; ``abscissae`` overrides the LP-found
     contour seed c (it must still satisfy c > 0 and A'c > 0)."""
     m, n = norm.m, norm.n
-    c = _contour_seed(norm, abscissae)
+    c = contour_seed(norm, abscissae)
     config = ContourConfig(
         {i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.rows)
     )
@@ -115,14 +106,3 @@ def run_direct(
 
 def volume_direct(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Fraction:
     return run_direct(norm, abscissae).result
-
-
-def _contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tuple[Fraction, ...]:
-    if abscissae is None:
-        return norm.interior
-    c = tuple(rat(v) for v in abscissae)
-    if len(c) != norm.m:
-        raise ValueError(f"need {norm.m} abscissae, got {len(c)}")
-    if not _direct_domain(norm.rows)({i + 1: c[i] for i in range(norm.m)}):
-        raise ValueError("abscissae must satisfy c > 0 and A'c > 0")
-    return c

@@ -1,242 +1,85 @@
 """Exact rational linear programming, just big enough for the engine.
 
-A two-phase primal simplex on dense Fraction tableaus with Bland's
-least-index rule: deterministic, exact, and immune to cycling.  The
-systems solved here are tiny (tens of variables), so no effort goes
-into sparsity or revised-form updates.
-
-Only two questions are ever asked:
-
-* :func:`lp_feasible` -- is a finite system of linear inequalities over
-  free variables satisfiable, and if so, produce an exact witness;
-* :func:`maximize` -- maximize a linear objective over such a system
-  (used for the strict-interior margin problem).
+The one question asked is: maximize c.x over {x >= 0, Ax <= b} with
+b >= 0 (the strict-interior margin problem of :mod:`lapvol.polytope`).
+Because b >= 0, the all-slack basis x = 0 is feasible, so a single-phase
+primal simplex starts from it directly: no phase 1, no artificial
+columns, and the sign constraints x >= 0 are those of the tableau
+itself.  Pivoting follows Bland's least-index rule on a dense Fraction
+tableau: deterministic, exact, and immune to cycling.  The systems are
+tiny (tens of variables), so no effort goes into sparsity or
+revised-form updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .linforms import rat
 
-LE = "<="
-GE = ">="
-
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Inequality:
-    coeffs: Tuple[Fraction, ...]
-    sense: str  # "<=" or ">="
-    rhs: Fraction
+def maximize(
+    objective: Sequence, A: Sequence[Sequence], b: Sequence
+) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction]]:
+    """Maximize objective . x subject to x >= 0 and A x <= b, b >= 0.
 
-
-def ineq(coeffs: Iterable, sense: str, rhs) -> Inequality:
-    if sense not in (LE, GE):
-        raise ValueError(f"sense must be '<=' or '>=', got {sense!r}")
-    return Inequality(tuple(rat(c) for c in coeffs), sense, rat(rhs))
-
-
-def lp_feasible(num_vars: int, inequalities: Sequence[Inequality]) -> Tuple[bool, Optional[Tuple[Fraction, ...]]]:
-    """Decide feasibility of the system over ``num_vars`` free variables.
-
-    Returns ``(True, witness)`` with an exact witness verified by
-    substitution, or ``(False, None)``.
+    Returns ``(status, x, value)``: ``(OPTIMAL, x, value)`` with an exact
+    optimal vertex verified by substitution, or ``(UNBOUNDED, None,
+    None)``.  Raises ValueError for malformed data or a negative b entry.
     """
-    status, x, _ = maximize(num_vars, [Fraction(0)] * num_vars, inequalities)
-    if status == INFEASIBLE:
-        return False, None
-    assert x is not None
-    return True, x
-
-
-def maximize(num_vars: int, objective: Sequence, inequalities: Sequence[Inequality]) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction]]:
-    """Maximize objective . x subject to the inequalities, x free.
-
-    Returns ``(status, x, value)`` with status one of ``optimal``,
-    ``infeasible``, ``unbounded``.  Free variables are handled by the
-    usual positive/negative split, so witnesses are exact rationals.
-    """
-    if num_vars < 1:
+    cost = [rat(v) for v in objective]
+    rows = [[rat(v) for v in row] for row in A]
+    rhs = [rat(v) for v in b]
+    n, m = len(cost), len(rows)
+    if n < 1:
         raise ValueError("need at least one variable")
-    obj = [rat(c) for c in objective]
-    if len(obj) != num_vars:
-        raise ValueError("objective length mismatch")
-    if not inequalities:
-        if any(obj):
+    if any(len(row) != n for row in rows) or len(rhs) != m:
+        raise ValueError("A must be len(b) rows of len(objective) entries")
+    if any(v < 0 for v in rhs):
+        raise ValueError("b must be nonnegative: the simplex starts at x = 0")
+
+    # Columns: [0, n) structural | [n, n+m) slack; the slacks start basic
+    # and cost nothing, so the reduced costs start at the objective.
+    tab = [row + [Fraction(int(k == i)) for k in range(m)] for i, row in enumerate(rows)]
+    basis = list(range(n, n + m))
+    val = list(rhs)  # values of the basic variables, always >= 0
+    red = cost + [Fraction(0)] * m
+    z = Fraction(0)
+    while True:
+        enter = next((j for j, r in enumerate(red) if r > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = val[i] / a
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
             return UNBOUNDED, None, None
-        return OPTIMAL, tuple(Fraction(0) for _ in range(num_vars)), Fraction(0)
+        inv = 1 / tab[leave][enter]
+        piv_row = tab[leave] = [v * inv for v in tab[leave]]
+        piv_val = val[leave] = val[leave] * inv
+        for i in range(m):
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = [v - f * w for v, w in zip(tab[i], piv_row)]
+                val[i] -= f * piv_val
+        basis[leave] = enter
+        f = red[enter]
+        z += f * piv_val
+        red = [v - f * w for v, w in zip(red, piv_row)]
 
-    # x_i = x_i^+ - x_i^-, both nonnegative, in standard <=-form.
-    rows = []
-    rhs = []
-    for q in inequalities:
-        if len(q.coeffs) != num_vars:
-            raise ValueError("inequality arity mismatch")
-        c, b = list(q.coeffs), q.rhs
-        if q.sense == GE:
-            c, b = [-v for v in c], -b
-        rows.append([*c, *(-v for v in c)])
-        rhs.append(b)
-    split_obj = [*obj, *(-v for v in obj)]
-
-    status, xs, value = _simplex_standard(rows, rhs, split_obj)
-    if xs is None:
-        return status, None, None
-    x = tuple(xs[i] - xs[num_vars + i] for i in range(num_vars))
-    _verify(x, inequalities)
-    return status, x, value
-
-
-def _verify(x: Sequence[Fraction], inequalities: Sequence[Inequality]) -> None:
-    for q in inequalities:
-        lhs = sum(c * v for c, v in zip(q.coeffs, x))
-        ok = lhs <= q.rhs if q.sense == LE else lhs >= q.rhs
-        assert ok, f"simplex witness violates {q}"
-
-
-class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting."""
-
-    def __init__(self, rows, rhs, basis):
-        self.rows = rows          # list of lists, one per constraint
-        self.rhs = rhs            # current basic values, always >= 0
-        self.basis = basis        # basic variable per row
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def pivot(self, leave, enter):
-        piv = self.rows[leave][enter]
-        inv = Fraction(1) / piv
-        self.rows[leave] = [v * inv for v in self.rows[leave]]
-        self.rhs[leave] *= inv
-        piv_row = self.rows[leave]
-        piv_rhs = self.rhs[leave]
-        for i in range(len(self.rows)):
-            if i == leave:
-                continue
-            f = self.rows[i][enter]
-            if f != 0:
-                self.rows[i] = [v - f * w for v, w in zip(self.rows[i], piv_row)]
-                self.rhs[i] -= f * piv_rhs
-        self.basis[leave] = enter
-
-    def optimize(self, cost):
-        """Run Bland-rule simplex for max cost.x from the current basis.
-
-        Returns (status, objective_value)."""
-        ncols = self.ncols
-        red = list(cost)
-        z = Fraction(0)
-        for i, bv in enumerate(self.basis):
-            cb = cost[bv]
-            if cb != 0:
-                z += cb * self.rhs[i]
-                row = self.rows[i]
-                for j in range(ncols):
-                    red[j] -= cb * row[j]
-        while True:
-            enter = -1
-            for j in range(ncols):
-                if red[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL, z
-            leave = -1
-            best = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return UNBOUNDED, None
-            self.pivot(leave, enter)
-            cb = red[enter]
-            z += cb * self.rhs[leave]
-            piv_row = self.rows[leave]
-            for j in range(ncols):
-                red[j] -= cb * piv_row[j]
-
-
-def _simplex_standard(A, b, c):
-    """max c.x  s.t.  A x <= b, x >= 0, exact.
-
-    Two-phase tableau simplex; returns (status, x, value) covering the
-    structural variables only.
-    """
-    m = len(A)
-    n = len(A[0]) if m else len(c)
-
-    # Columns: [0, n) structural | [n, n+m) slack | [n+m, ..) artificial.
-    # Rows with negative rhs are negated, which flips their slack to -1
-    # and requires one artificial basic variable each.
-    rows, rhs, basis, art_rows = [], [], [], []
-    for i in range(m):
-        r = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        sign = Fraction(1)
-        if bi < 0:
-            r = [-v for v in r]
-            bi = -bi
-            sign = Fraction(-1)
-        slack = [Fraction(0)] * m
-        slack[i] = sign
-        rows.append(r + slack)
-        rhs.append(bi)
-        if sign < 0:
-            art_rows.append(i)
-            basis.append(-1)  # patched below once artificial columns exist
-        else:
-            basis.append(n + i)
-
-    n_art = len(art_rows)
-    for i in range(m):
-        rows[i] += [Fraction(0)] * n_art
-    for k, i in enumerate(art_rows):
-        col = n + m + k
-        rows[i][col] = Fraction(1)
-        basis[i] = col
-
-    tab = _Tableau(rows, rhs, basis)
-
-    if n_art:
-        phase1 = [Fraction(0)] * (n + m) + [Fraction(-1)] * n_art
-        status, z = tab.optimize(phase1)
-        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
-        if z != 0:
-            return INFEASIBLE, None, None
-        # Remove artificials: pivot basic ones out, or drop their row if
-        # it became redundant; then truncate the artificial columns so
-        # they can never re-enter in phase 2.
-        keep = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] >= n + m:
-                assert tab.rhs[i] == 0
-                enter = next((j for j in range(n + m) if tab.rows[i][j] != 0), None)
-                if enter is None:
-                    continue  # redundant constraint row
-                tab.pivot(i, enter)
-            keep.append(i)
-        tab.rows = [tab.rows[i][: n + m] for i in keep]
-        tab.rhs = [tab.rhs[i] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
-
-    phase2 = list(c) + [Fraction(0)] * m
-    status, z = tab.optimize(phase2)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
     x = [Fraction(0)] * n
-    for i, bv in enumerate(tab.basis):
+    for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab.rhs[i]
-    return OPTIMAL, x, z
+            x[bv] = val[i]
+    assert all(v >= 0 for v in x), "simplex witness violates x >= 0"
+    for row, bi in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, x)) <= bi, "simplex witness violates Ax <= b"
+    assert sum(c * v for c, v in zip(cost, x)) == z, "simplex value disagrees with its witness"
+    return OPTIMAL, tuple(x), z

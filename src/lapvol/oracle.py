@@ -10,11 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from .errors import GenericityViolated, NotCompact
+from .errors import GenericityViolated
 from .linforms import rat
-from .polytope import PolytopeInstance, compact_witness, make_instance
+from .polytope import PolytopeInstance, make_instance, normalize
 
 
 def _genericity(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
@@ -161,19 +159,19 @@ _MC_BATCH = 1 << 16  # fixed batch size keeps the PCG64 stream reproducible
 
 
 def mc_volume(inst: PolytopeInstance, samples: int, seed: int) -> McEstimate:
-    """Hit-or-miss estimate over the certified box [0, u'b]^n.
+    """Hit-or-miss estimate over the certified box [0, sum(u)]^n.
 
     The box side comes from the compactness witness u >= 0 with
-    A'u >= 1: every x in the body has sum(x) <= u'Ax <= u'b.  Sampling
-    uses numpy's PCG64 generator, so a seed pins the estimate bit for
-    bit across platforms.
+    A'u >= 1 of the normalized rows (``normalize(inst).box_witness``):
+    every x in the body has sum(x) <= u'Ax <= sum(u).  Raises like
+    ``normalize`` on an invalid instance.  Sampling uses numpy's PCG64
+    generator, so a seed pins the estimate bit for bit across platforms.
     """
-    u = compact_witness(inst.rows)
-    if u is None:
-        raise NotCompact("Monte Carlo needs a bounded polytope")
-    bound = sum((ui * bi for ui, bi in zip(u, inst.rhs)), Fraction(0))
+    import numpy as np  # only this estimator needs numpy; importing lapvol does not
+
+    bound = sum(normalize(inst).box_witness, Fraction(0))
     assert bound > 0
-    m, n = inst.m, inst.n
+    n = inst.n
     A = np.array([[float(v) for v in row] for row in inst.rows])
     b = np.array([float(v) for v in inst.rhs])
     side = float(bound)

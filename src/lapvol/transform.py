@@ -15,8 +15,8 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, MalformedH
-from .linforms import LinForm, P_VAR, rat
-from .polytope import NormalizedInstance
+from .linforms import LinForm, P_VAR
+from .polytope import NormalizedInstance, contour_seed, is_strict_interior
 from .terms import (
     ContourConfig,
     LevelStats,
@@ -65,16 +65,11 @@ def substituted_term(norm: NormalizedInstance) -> Term:
 def _transform_domain(rows):
     """Strict feasibility in the substituted coordinates: the vector
     (d - sum(c_j), c_2, .., c_m) must stay in {y > 0, A'y > 0}."""
-    m, n = len(rows), len(rows[0])
+    m = len(rows)
 
     def ok(abscissae) -> bool:
         tail = [abscissae[j] for j in range(2, m + 1)]
-        y = [abscissae[P_VAR] - sum(tail)] + tail
-        if any(v <= 0 for v in y):
-            return False
-        return all(
-            sum(rows[i][j] * y[i] for i in range(m)) > 0 for j in range(n)
-        )
+        return is_strict_interior(rows, [abscissae[P_VAR] - sum(tail)] + tail)
 
     return ok
 
@@ -91,7 +86,7 @@ def run_transform(
     for the side-independence tests.
     """
     m, n = norm.m, norm.n
-    c = _seed(norm, abscissae)
+    c = contour_seed(norm, abscissae)
     d = sum(c, Fraction(0))
     points = {j: c[j - 1] for j in range(2, m + 1)}
     points[P_VAR] = d
@@ -126,18 +121,3 @@ def run_transform(
 
 def volume_transform(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Fraction:
     return run_transform(norm, abscissae).result
-
-
-def _seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tuple[Fraction, ...]:
-    if abscissae is None:
-        return norm.interior
-    c = tuple(rat(v) for v in abscissae)
-    if len(c) != norm.m:
-        raise ValueError(f"need {norm.m} abscissae, got {len(c)}")
-    if any(v <= 0 for v in c):
-        raise ValueError("abscissae must be positive")
-    n = norm.n
-    for j in range(n):
-        if sum(norm.rows[i][j] * c[i] for i in range(norm.m)) <= 0:
-            raise ValueError("abscissae must satisfy A'c > 0")
-    return c

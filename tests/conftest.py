@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import lapvol as lv
+from lapvol import lp
 
 SKIPPABLE = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance, lv.DivergentSlice)
 
@@ -25,3 +28,12 @@ def draw_valid_instance(rng: random.Random, m: int, n: int, signed: bool = False
 
 def frac_vec(rng: random.Random, n: int, num_hi: int = 9, den_hi: int = 4):
     return [Fraction(rng.randint(1, num_hi), rng.randint(1, den_hi)) for _ in range(n)]
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The argument tuples of every lp.maximize call made during the test."""
+    calls = []
+    real = lp.maximize
+    monkeypatch.setattr(lp, "maximize", lambda *a: calls.append(a) or real(*a))
+    return calls

@@ -1,5 +1,8 @@
 """CLI behavior: report lines, exit codes, file format."""
+import dataclasses
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +106,13 @@ def test_exit_2_missing_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [{"A": 5, "b": [1]}, {"A": [1], "b": [1]}, {"A": [[1]], "b": 1}])
+def test_exit_2_malformed_shapes(tmp_path, capsys, doc):
+    code, _, err = run(capsys, "volume", write(tmp_path, "x.json", doc))
+    assert code == 2
+    assert "must be a list" in err
+
+
 def test_exit_2_float_literal(tmp_path, capsys):
     path = write(tmp_path, "f.json", {"A": [["0.1", "1"]], "b": ["1"]})
     code, _, err = run(capsys, "volume", path)
@@ -136,6 +146,7 @@ def test_exit_4_unbounded(capsys):
 def test_exit_5_nonpointed_check_only(capsys):
     code, out, _ = run(capsys, "volume", str(INSTANCES / "nonpointed.json"), "--check-only")
     assert code == 5
+    assert "compact: false" in out
     assert "pointed: false" in out
     assert "valid: false" in out
 
@@ -153,6 +164,43 @@ def test_check_only_valid_instance(capsys):
     assert "compact: true" in out
     assert "pointed: true" in out
     assert "valid: true" in out
+    # the printed compactness witness has u >= 0 and A'u >= 1
+    line = next(l for l in out.splitlines() if l.startswith("compact:"))
+    u = [Fraction(v) for v in line.split("witness=(")[1].rstrip(")").split(", ")]
+    rows = [[1, 1], [-2, 2], [2, -1]]
+    assert all(v >= 0 for v in u)
+    assert all(sum(rows[i][j] * u[i] for i in range(3)) >= 1 for j in range(2))
+
+
+def test_check_only_solves_one_lp(lp_calls, capsys):
+    code, _, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--check-only")
+    assert code == 0 and len(lp_calls) == 1
+
+
+def test_exit_7_method_disagreement(monkeypatch, capsys):
+    real = cli.run_transform
+
+    def off_by_one(norm):
+        run_ = real(norm)
+        return dataclasses.replace(run_, result=run_.result + 1)
+
+    monkeypatch.setattr(cli, "run_transform", off_by_one)
+    code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"))
+    assert code == 7 and out == ""
+    assert "direct=17/48" in err and "transform=65/48" in err
+
+
+def test_import_does_not_load_numpy():
+    # numpy is needed only by the Monte Carlo estimator, which imports it
+    # on first use
+    src = str(REPO / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import lapvol.cli; "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 # -- generators ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact simplex tests, including randomized classification against scipy."""
+"""Exact simplex tests, including randomized maximization against scipy."""
 import random
 from fractions import Fraction
 
@@ -10,106 +10,94 @@ from lapvol import lp
 
 
 def test_trivially_feasible():
-    ok, x = lp.lp_feasible(2, [lp.ineq([1, 0], ">=", 0),
-                               lp.ineq([0, 1], ">=", 0),
-                               lp.ineq([1, 0], ">=", 1)])
-    assert ok and x[0] >= 1 and x[1] >= 0
-
-
-def test_trivially_infeasible():
-    ok, x = lp.lp_feasible(1, [lp.ineq([1], ">=", 0), lp.ineq([-1], ">=", 1)])
-    assert not ok and x is None
+    # a zero objective asks for feasibility only: the start basis x = 0
+    # answers it without a pivot
+    status, x, val = lp.maximize([0, 0], [[1, 0], [-1, 1]], [1, 0])
+    assert status == lp.OPTIMAL
+    assert x == (0, 0) and val == 0
 
 
 def test_compactness_system_of_worked_example():
-    # u >= 0 with A'u >= 1 for rows (1,1), (-2,2), (2,-1); u = (1,0,0) works
+    # the margin LP of rows (1,1), (-2,2), (2,-1) over (c, t) >= 0:
+    # t - c_i <= 0, t - (A'c)_j <= 0, sum(c) <= 1; its witness c yields
+    # the compactness witness u = c / min_j (A'c)_j with A'u >= 1
     rows = [(1, 1), (-2, 2), (2, -1)]
-    system = [lp.ineq([1 if j == i else 0 for j in range(3)], ">=", 0) for i in range(3)]
-    for j in range(2):
-        system.append(lp.ineq([rows[i][j] for i in range(3)], ">=", 1))
-    ok, u = lp.lp_feasible(3, system)
-    assert ok
+    A = [[-int(k == i) for k in range(3)] + [1] for i in range(3)]
+    A += [[-rows[i][j] for i in range(3)] + [1] for j in range(2)]
+    A.append([1, 1, 1, 0])
+    status, x, t_star = lp.maximize([0, 0, 0, 1], A, [0] * 5 + [1])
+    assert status == lp.OPTIMAL and t_star == Fraction(1, 3)
+    c = x[:3]
+    col = [sum(rows[i][j] * c[i] for i in range(3)) for j in range(2)]
+    u = [v / min(col) for v in c]
     assert all(v >= 0 for v in u)
     for j in range(2):
         assert sum(rows[i][j] * u[i] for i in range(3)) >= 1
-    # the hand-checked witness is itself feasible
-    hand = (Fraction(1), Fraction(0), Fraction(0))
-    for q in system:
-        lhs = sum(c * v for c, v in zip(q.coeffs, hand))
-        assert lhs >= q.rhs
+    # the hand-checked witness u = (1,0,0) satisfies the same system
+    hand = (1, 0, 0)
+    for j in range(2):
+        assert sum(rows[i][j] * hand[i] for i in range(3)) >= 1
 
 
 def test_maximize_simple():
-    status, x, val = lp.maximize(
-        2, [3, 2],
-        [lp.ineq([1, 0], ">=", 0), lp.ineq([0, 1], ">=", 0),
-         lp.ineq([1, 1], "<=", 4), lp.ineq([1, 3], "<=", 6)],
-    )
+    status, x, val = lp.maximize([3, 2], [[1, 1], [1, 3]], [4, 6])
     assert status == lp.OPTIMAL
     assert val == 12 and x == (Fraction(4), Fraction(0))
 
 
 def test_maximize_unbounded():
-    status, x, val = lp.maximize(1, [1], [lp.ineq([1], ">=", 0)])
-    assert status == lp.UNBOUNDED and x is None
-
-
-def test_maximize_infeasible():
-    status, *_ = lp.maximize(1, [1], [lp.ineq([1], ">=", 2), lp.ineq([1], "<=", 1)])
-    assert status == lp.INFEASIBLE
-
-
-def test_free_variables_take_negative_values():
-    ok, x = lp.lp_feasible(1, [lp.ineq([1], "<=", -3)])
-    assert ok and x[0] <= -3
+    status, x, val = lp.maximize([1], [], [])
+    assert status == lp.UNBOUNDED and x is None and val is None
+    status, x, val = lp.maximize([1, 1], [[1, -1]], [1])
+    assert status == lp.UNBOUNDED and x is None and val is None
 
 
 def test_degenerate_ties_terminate():
     # classic cycling-prone shape; Bland's rule must terminate
     status, x, val = lp.maximize(
-        4,
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
-            lp.ineq([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-            lp.ineq([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-            lp.ineq([0, 0, 1, 0], "<=", 1),
-            lp.ineq([1, 0, 0, 0], ">=", 0),
-            lp.ineq([0, 1, 0, 0], ">=", 0),
-            lp.ineq([0, 0, 1, 0], ">=", 0),
-            lp.ineq([0, 0, 0, 1], ">=", 0),
+            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+            [0, 0, 1, 0],
         ],
+        [0, 0, 1],
     )
     assert status == lp.OPTIMAL
     assert val == Fraction(1, 20)
 
 
+def test_negative_rhs_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lp.maximize([1], [[1]], [-1])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_feasibility_matches_scipy(seed):
+    # random maximizations over {x >= 0, Ax <= b, b >= 0}: the status, the
+    # feasibility of the witness and the optimal value must all match
+    # HiGHS
     rng = random.Random(seed)
     for _ in range(25):
         nv = rng.randint(1, 4)
-        nc = rng.randint(1, 6)
-        system = []
-        rows, senses, rhs = [], [], []
-        for _ in range(nc):
-            coeffs = [rng.randint(-4, 4) for _ in range(nv)]
-            sense = rng.choice([lp.LE, lp.GE])
-            b = rng.randint(-5, 5)
-            system.append(lp.ineq(coeffs, sense, b))
-            rows.append(coeffs)
-            senses.append(sense)
-            rhs.append(b)
-        ok, x = lp.lp_feasible(nv, system)
-        A_ub, b_ub = [], []
-        for coeffs, sense, b in zip(rows, senses, rhs):
-            if sense == lp.LE:
-                A_ub.append(coeffs)
-                b_ub.append(b)
-            else:
-                A_ub.append([-c for c in coeffs])
-                b_ub.append(-b)
+        nc = rng.randint(0, 6)
+        A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(nc)]
+        b = [rng.randint(0, 5) for _ in range(nc)]
+        obj = [rng.randint(-3, 3) for _ in range(nv)]
+        status, x, val = lp.maximize(obj, A, b)
         ref = linprog(
-            c=np.zeros(nv), A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-            bounds=[(None, None)] * nv, method="highs",
+            c=-np.array(obj, dtype=float),
+            A_ub=np.array(A, dtype=float).reshape(nc, nv) if nc else None,
+            b_ub=np.array(b, dtype=float) if nc else None,
+            bounds=[(0, None)] * nv, method="highs",
         )
-        assert ok == ref.success, (system, ok, ref.status)
+        assert ref.status in (0, 3), ref.message  # optimal or unbounded
+        if ref.status == 3:
+            assert status == lp.UNBOUNDED, (A, b, obj)
+            continue
+        assert status == lp.OPTIMAL, (A, b, obj)
+        assert all(v >= 0 for v in x)
+        for row, bi in zip(A, b):
+            assert sum(a * v for a, v in zip(row, x)) <= bi
+        assert val == sum(c * v for c, v in zip(obj, x))
+        assert abs(float(val) - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun)), (A, b, obj)

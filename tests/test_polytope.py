@@ -1,4 +1,4 @@
-"""Normalization and the two feasibility gates."""
+"""Normalization and the margin LP that certifies both gates."""
 import random
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ import pytest
 import lapvol as lv
 from lapvol import lp
 from lapvol.polytope import (
-    check_compact,
     compact_witness,
     find_strict_interior,
     make_instance,
@@ -69,15 +68,15 @@ def test_empty_after_cleanup():
 
 
 def test_compact_worked_example():
-    assert check_compact(rows_of((1, 1), (-2, 2), (2, -1)))
+    assert compact_witness(rows_of((1, 1), (-2, 2), (2, -1))) is not None
 
 
 def test_compact_unit_box_pattern():
-    assert check_compact(rows_of((1, 0), (0, 1)))
+    assert compact_witness(rows_of((1, 0), (0, 1))) is not None
 
 
 def test_not_compact_single_row():
-    assert not check_compact(rows_of((1, -1)))
+    assert compact_witness(rows_of((1, -1))) is None
 
 
 def test_compact_witness_verifies():
@@ -122,6 +121,16 @@ def test_normalize_full_pipeline():
     assert all(v > 0 for v in norm.interior)
 
 
+def test_normalize_solves_one_lp(lp_calls):
+    norm = normalize(lv.paper_example()[0])
+    assert len(lp_calls) == 1
+    # the derived compactness witness is exact: u >= 0 and A'u >= 1
+    u = norm.box_witness
+    assert all(v >= 0 for v in u)
+    for j in range(norm.n):
+        assert sum(norm.rows[i][j] * u[i] for i in range(norm.m)) >= 1
+
+
 def test_normalize_rejects_unbounded():
     with pytest.raises(lv.NotCompact):
         normalize(make_instance([[1, -1]], [1]))
@@ -131,14 +140,14 @@ def test_normalize_rejects_unbounded():
 
 
 def _recession_direction(rows):
-    """Nonzero d >= 0 with Ad <= 0, found by an LP on the primal side."""
-    m, n = len(rows), len(rows[0])
-    system = [lp.ineq([1 if j == i else 0 for j in range(n)], ">=", 0) for i in range(n)]
-    for row in rows:
-        system.append(lp.ineq(list(row), "<=", 0))
-    system.append(lp.ineq([1] * n, ">=", 1))
-    ok, d = lp.lp_feasible(n, system)
-    return d if ok else None
+    """Nonzero d >= 0 with Ad <= 0, found by an LP on the primal side:
+    maximize 1'd over {d >= 0, Ad <= 0, 1'd <= 1}, whose optimum is 1
+    iff such a direction exists (and 0 otherwise)."""
+    n = len(rows[0])
+    status, d, value = lp.maximize([1] * n, [list(row) for row in rows] + [[1] * n],
+                                   [0] * len(rows) + [1])
+    assert status == lp.OPTIMAL and value in (0, 1)
+    return d if value == 1 else None
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,7 +157,7 @@ def test_noncompact_has_recession_direction(seed):
     for _ in range(60):
         inst = lv.random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), signed=True)
         rows, _, _ = scale_and_dedupe(inst)
-        if check_compact(rows):
+        if compact_witness(rows) is not None:
             continue
         d = _recession_direction(rows)
         assert d is not None
@@ -161,13 +170,10 @@ def test_noncompact_has_recession_direction(seed):
 
 def _bounded_by_coordinate_lps(rows):
     """Boundedness oracle: max x_j over {x >= 0, Ax <= 1} finite for all j."""
-    m, n = len(rows), len(rows[0])
-    system = [lp.ineq([1 if k == j else 0 for k in range(n)], ">=", 0) for j in range(n)]
-    for row in rows:
-        system.append(lp.ineq(list(row), "<=", 1))
+    n = len(rows[0])
     for j in range(n):
         obj = [1 if k == j else 0 for k in range(n)]
-        status, *_ = lp.maximize(n, obj, system)
+        status, *_ = lp.maximize(obj, rows, [1] * len(rows))
         if status == lp.UNBOUNDED:
             return False
         assert status == lp.OPTIMAL
@@ -183,7 +189,7 @@ def test_gates_match_boundedness_oracle(seed):
         inst = lv.random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), signed=True)
         rows, _, _ = scale_and_dedupe(inst)
         bounded = _bounded_by_coordinate_lps(rows)
-        assert check_compact(rows) == bounded
+        assert (compact_witness(rows) is not None) == bounded
         pointed = True
         try:
             find_strict_interior(rows)
