@@ -2,8 +2,10 @@
 """Node-count census: how full does the residue tree actually get?
 
 For each (m, n) cell, draws seeded random instances and reports the
-observed worst per-level node count next to the (n+1)^k ceiling, and
-the time per volume.  The O(n^m)-flavored growth is visible directly.
+observed worst per-level node count (residues, before like-term
+merging) next to the (n+1)^k ceiling, the worst number of those
+residues that merging removed, and the time per volume.  The
+O(n^m)-flavored growth is visible directly.
 
     python scripts/node_census.py --m 2 3 4 --n 2 4 6 8 --trials 5
 """
@@ -22,6 +24,7 @@ SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance, lv.DivergentSlice)
 
 def census_cell(rng, m, n, trials):
     worst = [0] * (m - 1)
+    merged = [0] * (m - 1)
     elapsed = 0.0
     done = 0
     while done < trials:
@@ -34,9 +37,10 @@ def census_cell(rng, m, n, trials):
         except SKIP:
             continue
         for k, lvl in enumerate(run.levels[:-1]):
-            worst[k] = max(worst[k], lvl.terms_out)
+            worst[k] = max(worst[k], lvl.residues)
+            merged[k] = max(merged[k], lvl.residues - lvl.terms_out)
         done += 1
-    return worst, elapsed / trials
+    return worst, merged, elapsed / trials
 
 
 def main() -> int:
@@ -48,14 +52,15 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    print(f"{'m':>2} {'n':>3}  per-level worst / bound              avg time")
+    print(f"{'m':>2} {'n':>3}  {'avg time':>11}  per-level worst / bound merged=K")
     for m in args.m:
         for n in args.n:
-            worst, avg = census_cell(rng, m, n, args.trials)
+            worst, merged, avg = census_cell(rng, m, n, args.trials)
             cells = "  ".join(
-                f"L{k+1}:{w}/{(n + 1) ** (k + 1)}" for k, w in enumerate(worst)
+                f"L{k+1}:{w}/{(n + 1) ** (k + 1)} merged={g}"
+                for k, (w, g) in enumerate(zip(worst, merged))
             )
-            print(f"{m:>2} {n:>3}  {cells:<36} {avg * 1000:8.1f} ms")
+            print(f"{m:>2} {n:>3}  {avg * 1000:8.1f} ms  {cells}")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -71,6 +72,35 @@ def decimal_string(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
+# Bounds on a decimal literal accepted under --tolerate-floats, checked on
+# the text before any conversion: Fraction("1e999999999") would build an
+# integer with a billion digits.
+_MAX_MANTISSA_DIGITS = 100
+_MAX_EXPONENT_DIGITS = 3
+_DECIMAL = r"[+-]?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]+))?"  # compiled on first use
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """The exact value of a decimal literal such as "-1.25e-3", refusing
+    (exit 2) any other text and a literal whose mantissa has more than
+    _MAX_MANTISSA_DIGITS digits or whose exponent has more than
+    _MAX_EXPONENT_DIGITS."""
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    match = re.fullmatch(_DECIMAL, text)
+    if match is None:
+        raise InstanceFormatError(f"not a decimal literal: {shown}")
+    whole, frac, exp = match.groups()
+    if len(whole) + len(frac or "") > _MAX_MANTISSA_DIGITS or len(exp or "") > _MAX_EXPONENT_DIGITS:
+        raise InstanceFormatError(
+            f"decimal literal {shown} too long: at most {_MAX_MANTISSA_DIGITS} "
+            f"mantissa digits and a {_MAX_EXPONENT_DIGITS}-digit exponent"
+        )
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise InstanceFormatError(f"not a decimal literal: {shown}")
+
+
 def _parse_rational(value, tolerate_floats: bool) -> Fraction:
     if isinstance(value, bool):
         raise InstanceFormatError(f"not a rational: {value!r}")
@@ -87,8 +117,9 @@ def _parse_rational(value, tolerate_floats: bool) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text.lower():
             if tolerate_floats:
+                value = _exact_decimal(text)
                 print(f"warning: converting decimal literal {text!r} exactly", file=sys.stderr)
-                return Fraction(text)
+                return value
             raise InstanceFormatError(
                 f"decimal literal {text!r} not accepted: exact rationals only "
                 "(use \"p/q\" strings, or pass --tolerate-floats)"
@@ -107,7 +138,7 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
         def hook(text):
             # the json hook receives the raw literal text, so the decimal
             # string converts exactly (0.1 -> 1/10, not the binary float)
-            value = Fraction(text)
+            value = _exact_decimal(text)
             print(f"warning: converting decimal literal {text!r} to {value} exactly",
                   file=sys.stderr)
             return value
@@ -176,7 +207,7 @@ def _print_stats(kind: str, run) -> None:
         print(
             f"stats: method={kind} level={i} terms_in={lvl.terms_in} "
             f"poles={lvl.poles_found} left={lvl.left} right={lvl.right} "
-            f"terms_out={lvl.terms_out}"
+            f"terms_out={lvl.terms_out} merged={lvl.residues - lvl.terms_out}"
         )
     for rec in run.config.ledger:
         print(f"stats: perturbation var={var_name(rec.var)} epsilon={rec.epsilon} delta={rec.delta}")
@@ -208,7 +239,7 @@ def _cmd_volume(args) -> int:
         for kind, run in runs.items():
             _print_stats(kind, run)
     if args.verify_mc:
-        est = mc_volume(inst, args.samples, args.seed)
+        est = mc_volume(inst, args.samples, args.seed, norm)
         z = est.z_score(volume)
         print(
             f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} "

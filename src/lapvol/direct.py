@@ -3,8 +3,8 @@
 G is the reciprocal of the product of the m variable factors l_i and
 the n column factors (A'l)_j.  Levels 1..m-1 are residue integrations
 in ascending variable order; the last variable is evaluated in closed
-form.  The level-k node count is bounded by (n+1)^k, which the driver
-asserts on every run.
+form.  The level-k residue count is bounded by (n+1)^k, which the
+driver asserts on every run.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from .terms import (
     LevelStats,
     SideRule,
     Term,
+    canonical_term,
+    coincident_pair,
     final_level_value,
     integrate_level,
 )
@@ -42,7 +44,8 @@ def column_factors(rows) -> List[LinForm]:
 
 
 def initial_term(norm: NormalizedInstance) -> Term:
-    """exp(l1+..+lm) over the product of all m+n simple factors.
+    """exp(l1+..+lm) over the product of all m+n simple factors, each in
+    primitive form.
 
     Any two proportional factors would create a repeated pole at level
     one already, so they are rejected here with a hint; axis-parallel
@@ -56,18 +59,17 @@ def initial_term(norm: NormalizedInstance) -> Term:
         # root is exactly the closed-form final-level shape
         assert all(f.is_multiple_of_var(1) for f in factors)
     else:
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                if factors[a].parallel(factors[b]):
-                    raise DegenerateInstance(
-                        f"coincident denominator factors ({factors[a]}) and "
-                        f"({factors[b]}): a constraint row is proportional to a "
-                        "coordinate axis or to another column factor. Perturb A "
-                        "slightly (approximate result) or use the known-volume "
-                        "generators for such shapes."
-                    )
+        pair = coincident_pair(factors)
+        if pair is not None:
+            raise DegenerateInstance(
+                f"coincident denominator factors ({pair[0]}) and "
+                f"({pair[1]}): a constraint row is proportional to a "
+                "coordinate axis or to another column factor. Perturb A "
+                "slightly (approximate result) or use the known-volume "
+                "generators for such shapes."
+            )
     exponent = LinForm([(i, 1) for i in range(1, m + 1)])
-    return Term(Fraction(1), exponent, tuple((f, 1) for f in factors))
+    return canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors)))
 
 
 def _direct_domain(rows):
@@ -93,13 +95,13 @@ def run_direct(
             terms, k, config, SideRule.BY_EXPONENT_SIGN, history
         )
         levels.append(stats)
-        assert len(terms) <= (n + 1) ** k, "level node bound (n+1)^k exceeded"
+        assert stats.residues <= (n + 1) ** k, "level node bound (n+1)^k exceeded"
     for t in terms:
         assert t.total_multiplicity == n + 1, "final-level degree bookkeeping"
     result = sum((final_level_value(t, m) for t in terms), Fraction(0))
     levels.append(
         LevelStats(var=m, terms_in=len(terms), poles_found=0, left=0, right=0,
-                   repaired=0, terms_out=len(terms))
+                   repaired=0, residues=len(terms), terms_out=len(terms))
     )
     return DirectRun(norm, config, tuple(levels), result)
 

@@ -1,16 +1,19 @@
 """Exact scalars and homogeneous linear forms.
 
-Every number in the engine is a :class:`fractions.Fraction` (aliased
-``Rat``).  Variables are small integer ids: ``1..m`` for the lambda
-block, plus the distinguished id :data:`P_VAR` for the transform
-variable p, which orders after every lambda.  A :class:`LinForm` is a
-canonical sparse map from variable id to coefficient; there is no
-constant part anywhere in the algebra, so structural equality equals
-mathematical equality.
+Every number in the engine is exact: a :class:`fractions.Fraction`
+(aliased ``Rat``) or an ``int``.  Variables are small integer ids:
+``1..m`` for the lambda block, plus the distinguished id :data:`P_VAR`
+for the transform variable p, which orders after every lambda.  A
+:class:`LinForm` is a canonical sparse map from variable id to
+coefficient; there is no constant part anywhere in the algebra, so
+structural equality equals mathematical equality.  Forms built from
+user data hold Fractions; the primitive forms of :meth:`LinForm.primitive`
+hold ints, which compare and hash equal to the same Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import NotAPoleInVar
@@ -20,6 +23,8 @@ RatLike = Union[Fraction, int, str]
 
 # p must compare greater than any realistic lambda index.
 P_VAR = 1 << 30
+
+_ONE = Fraction(1)
 
 
 def rat(value: RatLike) -> Fraction:
@@ -52,7 +57,7 @@ class LinForm:
     0
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash", "_primitive")
 
     def __init__(self, coeffs: Union[Mapping[int, RatLike], Iterable[Tuple[int, RatLike]]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -64,6 +69,19 @@ class LinForm:
             else:
                 acc[var] = c
         self._coeffs = tuple(sorted((v, c) for v, c in acc.items() if c != 0))
+        self._hash = None
+        self._primitive = None
+
+    @classmethod
+    def from_items(cls, items: Tuple[Tuple[int, RatLike], ...], primitive: bool = False) -> "LinForm":
+        """Wrap pairs that are already canonical: sorted by variable, one
+        pair per variable, no zero coefficient.  Skips every check;
+        ``primitive`` asserts that the form is its own primitive form."""
+        form = object.__new__(cls)
+        form._coeffs = items
+        form._hash = None
+        form._primitive = True if primitive else None
+        return form
 
     @classmethod
     def var(cls, var: int, coeff: RatLike = 1) -> "LinForm":
@@ -154,18 +172,37 @@ class LinForm:
         leading = self.coeff(var)
         if leading == 0:
             raise NotAPoleInVar(f"{self} has no {var_name(var)} term")
-        root = LinForm([(v, -c / leading) for v, c in self._coeffs if v != var])
+        root = LinForm.from_items(
+            tuple((v, Fraction(-c, leading)) for v, c in self._coeffs if v != var)
+        )
         return leading, root
 
-    def parallel(self, other: "LinForm") -> bool:
-        """True iff self = r*other for some nonzero rational r."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.variables != other.variables:
-            return False
-        v0, c0 = self._coeffs[0]
-        ratio = c0 / other.coeff(v0)
-        return all(c == ratio * other.coeff(v) for v, c in self._coeffs)
+    def primitive(self) -> Tuple[Fraction, "LinForm"]:
+        """Split the form as ``scale * form`` where ``form`` has coprime
+        integer coefficients and a positive coefficient on its
+        highest-index variable.  Proportional forms share that primitive
+        form, so it names the hyperplane the form vanishes on.
+
+        >>> scale, form = LinForm({1: "4/3", 2: -2}).primitive()
+        >>> scale
+        Fraction(-2, 3)
+        >>> print(form)
+        -2*l1 + 3*l2
+        """
+        # cached as True for a form that is its own primitive form (no
+        # self-reference, so forms are freed by reference counting)
+        if self._primitive is None:
+            if not self._coeffs:
+                self._primitive = True
+            else:
+                den = lcm(*(c.denominator for _, c in self._coeffs))
+                ints = [(v, int(c * den)) for v, c in self._coeffs]
+                g = gcd(*(c for _, c in ints))
+                if ints[-1][1] < 0:
+                    g = -g
+                form = LinForm.from_items(tuple((v, c // g) for v, c in ints), primitive=True)
+                self._primitive = (Fraction(g, den), form)
+        return (_ONE, self) if self._primitive is True else self._primitive
 
     # -- plumbing --------------------------------------------------------
 
@@ -173,7 +210,10 @@ class LinForm:
         return isinstance(other, LinForm) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._coeffs)
+        return h
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import GenericityViolated
 from .linforms import rat
-from .polytope import PolytopeInstance, make_instance, normalize
+from .polytope import NormalizedInstance, PolytopeInstance, make_instance, normalize
 
 
 def _genericity(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
@@ -158,18 +158,24 @@ class McEstimate:
 _MC_BATCH = 1 << 16  # fixed batch size keeps the PCG64 stream reproducible
 
 
-def mc_volume(inst: PolytopeInstance, samples: int, seed: int) -> McEstimate:
+def mc_volume(
+    inst: PolytopeInstance, samples: int, seed: int, norm: Optional[NormalizedInstance] = None
+) -> McEstimate:
     """Hit-or-miss estimate over the certified box [0, sum(u)]^n.
 
     The box side comes from the compactness witness u >= 0 with
-    A'u >= 1 of the normalized rows (``normalize(inst).box_witness``):
-    every x in the body has sum(x) <= u'Ax <= sum(u).  Raises like
-    ``normalize`` on an invalid instance.  Sampling uses numpy's PCG64
-    generator, so a seed pins the estimate bit for bit across platforms.
+    A'u >= 1 of the normalized rows (``norm.box_witness``, where ``norm``
+    defaults to ``normalize(inst)``; pass it when already at hand to
+    skip the LP): every x in the body has sum(x) <= u'Ax <= sum(u).
+    Raises like ``normalize`` on an invalid instance.  Sampling uses
+    numpy's PCG64 generator, so a seed pins the estimate bit for bit
+    across platforms.
     """
     import numpy as np  # only this estimator needs numpy; importing lapvol does not
 
-    bound = sum(normalize(inst).box_witness, Fraction(0))
+    if norm is None:
+        norm = normalize(inst)
+    bound = sum(norm.box_witness, Fraction(0))
     assert bound > 0
     n = inst.n
     A = np.array([[float(v) for v in row] for row in inst.rows])

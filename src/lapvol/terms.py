@@ -17,6 +17,21 @@ into a new list via Cauchy residues at simple poles:
 * poles landing exactly on a path are repaired by nudging that path's
   abscissa (the on-line perturbation), never by moving the pole.
 
+Canonical factors.  Every denominator factor is kept in its primitive
+form (:meth:`LinForm.primitive`): coprime integer coefficients with a
+positive coefficient on the highest-index variable, the scale folded
+into ``coeff``.  Proportional factors are then equal, so a pole is
+named by its factor, and the residue at the zero of g (coefficient a on
+the variable) maps a factor f with coefficient b to the integer form
+a*f - b*g divided by its content, without any rational substitution.
+
+Like-term merging.  Residues of distinct pole sequences often share
+their exponent and denominator (Brion & Vergne, JAMS 1997, sum iterated
+residues over distinct sequences).  :func:`integrate_level` adds the
+coefficients of such terms once per level, keeps the first term of each
+shape in insertion order, and drops the shapes whose coefficients
+cancel to zero.
+
 Repeated roots before the final level mean the data are degenerate and
 are rejected rather than differentiated through.
 """
@@ -25,11 +40,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import factorial, gcd, lcm
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, DivergentSlice
-from .linforms import LinForm, rat, var_name
+from .linforms import LinForm, var_name
 
 
 class Side(enum.Enum):
@@ -61,9 +76,6 @@ class Term:
         for f, mult in self.denom:
             assert not f.is_zero and mult >= 1, "denominator factors must be nonzero"
 
-    def degree_in(self, var: int) -> int:
-        return sum(mult for f, mult in self.denom if f.coeff(var) != 0)
-
     @property
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.denom)
@@ -75,18 +87,45 @@ class Term:
         return f"{self.coeff} * e^({self.exponent}) / [{den}]"
 
 
-def make_term(coeff, exponent: LinForm, denom: Iterable[Tuple[LinForm, int]]) -> Term:
-    return Term(rat(coeff), exponent, tuple((f, int(m)) for f, m in denom))
+def canonical_term(term: Term) -> Term:
+    """The same summand with every factor replaced by its primitive form,
+    the scales folded into the coefficient and equal factors combined
+    into one entry; canonical terms come back unchanged."""
+    coeff = term.coeff
+    denom: Dict[LinForm, int] = {}
+    for f, mult in term.denom:
+        scale, g = f.primitive()
+        if g is not f:
+            coeff /= scale ** mult
+        denom[g] = denom.get(g, 0) + mult
+    if coeff is term.coeff and len(denom) == len(term.denom):
+        return term
+    return Term(coeff, term.exponent, tuple(denom.items()))
+
+
+def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[LinForm, LinForm]]:
+    """The first pair (in index order) of proportional factors, or None.
+    Proportional factors share a primitive form."""
+    groups: Dict[LinForm, List[int]] = {}
+    for i, f in enumerate(factors):
+        groups.setdefault(f.primitive()[1], []).append(i)
+    repeated = [idx for idx in groups.values() if len(idx) > 1]
+    if not repeated:
+        return None
+    a, b = min(repeated)[:2]
+    return factors[a], factors[b]
 
 
 @dataclass(frozen=True)
 class PoleSite:
-    """One distinct root of the current variable in a term's denominator."""
+    """One distinct root of the current variable in a term's denominator;
+    ``factor`` is the primitive factor vanishing there."""
 
     root: LinForm
     leading: Fraction
     side: Side
     order: int
+    factor: Optional[LinForm] = None
 
 
 @dataclass(frozen=True)
@@ -123,12 +162,16 @@ class ContourConfig:
 
 @dataclass(frozen=True)
 class LevelStats:
+    """Counts of one level: ``residues`` before like-term merging,
+    ``terms_out`` after it."""
+
     var: int
     terms_in: int
     poles_found: int
     left: int
     right: int
     repaired: int
+    residues: int
     terms_out: int
 
 
@@ -141,38 +184,64 @@ def poles_of(term: Term, var: int, config: ContourConfig) -> List[PoleSite]:
     path Re(var) = abscissa(var).
 
     Factors sharing a root are one site whose order is the sum of their
-    multiplicities; root equality is exact LinForm equality, so scaled
-    copies of a factor correctly pile up into a higher-order site.
+    multiplicities; proportional factors share a primitive form, so
+    scaled copies of a factor correctly pile up into a higher-order site.
     """
-    groups: dict[LinForm, list] = {}
-    for factor, mult in term.denom:
-        if factor.coeff(var) == 0:
-            continue
-        leading, root = factor.solve_for(var)
-        if root in groups:
-            groups[root][0] += mult
-        else:
-            groups[root] = [mult, leading]
-    path = config.abscissa(var)
+    return _sites(canonical_term(term), _Classifier(var, config))
+
+
+class _Classifier:
+    """Classifies each distinct primitive factor once per level.
+
+    With factor = a*var + rest, the factor's value at the path point is
+    a*(path - root), so the side follows from the signs of that value
+    and of a.  The value's sign is read from integers: the abscissae
+    scaled by their common denominator.
+    """
+
+    def __init__(self, var: int, config: ContourConfig):
+        self.var = var
+        den = lcm(*(x.denominator for x in config.abscissae.values()))
+        self.point = {v: int(x * den) for v, x in config.abscissae.items()}
+        self.sites: Dict[LinForm, Optional[PoleSite]] = {}
+
+    def site(self, factor: LinForm) -> Optional[PoleSite]:
+        """The simple-pole site of the factor, or None if the factor does
+        not contain the variable."""
+        try:
+            return self.sites[factor]
+        except KeyError:
+            pass
+        a = factor.coeff(self.var)
+        site = None
+        if a != 0:
+            at_path = sum(c * self.point[v] for v, c in factor.items())
+            if at_path == 0:
+                side = Side.ON_PATH
+            elif (at_path > 0) == (a > 0):
+                side = Side.LEFT
+            else:
+                side = Side.RIGHT
+            leading, root = factor.solve_for(self.var)
+            site = PoleSite(root, leading, side, 1, factor)
+        self.sites[factor] = site
+        return site
+
+    def distinct(self) -> List[PoleSite]:
+        return [s for s in self.sites.values() if s is not None]
+
+
+def _sites(term: Term, classify: _Classifier) -> List[PoleSite]:
+    """poles_of for a canonical term, whose factors are distinct."""
     sites = []
-    for root, (order, leading) in groups.items():
-        value = root.evaluate(config.abscissae)
-        if value < path:
-            side = Side.LEFT
-        elif value > path:
-            side = Side.RIGHT
-        else:
-            side = Side.ON_PATH
-        sites.append(PoleSite(root, leading, side, order))
+    for f, mult in term.denom:
+        site = classify.site(f)
+        if site is not None:
+            sites.append(site if mult == 1 else replace(site, order=mult))
     return sites
 
 
-def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
-    """Residue of the term at a simple pole, as a new term without ``var``.
-
-    The vanishing factor is dropped and divides the coefficient by its
-    leading coefficient; the root is substituted everywhere else.
-    """
+def _require_simple(var: int, pole: PoleSite) -> None:
     if pole.order != 1:
         raise DegenerateInstance(
             f"pole of order {pole.order} at {var_name(var)} = {pole.root}; "
@@ -180,21 +249,77 @@ def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
             "A tiny random perturbation of A removes the coincidence at the "
             "price of an approximate volume."
         )
-    vanish_leading = None
-    remaining = []
-    for factor, mult in term.denom:
-        if factor.coeff(var) != 0 and factor.solve_for(var)[1] == pole.root:
-            assert vanish_leading is None and mult == 1
-            vanish_leading = factor.coeff(var)
-            continue
-        remaining.append((factor, mult))
-    assert vanish_leading is not None, "pole does not belong to this term"
-    new_denom = tuple((f.substitute(var, pole.root), m) for f, m in remaining)
-    return Term(
-        term.coeff / vanish_leading,
-        term.exponent.substitute(var, pole.root),
-        new_denom,
-    )
+
+
+def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
+    """Residue of the term at a simple pole, as a new canonical term
+    without ``var``.
+
+    The vanishing factor is dropped and divides the coefficient by its
+    leading coefficient; the root is substituted everywhere else.
+    """
+    _require_simple(var, pole)
+    factor = pole.factor or (LinForm.var(var) - pole.root).primitive()[1]
+    return _residue(canonical_term(term), var, factor, 1)
+
+
+def _eliminate(f: LinForm, g: LinForm, var: int, a: int, b: int) -> Tuple[LinForm, int]:
+    """a*f - b*g, which has no ``var``, as (primitive form h, content s)
+    with a*f - b*g = s*h."""
+    acc = {v: a * c for v, c in f.items()}
+    for v, c in g.items():
+        acc[v] = acc.get(v, 0) - b * c
+    items = sorted(vc for vc in acc.items() if vc[1])
+    s = gcd(*[c for _, c in items])
+    if items[-1][1] < 0:
+        s = -s
+    return LinForm.from_items(tuple([(v, c // s) for v, c in items]), primitive=True), s
+
+
+def _residue(term: Term, var: int, g: LinForm, sign: int) -> Term:
+    """``sign`` times the residue of a canonical term at the zero of its
+    factor ``g`` (a simple pole).
+
+    With a = g's coefficient on ``var``, the root substituted into a
+    factor f with coefficient b gives (a*f - b*g)/a = (s/a)*h for the
+    primitive h, so each such factor multiplies the coefficient by
+    (a/s)^mult, and the dropped factor g divides it by a.
+    """
+    a = g.coeff(var)
+    num, den = sign * term.coeff.numerator, a * term.coeff.denominator
+    denom: Dict[LinForm, int] = {}
+    vanished = 0
+    for f, mult in term.denom:
+        b = f.coeff(var)
+        if b != 0:
+            if f == g:
+                vanished += mult
+                continue
+            f, s = _eliminate(f, g, var, a, b)
+            num *= a ** mult
+            den *= s ** mult
+        denom[f] = denom.get(f, 0) + mult
+    assert vanished == 1, "pole does not belong to this term as a simple factor"
+    exponent = _substitute_exponent(term.exponent, g, var, a)
+    return Term(Fraction(num, den), exponent, tuple(denom.items()))
+
+
+def _substitute_exponent(L: LinForm, g: LinForm, var: int, a: int) -> LinForm:
+    """L at the zero of g: L - r*g with r = alpha/a, alpha being L's
+    coefficient on ``var``; each coefficient is one Fraction of ints."""
+    alpha = L.coeff(var)
+    if alpha == 0:
+        return L
+    r = Fraction(alpha.numerator, alpha.denominator * a)
+    coeffs = {v: c for v, c in L.items() if v != var}
+    for v, c in g.items():
+        if v != var:
+            x = coeffs.get(v, 0)
+            coeffs[v] = Fraction(
+                x.numerator * r.denominator - r.numerator * c * x.denominator,
+                x.denominator * r.denominator,
+            )
+    return LinForm.from_items(tuple(sorted((v, c) for v, c in coeffs.items() if c)))
 
 
 def integrate_var(
@@ -203,18 +328,25 @@ def integrate_var(
     config: ContourConfig,
     rule: SideRule,
     force_side: Optional[Side] = None,
+    sites: Optional[Sequence[Sequence[PoleSite]]] = None,
 ) -> List[Term]:
-    """Integrate every term over Re(var) = abscissa(var) by residues.
+    """Integrate every term over Re(var) = abscissa(var) by residues and
+    return the residues, one term each, unmerged.
 
     Precondition: no pole sits on the path (repair first with
     :func:`perturb_abscissa`).  ``force_side`` overrides the fewer-poles
     choice for zero-exponent terms; it exists for the side-consistency
     tests and must not be used when the exponent decides the side.
+    ``sites`` are the canonical terms' classified poles, one list per
+    term; without them the terms are canonicalized and classified here.
     """
+    if sites is None:
+        terms = [canonical_term(t) for t in terms]
+        classify = _Classifier(var, config)
+        sites = [_sites(t, classify) for t in terms]
     out: List[Term] = []
-    for term in terms:
-        sites = poles_of(term, var, config)
-        if any(s.side is Side.ON_PATH for s in sites):
+    for term, term_sites in zip(terms, sites):
+        if any(s.side is Side.ON_PATH for s in term_sites):
             raise RuntimeError(
                 f"pole on the integration path Re({var_name(var)}); "
                 "perturb_abscissa must run before integrate_var"
@@ -227,24 +359,45 @@ def integrate_var(
         else:
             # no exponential decay: both closures are valid only when the
             # integrand dies off at least quadratically
-            if term.degree_in(var) < 2:
+            degree = sum(s.order for s in term_sites)
+            if degree < 2:
                 raise DivergentSlice(
-                    f"term {term} has degree {term.degree_in(var)} in "
+                    f"term {term} has degree {degree} in "
                     f"{var_name(var)} and no exponential decay"
                 )
             if force_side is not None:
                 side = force_side
             else:
-                n_left = sum(1 for s in sites if s.side is Side.LEFT)
-                n_right = len(sites) - n_left
+                n_left = sum(1 for s in term_sites if s.side is Side.LEFT)
+                n_right = len(term_sites) - n_left
                 side = Side.LEFT if n_left <= n_right else Side.RIGHT
         sign = 1 if side is Side.LEFT else -1
-        for site in sites:
-            if site.side is not side:
-                continue
-            res = residue_simple(term, var, site)
-            out.append(res if sign == 1 else replace(res, coeff=-res.coeff))
+        for site in term_sites:
+            if site.side is side:
+                _require_simple(var, site)
+                out.append(_residue(term, var, site.factor, sign))
     return out
+
+
+def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
+    """Add the coefficients of canonical terms with equal exponent and
+    equal denominator, compared as a set of distinct (factor,
+    multiplicity) pairs so factor order does not matter; the first term
+    of each shape fixes its place and factor order, and shapes whose
+    coefficients cancel are dropped."""
+    merged: Dict[tuple, list] = {}
+    for t in terms:
+        key = (t.exponent, frozenset(t.denom))
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [t, t.coeff]
+        else:
+            entry[1] += t.coeff
+    return [
+        t if total == t.coeff else Term(total, t.exponent, t.denom)
+        for t, total in merged.values()
+        if total != 0
+    ]
 
 
 def final_level_value(term: Term, var: int) -> Fraction:
@@ -256,18 +409,18 @@ def final_level_value(term: Term, var: int) -> Fraction:
     the factors' leading coefficients.
     """
     q = 0
-    K = term.coeff
+    leading = 1
     for factor, mult in term.denom:
         assert factor.is_multiple_of_var(var), (
             f"final level expects pure multiples of {var_name(var)}, got {factor}"
         )
-        K /= factor.coeff(var) ** mult
+        leading *= factor.coeff(var) ** mult
         q += mult
     assert set(term.exponent.variables) <= {var}
     alpha = term.exponent.coeff(var)
     if alpha <= 0:
         return Fraction(0)
-    return K * alpha ** (q - 1) / factorial(q - 1)
+    return term.coeff / leading * alpha ** (q - 1) / factorial(q - 1)
 
 
 def perturb_abscissa(
@@ -329,17 +482,23 @@ def integrate_level(
     force_side: Optional[Side] = None,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
     """One full level: classify poles, repair on-path collisions, record
-    the classification, then integrate.  Returns the new term list, the
-    (possibly perturbed) config and the level diagnostics."""
-    flat = [s for t in terms for s in poles_of(t, var, config)]
+    the classification, integrate, then merge like terms.  Returns the
+    new term list, the (possibly perturbed) config and the level
+    diagnostics."""
+    terms = [canonical_term(t) for t in terms]
+    classify = _Classifier(var, config)
+    sites = [_sites(t, classify) for t in terms]
     repaired = 0
-    if any(s.side is Side.ON_PATH for s in flat):
-        config = perturb_abscissa(config, var, flat, history)
+    if any(s.side is Side.ON_PATH for s in classify.distinct()):
+        config = perturb_abscissa(config, var, classify.distinct(), history)
         repaired = 1
-        flat = [s for t in terms for s in poles_of(t, var, config)]
-        assert not any(s.side is Side.ON_PATH for s in flat)
-    history.append((var, tuple(flat)))
-    out = integrate_var(terms, var, config, rule, force_side)
+        classify = _Classifier(var, config)
+        sites = [_sites(t, classify) for t in terms]
+        assert not any(s.side is Side.ON_PATH for s in classify.distinct())
+    history.append((var, tuple(classify.distinct())))
+    residues = integrate_var(terms, var, config, rule, force_side, sites)
+    out = merge_like_terms(residues)
+    flat = [s for term_sites in sites for s in term_sites]
     stats = LevelStats(
         var=var,
         terms_in=len(terms),
@@ -347,6 +506,7 @@ def integrate_level(
         left=sum(1 for s in flat if s.side is Side.LEFT),
         right=sum(1 for s in flat if s.side is Side.RIGHT),
         repaired=repaired,
+        residues=len(residues),
         terms_out=len(out),
     )
     return out, config, stats

@@ -22,6 +22,8 @@ from .terms import (
     LevelStats,
     SideRule,
     Term,
+    canonical_term,
+    coincident_pair,
     integrate_level,
 )
 
@@ -36,7 +38,8 @@ class TransformRun:
 
 
 def substituted_term(norm: NormalizedInstance) -> Term:
-    """The pure-rational integrand after eliminating l1 = p - sum(l_j).
+    """The pure-rational integrand after eliminating l1 = p - sum(l_j),
+    every factor in primitive form.
 
     Exponent is identically zero: the exp(zp) factor lives outside the
     inner integrals and is inverted analytically at the end.
@@ -50,16 +53,15 @@ def substituted_term(norm: NormalizedInstance) -> Term:
         factors.append(col.substitute(1, l1_root))
     assert all(not f.is_zero for f in factors)
     if m > 1:
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                if factors[a].parallel(factors[b]):
-                    raise DegenerateInstance(
-                        f"coincident denominator factors ({factors[a]}) and "
-                        f"({factors[b]}) after the p-substitution. Perturb A "
-                        "slightly (approximate result) or use the known-volume "
-                        "generators for such shapes."
-                    )
-    return Term(Fraction(1), LinForm.zero(), tuple((f, 1) for f in factors))
+        pair = coincident_pair(factors)
+        if pair is not None:
+            raise DegenerateInstance(
+                f"coincident denominator factors ({pair[0]}) and "
+                f"({pair[1]}) after the p-substitution. Perturb A "
+                "slightly (approximate result) or use the known-volume "
+                "generators for such shapes."
+            )
+    return canonical_term(Term(Fraction(1), LinForm.zero(), tuple((f, 1) for f in factors)))
 
 
 def _transform_domain(rows):
@@ -101,21 +103,21 @@ def run_transform(
             terms, k, config, SideRule.FEWER_POLES, history, force_side=force
         )
         levels.append(stats)
-        assert len(terms) <= (n + 1) ** (k - 1), "level node bound (n+1)^k exceeded"
+        assert stats.residues <= (n + 1) ** (k - 1), "level node bound (n+1)^k exceeded"
     C = Fraction(0)
     for t in terms:
         if not t.exponent.is_zero:
             raise MalformedH(f"surviving term carries an exponential: {t}")
         q = 0
-        K = t.coeff
+        leading = 1
         for factor, mult in t.denom:
             if not factor.is_multiple_of_var(P_VAR):
                 raise MalformedH(f"surviving denominator factor {factor} is not a power of p")
-            K /= factor.coeff(P_VAR) ** mult
+            leading *= factor.coeff(P_VAR) ** mult
             q += mult
         if q != n + 1:
             raise MalformedH(f"surviving term has p-multiplicity {q}, expected {n + 1}")
-        C += K
+        C += t.coeff / leading
     return TransformRun(norm, config, tuple(levels), C, C / factorial(n))
 
 

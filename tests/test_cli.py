@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from lapvol import cli
+from lapvol.oracle import mc_volume
+from lapvol.polytope import normalize
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -75,6 +77,19 @@ def test_stats_lines(capsys):
     assert "stats: transform C=17/24" in out
 
 
+def test_stats_lines_report_merging(capsys):
+    code, out, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--stats")
+    assert code == 0
+    levels = [l for l in out.splitlines() if " level=" in l]
+    assert len(levels) == 5  # direct levels 1-3, transform levels 1-2
+    for line in levels:
+        fields = dict(kv.split("=") for kv in line.split()[1:])
+        assert line.startswith(f"stats: method={fields['method']} level={fields['level']} "
+                               f"terms_in={fields['terms_in']} poles=")
+        assert line.endswith(f"terms_out={fields['terms_out']} merged={fields['merged']}")
+        assert int(fields["merged"]) >= 0
+
+
 def test_verify_mc_line(capsys):
     code, out, _ = run(
         capsys, "volume", str(INSTANCES / "paper-example.json"),
@@ -131,6 +146,28 @@ def test_tolerate_floats_converts_exactly(tmp_path, capsys):
     assert out.splitlines()[0].split()[0] == "1/6"
 
 
+@pytest.mark.parametrize("literal", ["1e999999999", "-2.5E+1000", "1." + "0" * 100 + "1"])
+def test_tolerate_floats_refuses_long_decimals(tmp_path, capsys, literal):
+    # refused on the text, before Fraction could build a huge integer
+    as_string = {"A": [[literal, "1"]], "b": ["1"]}
+    path = write(tmp_path, "s.json", as_string)
+    code, _, err = run(capsys, "volume", path, "--tolerate-floats")
+    assert code == 2 and "too long" in err
+    as_float = tmp_path / "f.json"
+    as_float.write_text('{"A": [[%s, 1]], "b": [1]}' % literal)
+    code, _, err = run(capsys, "volume", str(as_float), "--tolerate-floats")
+    assert code == 2 and "too long" in err
+
+
+def test_tolerate_floats_accepts_bounded_decimals(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"A": [[2.5e-1, "0.5e1"]], "b": ["1e2"]}')
+    code, out, err = run(capsys, "volume", str(path), "--tolerate-floats")
+    assert code == 0 and "warning" in err
+    # {x >= 0, x1/4 + 5 x2 <= 100}: a triangle with legs 400 and 20
+    assert out.splitlines()[0].split()[0] == "4000"
+
+
 def test_exit_3_nonpositive_b(tmp_path, capsys):
     path = write(tmp_path, "b0.json", {"A": [["1", "1"]], "b": ["0"]})
     code, _, err = run(capsys, "volume", path)
@@ -175,6 +212,18 @@ def test_check_only_valid_instance(capsys):
 def test_check_only_solves_one_lp(lp_calls, capsys):
     code, _, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--check-only")
     assert code == 0 and len(lp_calls) == 1
+
+
+def test_verify_mc_solves_one_lp(lp_calls, capsys):
+    # the Monte Carlo box comes from the certificate normalize already has
+    path = INSTANCES / "paper-example.json"
+    code, out, _ = run(capsys, "volume", str(path), "--verify-mc", "--samples", "1000")
+    assert code == 0 and len(lp_calls) == 1
+    inst = cli.load_instance(str(path))
+    est = mc_volume(inst, 1000, 0)
+    assert mc_volume(inst, 1000, 0, normalize(inst)) == est  # bit for bit
+    mc_line = next(l for l in out.splitlines() if l.startswith("mc:"))
+    assert mc_line.startswith(f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} ")
 
 
 def test_exit_7_method_disagreement(monkeypatch, capsys):

@@ -25,14 +25,16 @@ def worked():
 def test_initial_term_worked_example(worked):
     norm, _ = worked
     t = initial_term(norm)
-    assert t.coeff == 1
+    # primitive factors: l1 + 2l2 - l3 enters as -(-l1 - 2l2 + l3), so
+    # its sign moves into the coefficient
+    assert t.coeff == -1
     assert t.exponent == LinForm([(1, 1), (2, 1), (3, 1)])
     assert set(f for f, _ in t.denom) == {
         LinForm([(1, 1)]),
         LinForm([(2, 1)]),
         LinForm([(3, 1)]),
         LinForm([(1, 1), (2, -2), (3, 2)]),
-        LinForm([(1, 1), (2, 2), (3, -1)]),
+        LinForm([(1, -1), (2, -2), (3, 1)]),
     }
     assert all(m == 1 for _, m in t.denom)
 
@@ -177,3 +179,23 @@ def test_monotone_under_added_constraint():
             est = lv.mc_volume(bigger, 200_000, seed=99)
             assert abs(est.estimate - float(v1)) <= 3 * est.stderr + 1e-12
         done += 1
+
+
+def test_generic_m5_n6_merges_like_terms():
+    # generic data in the make-up of the benchmark's draws: distinct primes
+    # in row 1, other entries nonzero in [-999, 999]
+    rng = random.Random(56)
+    primes = [1009, 2003, 3001, 4001, 5003, 6007, 7001, 8009, 9001]
+    A = [rng.sample(primes, 6)]
+    A += [[rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(6)] for _ in range(4)]
+    b = [rng.randint(1, 999) for _ in range(5)]
+    norm = lv.normalize(lv.make_instance(A, b))
+    n = norm.n
+    run = run_direct(norm)  # asserts its node bound on every level
+    for k, lvl in enumerate(run.levels[:-1], start=1):
+        assert lvl.terms_out <= lvl.residues <= (n + 1) ** k
+    assert any(lvl.residues > lvl.terms_out for lvl in run.levels)
+    tr = lv.run_transform(norm)
+    for k, lvl in enumerate(tr.levels, start=1):
+        assert lvl.terms_out <= lvl.residues <= (n + 1) ** k
+    assert run.result == tr.result > 0

@@ -1,4 +1,5 @@
 """Exact scalar / linear-form algebra tests."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,12 +91,28 @@ def test_solve_for_absent_variable():
         lf([(2, 1)]).solve_for(1)
 
 
+def parallel(f, g):
+    """Proportional forms are exactly those sharing a primitive form."""
+    return f.primitive()[1] == g.primitive()[1]
+
+
 def test_parallel():
-    assert lf([(1, 2), (2, -2)]).parallel(lf([(1, 1), (2, -1)]))
-    assert not lf([(1, 2), (2, -2)]).parallel(lf([(1, 1), (2, 1)]))
-    assert not lf([(1, 1)]).parallel(lf([(1, 1), (2, 1)]))
-    assert LinForm.zero().parallel(LinForm.zero())
-    assert not LinForm.zero().parallel(lf([(1, 1)]))
+    assert parallel(lf([(1, 2), (2, -2)]), lf([(1, 1), (2, -1)]))
+    assert not parallel(lf([(1, 2), (2, -2)]), lf([(1, 1), (2, 1)]))
+    assert not parallel(lf([(1, 1)]), lf([(1, 1), (2, 1)]))
+    assert parallel(LinForm.zero(), LinForm.zero())
+    assert not parallel(LinForm.zero(), lf([(1, 1)]))
+
+
+def test_primitive_examples():
+    scale, form = lf([(1, "4/3"), (2, -2)]).primitive()
+    assert form.items() == ((1, -2), (2, 3)) and scale == Fraction(-2, 3)
+    assert all(type(c) is int for _, c in form.items())
+    # the highest-index variable decides the sign: p in the transform
+    scale, form = lf([(2, 6), (P_VAR, -4)]).primitive()
+    assert form == lf([(2, -3), (P_VAR, 2)]) and scale == -2
+    assert lf([(3, 5)]).primitive() == (5, lf([(3, 1)]))
+    assert LinForm.zero().primitive() == (1, LinForm.zero())
 
 
 small_rats = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -130,6 +147,21 @@ def test_rational_arithmetic_is_exact(x, y, z):
     assert x * y == y * x
     if z != 0:
         assert (x / z) * z == x
+
+
+@given(forms, small_rats)
+def test_primitive_is_canonical(f, s):
+    scale, form = f.primitive()
+    assert form * scale == f
+    if f.is_zero:
+        return
+    coeffs = [c for _, c in form.items()]
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1 and coeffs[-1] > 0
+    assert form.primitive() == (1, form)
+    if s != 0:
+        # proportional forms map to the same primitive form
+        assert (f * s).primitive()[1] == form
 
 
 def test_module_doctests():

@@ -14,9 +14,11 @@ from lapvol.terms import (
     Side,
     SideRule,
     Term,
+    canonical_term,
     final_level_value,
     integrate_level,
     integrate_var,
+    merge_like_terms,
     perturb_abscissa,
     poles_of,
     residue_simple,
@@ -135,7 +137,9 @@ def test_residue_at_zero_gives_I2():
     term = worked_initial_term()
     site = next(s for s in poles_of(term, 1, cfg(3, 2, 1)) if s.root.is_zero)
     out = residue_simple(term, 1, site)
-    assert out == branch_I2()
+    # the engine returns the primitive-factor form of I2, factor for factor
+    assert out == canonical_term(branch_I2())
+    assert out.coeff == F(-1, 2)
 
 
 def test_residue_at_2l2_minus_2l3_matches_I3():
@@ -144,7 +148,11 @@ def test_residue_at_2l2_minus_2l3_matches_I3():
     site = next(s for s in poles_of(term, 1, cfg(3, 2, 1)) if s.root == root)
     out = residue_simple(term, 1, site)
     assert out.exponent == lf([(2, 3), (3, -1)])
-    assert out.coeff == 1
+    # primitive factors: 2l2 - 2l3 = -2(-l2 + l3) and 4l2 - 3l3 = -(-4l2 + 3l3)
+    assert out.coeff == F(1, 2)
+    assert set(f for f, _ in out.denom) == {
+        lf([(2, -1), (3, 1)]), lf([(2, 1)]), lf([(3, 1)]), lf([(2, -4), (3, 3)]),
+    }
     # engine factors rescale the worked 6 l2 l3 (l3-l2)(l3-4l2/3): same
     # product at any evaluation point
     at = {2: F(5), 3: F(7, 3)}
@@ -179,8 +187,10 @@ def test_residue_general_two_constraint_shape():
     leadings = F(1)
     for f, m in out.denom:
         leadings *= f.coeff(2) ** m
-    assert leadings == b[0] * b[1]
+    assert out.coeff / leadings == 1 / (b[0] * b[1])
     assert out.total_multiplicity == 3
+    # the three multiples of l2 share the primitive form l2: one entry
+    assert out.denom == ((lf([(2, 1)]), 3),)
 
 
 def test_residue_partial_fraction_shape():
@@ -188,8 +198,8 @@ def test_residue_partial_fraction_shape():
     term = Term(F(1), LinForm.zero(), ((lf([(1, 1)]), 1), (lf([(1, 1), (2, -2)]), 1)))
     site = next(s for s in poles_of(term, 1, cfg(5, 1)) if not s.root.is_zero)
     out = residue_simple(term, 1, site)
-    assert out.denom == ((lf([(2, 2)]), 1),)
-    assert out.coeff == 1
+    assert out.denom == ((lf([(2, 1)]), 1),)
+    assert out.coeff == F(1, 2)
 
 
 def test_residue_rejects_higher_order():
@@ -401,8 +411,67 @@ def test_integrate_level_records_history_and_stats():
     )
     assert stats.terms_in == 1 and stats.poles_found == 3
     assert stats.left == 3 and stats.right == 0 and stats.repaired == 0
-    assert stats.terms_out == len(out) == 3
+    assert stats.residues == stats.terms_out == len(out) == 3
     assert len(history) == 1 and history[0][0] == 1
+
+
+# -- like-term merging -------------------------------------------------
+
+
+def _class_value(terms, exponent, at):
+    """Sum of coeff / prod(f^m) at the point over the terms whose
+    exponent is ``exponent``: the rational part of that exponent class."""
+    total = F(0)
+    for t in terms:
+        if t.exponent == exponent:
+            total += t.coeff / math.prod(f.evaluate(at) ** m for f, m in t.denom)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_preserves_each_exponent_class(seed):
+    rng = random.Random(seed)
+    # positive coefficients keep every factor nonzero at positive points
+    pool = list({lf([(2, rng.randint(1, 5)), (3, rng.randint(1, 5))]).primitive()[1]
+                 for _ in range(8)} | {lf([(3, 1)])})
+    exponents = [lf([(2, F(rng.randint(-3, 3), rng.randint(1, 3))), (3, rng.randint(-2, 2))])
+                 for _ in range(3)]
+    for _ in range(20):
+        terms = []
+        for _ in range(rng.randint(1, 30)):
+            if terms and rng.random() < 0.5:
+                # a like term: same shape, factors reordered; sometimes
+                # the exact negative of an earlier coefficient
+                prev = rng.choice(terms)
+                exponent, denom = prev.exponent, tuple(rng.sample(prev.denom, len(prev.denom)))
+                coeff = -prev.coeff if rng.random() < 0.3 else F(rng.randint(-4, 4), rng.randint(1, 3))
+            else:
+                exponent = rng.choice(exponents)
+                denom = tuple((f, rng.randint(1, 2)) for f in rng.sample(pool, rng.randint(1, 3)))
+                coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
+            terms.append(Term(coeff, exponent, denom))
+        merged = merge_like_terms(terms)
+        shapes = [(t.exponent, frozenset(t.denom)) for t in merged]
+        assert len(set(shapes)) == len(shapes)
+        assert all(t.coeff != 0 for t in merged)
+        # each survivor is the first term of its shape, in insertion order
+        firsts = {}
+        for t in terms:
+            firsts.setdefault((t.exponent, frozenset(t.denom)), t)
+        kept = [t for key, t in firsts.items() if key in set(shapes)]
+        assert [(t.exponent, t.denom) for t in kept] == [(t.exponent, t.denom) for t in merged]
+        for _ in range(3):
+            at = {2: F(rng.randint(1, 20), rng.randint(1, 7)), 3: F(rng.randint(1, 20), rng.randint(1, 7))}
+            for e in exponents:
+                assert _class_value(merged, e, at) == _class_value(terms, e, at)
+
+
+def test_merge_drops_cancelled_terms():
+    t = Term(F(3, 2), lf([(2, 1)]), ((lf([(2, 1)]), 1), (lf([(2, 1), (3, 1)]), 2)))
+    twin = Term(F(-3, 2), t.exponent, tuple(reversed(t.denom)))
+    other = Term(F(1), LinForm.zero(), t.denom)
+    assert merge_like_terms([t, other, twin]) == [other]
+    assert merge_like_terms([t, t]) == [Term(F(3), t.exponent, t.denom)]
 
 
 # -- numerical contour quadrature oracle --------------------------------
