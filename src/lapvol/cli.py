@@ -267,6 +267,16 @@ def _cmd_gen(spec: str) -> int:
     return EXIT_OK
 
 
+def _int_at_least(least: int):
+    """An argparse type accepting integers >= ``least`` (usage error, exit 2, otherwise)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapvol",
@@ -282,12 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     vol = sub.add_parser("volume", help="compute the exact volume of an instance file")
     vol.add_argument("file")
     vol.add_argument("--method", choices=("direct", "transform", "both"), default="both")
-    vol.add_argument("--digits", type=int, default=12, help="decimal digits to render (default 12)")
+    vol.add_argument("--digits", type=_int_at_least(0), default=12,
+                     help="decimal digits to render (default 12)")
     vol.add_argument("--check-only", action="store_true",
                      help="run the validation gates and report flags/witnesses only")
     vol.add_argument("--verify-mc", action="store_true",
                      help="append a Monte Carlo cross-check line")
-    vol.add_argument("--samples", type=int, default=1_000_000)
+    vol.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     vol.add_argument("--seed", type=int, default=0)
     vol.add_argument("--stats", action="store_true",
                      help="print per-level node counts and the perturbation ledger")

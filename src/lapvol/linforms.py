@@ -114,9 +114,6 @@ class LinForm:
         """True iff the form is c*var for some nonzero c."""
         return len(self._coeffs) == 1 and self._coeffs[0][0] == var
 
-    def lowest_var(self):
-        return self._coeffs[0][0] if self._coeffs else None
-
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "LinForm") -> "LinForm":

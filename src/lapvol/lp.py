@@ -3,16 +3,19 @@
 The one question asked is: maximize c.x over {x >= 0, Ax <= b} with
 b >= 0 (the strict-interior margin problem of :mod:`lapvol.polytope`).
 Because b >= 0, the all-slack basis x = 0 is feasible, so a single-phase
-primal simplex starts from it directly: no phase 1, no artificial
-columns, and the sign constraints x >= 0 are those of the tableau
-itself.  Pivoting follows Bland's least-index rule on a dense Fraction
-tableau: deterministic, exact, and immune to cycling.  The systems are
-tiny (tens of variables), so no effort goes into sparsity or
-revised-form updates.
+primal simplex starts from it, with Bland's least-index rule on variable
+ids: deterministic, exact, and immune to cycling.  The tableau is
+condensed (Tucker form): one row per basic and one column per nonbasic
+variable, so the slack identity block is never stored and a pivot swaps
+a row label with a column label.  Pivots are fraction-free (Edmonds
+1967, Bareiss 1968): each row is scaled once to integers, its slack with
+it, and every entry is held as d times its value, d the last pivot, so
+an update is one exact integer division.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from .linforms import rat
@@ -41,43 +44,39 @@ def maximize(
     if any(v < 0 for v in rhs):
         raise ValueError("b must be nonnegative: the simplex starts at x = 0")
 
-    # Columns: [0, n) structural | [n, n+m) slack; the slacks start basic
-    # and cost nothing, so the reduced costs start at the objective.
-    tab = [row + [Fraction(int(k == i)) for k in range(m)] for i, row in enumerate(rows)]
-    basis = list(range(n, n + m))
-    val = list(rhs)  # values of the basic variables, always >= 0
-    red = cost + [Fraction(0)] * m
-    z = Fraction(0)
+    # Row i is [value, entries] of basic variable basis[i]; row m is the
+    # objective row [-z, reduced costs].  Column k > 0 belongs to nonbasic
+    # variable col[k]: ids [0, n) structural, [n, n+m) slack.  Each row is
+    # scaled to integers by the lcm of its denominators, so every entry is
+    # held as d times its value (d = 1 until the first pivot).
+    tab = [[bi] + row for row, bi in zip(rows, rhs)] + [[Fraction(0)] + cost]
+    scale = [lcm(*(v.denominator for v in row)) for row in tab]
+    tab = [[v.numerator * (k // v.denominator) for v in row] for row, k in zip(tab, scale)]
+    basis, col, d = list(range(n, n + m)), [None] + list(range(n)), 1
     while True:
-        enter = next((j for j, r in enumerate(red) if r > 0), None)
+        enter = min((k for k in range(1, n + 1) if tab[m][k] > 0), key=col.__getitem__, default=None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None  # least ratio value/a by cross-products, ties to the least basic id
         for i in range(m):
             a = tab[i][enter]
-            if a > 0:
-                ratio = val[i] / a
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+            if a > 0 and (leave is None or (tab[i][0] * tab[leave][enter], basis[i])
+                          < (tab[leave][0] * a, basis[leave])):
+                leave = i
         if leave is None:
             return UNBOUNDED, None, None
-        inv = 1 / tab[leave][enter]
-        piv_row = tab[leave] = [v * inv for v in tab[leave]]
-        piv_val = val[leave] = val[leave] * inv
-        for i in range(m):
-            f = tab[i][enter]
-            if i != leave and f != 0:
-                tab[i] = [v - f * w for v, w in zip(tab[i], piv_row)]
-                val[i] -= f * piv_val
-        basis[leave] = enter
-        f = red[enter]
-        z += f * piv_val
-        red = [v - f * w for v, w in zip(red, piv_row)]
+        piv_row, p = tab[leave], tab[leave][enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(v * p - f * w) // d for v, w in zip(row, piv_row)]
+                tab[i][enter] = -f
+        piv_row[enter], d = d, p
+        basis[leave], col[enter] = col[enter], basis[leave]
 
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = val[i]
+    row_of = dict(zip(basis, tab))
+    x = [Fraction(row_of[j][0], d) if j in row_of else Fraction(0) for j in range(n)]
+    z = Fraction(-tab[m][0], d * scale[m])
     assert all(v >= 0 for v in x), "simplex witness violates x >= 0"
     for row, bi in zip(rows, rhs):
         assert sum(a * v for a, v in zip(row, x)) <= bi, "simplex witness violates Ax <= b"

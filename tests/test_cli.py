@@ -128,6 +128,28 @@ def test_exit_2_malformed_shapes(tmp_path, capsys, doc):
     assert "must be a list" in err
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_exit_2_negative_digits(capsys):
+    code, err = usage_error(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                            "--digits", "-2", "--method", "transform")
+    assert code == 2
+    assert "--digits: must be at least 0, got -2" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_exit_2_samples_below_one(capsys, samples):
+    code, err = usage_error(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                            "--verify-mc", "--samples", samples)
+    assert code == 2
+    assert f"--samples: must be at least 1, got {samples}" in err
+
+
 def test_exit_2_float_literal(tmp_path, capsys):
     path = write(tmp_path, "f.json", {"A": [["0.1", "1"]], "b": ["1"]})
     code, _, err = run(capsys, "volume", path)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lapvol import lp
+import lapvol as lv
+from lapvol import lp, polytope
 
 
 def test_trivially_feasible():
@@ -101,3 +102,132 @@ def test_random_feasibility_matches_scipy(seed):
             assert sum(a * v for a, v in zip(row, x)) <= bi
         assert val == sum(c * v for c, v in zip(obj, x))
         assert abs(float(val) - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun)), (A, b, obj)
+
+
+# -- the pivot sequence, pinned against the dense tableau ---------------------
+
+
+def dense_maximize(objective, A, b):
+    """The dense-tableau Bland simplex that the condensed integer tableau
+    of lp.maximize replaced: slack identity block stored, Fraction
+    entries.  Same rule on the same variable ids, so the two must return
+    the same (status, x, value) on every input."""
+    cost = [Fraction(v) for v in objective]
+    n, m = len(cost), len(A)
+    tab = [[Fraction(v) for v in row] + [Fraction(int(k == i)) for k in range(m)]
+           for i, row in enumerate(A)]
+    basis = list(range(n, n + m))
+    val = [Fraction(v) for v in b]
+    red = cost + [Fraction(0)] * m
+    z = Fraction(0)
+    while True:
+        enter = next((j for j, r in enumerate(red) if r > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = val[i] / a
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return lp.UNBOUNDED, None, None
+        inv = 1 / tab[leave][enter]
+        piv_row = tab[leave] = [v * inv for v in tab[leave]]
+        piv_val = val[leave] = val[leave] * inv
+        for i in range(m):
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = [v - f * w for v, w in zip(tab[i], piv_row)]
+                val[i] -= f * piv_val
+        basis[leave] = enter
+        f = red[enter]
+        z += f * piv_val
+        red = [v - f * w for v, w in zip(red, piv_row)]
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = val[i]
+    return lp.OPTIMAL, tuple(x), z
+
+
+def scipy_test_lps(seed):
+    """The 25 maximizations test_random_feasibility_matches_scipy draws."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        nv = rng.randint(1, 4)
+        nc = rng.randint(0, 6)
+        A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(nc)]
+        b = [rng.randint(0, 5) for _ in range(nc)]
+        obj = [rng.randint(-3, 3) for _ in range(nv)]
+        yield obj, A, b
+
+
+def margin_lp(rows, lp_calls):
+    """The arguments of the margin LP polytope.find_strict_interior solves."""
+    try:
+        polytope.find_strict_interior(rows)
+    except lv.NotPointed:
+        pass
+    return lp_calls[-1]
+
+
+def test_matches_dense_reference_on_scipy_test_lps():
+    for seed in range(8):
+        for args in scipy_test_lps(seed):
+            assert lp.maximize(*args) == dense_maximize(*args), args
+
+
+def test_matches_dense_reference_on_cycling_case():
+    args = (
+        [Fraction(3, 4), -150, Fraction(1, 50), -6],
+        [
+            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+            [0, 0, 1, 0],
+        ],
+        [0, 0, 1],
+    )
+    assert lp.maximize(*args) == dense_maximize(*args)
+
+
+@pytest.mark.parametrize("m,n", [(2, 24), (2, 40), (3, 32), (4, 17), (5, 7), (5, 12),
+                                 (6, 4), (7, 30), (8, 3), (8, 40)])
+def test_margin_lps_of_generic_rows_match_dense_reference(lp_calls, m, n):
+    # a positive first row and mixed-sign others, each divided by its own b
+    # entry as normalize does, so the rows have non-unit denominators and
+    # the per-row lcm scaling of the tableau is exercised
+    rng = random.Random(f"{m}x{n}")
+    A = [[rng.randint(1, 999) for _ in range(n)]]
+    A += [[rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
+    inst = lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])
+    rows = polytope.scale_and_dedupe(inst)[0]
+    assert any(v.denominator > 1 for row in rows for v in row)
+    args = margin_lp(rows, lp_calls)
+    result = lp.maximize(*args)
+    assert result[0] == lp.OPTIMAL and result[2] > 0
+    assert result == dense_maximize(*args)
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_margin_lps_of_signed_draws_match_dense_reference(lp_calls, block):
+    # small signed entries over denominators 1..3 give ratio-test ties and
+    # optima at several vertices: on draws 75, 118 and 135 an entering rule
+    # by column position, not variable id, returns another optimal vertex
+    for seed in range(25 * block, 25 * block + 25):
+        rng = random.Random(seed)
+        inst = lv.random_instance(rng, rng.randint(2, 8), rng.randint(2, 12), signed=True)
+        args = margin_lp(polytope.scale_and_dedupe(inst)[0], lp_calls)
+        assert lp.maximize(*args) == dense_maximize(*args), seed
+
+
+def test_gate_failing_margin_lp_matches_dense_reference(lp_calls):
+    inst = lv.random_instance(random.Random(1), 2, 3, signed=True)
+    rows = polytope.scale_and_dedupe(inst)[0]
+    with pytest.raises(lv.NotPointed):
+        polytope.find_strict_interior(rows)
+    (args,) = lp_calls
+    result = lp.maximize(*args)
+    assert result[0] == lp.OPTIMAL and result[2] == 0
+    assert result == dense_maximize(*args)
