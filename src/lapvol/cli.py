@@ -203,6 +203,8 @@ def _cmd_check_only(inst: PolytopeInstance) -> int:
 
 
 def _print_stats(kind: str, run) -> None:
+    if kind == "direct":
+        print(f"stats: method=direct order={','.join(var_name(lvl.var) for lvl in run.levels)}")
     for i, lvl in enumerate(run.levels, start=1):
         print(
             f"stats: method={kind} level={i} terms_in={lvl.terms_in} "
@@ -267,12 +269,15 @@ def _cmd_gen(spec: str) -> int:
     return EXIT_OK
 
 
-def _int_at_least(least: int):
-    """An argparse type accepting integers >= ``least`` (usage error, exit 2, otherwise)."""
+def _int_in_range(least: int, most: int = 0):
+    """An argparse type accepting integers >= ``least`` and, unless ``most``
+    is 0, <= ``most`` (usage error, exit 2, otherwise)."""
     def integer(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return integer
 
@@ -292,13 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     vol = sub.add_parser("volume", help="compute the exact volume of an instance file")
     vol.add_argument("file")
     vol.add_argument("--method", choices=("direct", "transform", "both"), default="both")
-    vol.add_argument("--digits", type=_int_at_least(0), default=12,
+    # the rendered digits pass through one int-to-str conversion, which
+    # the interpreter caps (sys.get_int_max_str_digits, 0 meaning no cap)
+    int_str_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    vol.add_argument("--digits", type=_int_in_range(0, int_str_cap), default=12,
                      help="decimal digits to render (default 12)")
     vol.add_argument("--check-only", action="store_true",
                      help="run the validation gates and report flags/witnesses only")
     vol.add_argument("--verify-mc", action="store_true",
                      help="append a Monte Carlo cross-check line")
-    vol.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
+    vol.add_argument("--samples", type=_int_in_range(1), default=1_000_000)
     vol.add_argument("--seed", type=int, default=0)
     vol.add_argument("--stats", action="store_true",
                      help="print per-level node counts and the perturbation ledger")

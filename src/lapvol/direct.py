@@ -1,10 +1,18 @@
 """Direct inversion: integrate exp(l1+..+lm) * G over l1..lm by residues.
 
 G is the reciprocal of the product of the m variable factors l_i and
-the n column factors (A'l)_j.  Levels 1..m-1 are residue integrations
-in ascending variable order; the last variable is evaluated in closed
-form.  The level-k residue count is bounded by (n+1)^k, which the
-driver asserts on every run.
+the n column factors (A'l)_j.  Levels 1..m-1 are residue integrations;
+the last variable is evaluated in closed form.  The level-k residue
+count is bounded by (n+1)^k, which the driver asserts on every run.
+
+Integration order.  Every factor is positive at the contour seed and
+the exponent's coefficient on each variable is 1 > 0, so the first
+level closes left and collects the variable's own factor plus every
+column factor with a positive coefficient on it: 1 + #{j : A_ij > 0}
+residues.  :func:`integration_order` therefore integrates the rows with
+the fewest positive entries first and leaves the row with the most to
+the closed-form last level.  The score is read once from the signs of
+the normalized rows.  Variable ids keep naming the input's rows.
 """
 from __future__ import annotations
 
@@ -72,6 +80,13 @@ def initial_term(norm: NormalizedInstance) -> Term:
     return canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors)))
 
 
+def integration_order(rows) -> Tuple[int, ...]:
+    """The variable ids in integration order: ascending number of
+    positive entries in the variable's row, ties to the lower id."""
+    positives = [sum(1 for a in row if a > 0) for row in rows]
+    return tuple(sorted(range(1, len(rows) + 1), key=lambda k: positives[k - 1]))
+
+
 def _direct_domain(rows):
     m = len(rows)
     return lambda abscissae: is_strict_interior(rows, [abscissae[i] for i in range(1, m + 1)])
@@ -87,20 +102,22 @@ def run_direct(
     config = ContourConfig(
         {i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.rows)
     )
+    order = integration_order(norm.rows)
     terms: List[Term] = [initial_term(norm)]
     history: list = []
     levels: List[LevelStats] = []
-    for k in range(1, m):
+    for level, k in enumerate(order[:-1], 1):
         terms, config, stats = integrate_level(
             terms, k, config, SideRule.BY_EXPONENT_SIGN, history
         )
         levels.append(stats)
-        assert stats.residues <= (n + 1) ** k, "level node bound (n+1)^k exceeded"
+        assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
     for t in terms:
         assert t.total_multiplicity == n + 1, "final-level degree bookkeeping"
-    result = sum((final_level_value(t, m) for t in terms), Fraction(0))
+    last = order[-1]
+    result = sum((final_level_value(t, last) for t in terms), Fraction(0))
     levels.append(
-        LevelStats(var=m, terms_in=len(terms), poles_found=0, left=0, right=0,
+        LevelStats(var=last, terms_in=len(terms), poles_found=0, left=0, right=0,
                    repaired=0, residues=len(terms), terms_out=len(terms))
     )
     return DirectRun(norm, config, tuple(levels), result)

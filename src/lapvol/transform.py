@@ -1,11 +1,14 @@
 """Associated-transform inversion: trade the exponentials for one extra
 variable p.
 
-Substituting l1 = p - (l2+..+lm) turns the integrand into a pure
-rational function; integrating l2..lm leaves a function of p that must
-be C / p^(n+1) for a single constant C, and the volume is C / n!.  The
-closure side at each level is free (both agree up to sign), so the
-driver picks whichever half-plane holds fewer poles.
+Substituting l_r = p - (sum of the other l's) turns the integrand into
+a pure rational function; integrating the other m-1 variables in
+ascending order leaves a function of p that must be C / p^(n+1) for a
+single constant C, and the volume is C / n!.  The eliminated variable
+l_r is the row with the most positive entries (ties to the lowest
+index), which keeps the residue tree small.  The closure side at each
+level is free (both agree up to sign), so the driver picks whichever
+half-plane holds fewer poles.
 """
 from __future__ import annotations
 
@@ -37,20 +40,30 @@ class TransformRun:
     result: Fraction
 
 
+def eliminated_var(rows) -> int:
+    """The variable id r that the substitution l_r = p - sum(l_j)
+    removes: the row with the most positive entries, ties to the lowest
+    index."""
+    positives = [sum(1 for a in row if a > 0) for row in rows]
+    return 1 + positives.index(max(positives))
+
+
 def substituted_term(norm: NormalizedInstance) -> Term:
-    """The pure-rational integrand after eliminating l1 = p - sum(l_j),
-    every factor in primitive form.
+    """The pure-rational integrand after eliminating l_r = p - sum(l_j)
+    (r from :func:`eliminated_var`), every factor in primitive form.
 
     Exponent is identically zero: the exp(zp) factor lives outside the
     inner integrals and is inverted analytically at the end.
     """
     m = norm.m
     rows = norm.rows
-    l1_root = LinForm([(P_VAR, 1)] + [(j, -1) for j in range(2, m + 1)])
-    factors = [l1_root] + [LinForm.var(j) for j in range(2, m + 1)]
+    r = eliminated_var(rows)
+    others = [j for j in range(1, m + 1) if j != r]
+    root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
+    factors = [root] + [LinForm.var(j) for j in others]
     for j in range(norm.n):
         col = LinForm([(i + 1, rows[i][j]) for i in range(norm.m)])
-        factors.append(col.substitute(1, l1_root))
+        factors.append(col.substitute(r, root))
     assert all(not f.is_zero for f in factors)
     if m > 1:
         pair = coincident_pair(factors)
@@ -64,14 +77,16 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     return canonical_term(Term(Fraction(1), LinForm.zero(), tuple((f, 1) for f in factors)))
 
 
-def _transform_domain(rows):
+def _transform_domain(rows, r):
     """Strict feasibility in the substituted coordinates: the vector
-    (d - sum(c_j), c_2, .., c_m) must stay in {y > 0, A'y > 0}."""
+    with c_j at j != r and d - sum(c_j) at r must stay in
+    {y > 0, A'y > 0}."""
     m = len(rows)
 
     def ok(abscissae) -> bool:
-        tail = [abscissae[j] for j in range(2, m + 1)]
-        return is_strict_interior(rows, [abscissae[P_VAR] - sum(tail)] + tail)
+        rest = sum(abscissae[j] for j in range(1, m + 1) if j != r)
+        y = [abscissae[P_VAR] - rest if j == r else abscissae[j] for j in range(1, m + 1)]
+        return is_strict_interior(rows, y)
 
     return ok
 
@@ -89,21 +104,22 @@ def run_transform(
     """
     m, n = norm.m, norm.n
     c = contour_seed(norm, abscissae)
-    d = sum(c, Fraction(0))
-    points = {j: c[j - 1] for j in range(2, m + 1)}
-    points[P_VAR] = d
-    config = ContourConfig(points, domain_ok=_transform_domain(norm.rows))
+    r = eliminated_var(norm.rows)
+    others = [j for j in range(1, m + 1) if j != r]
+    points = {j: c[j - 1] for j in others}
+    points[P_VAR] = sum(c, Fraction(0))
+    config = ContourConfig(points, domain_ok=_transform_domain(norm.rows, r))
     terms: List[Term] = [substituted_term(norm)]
     history: list = []
     levels: List[LevelStats] = []
-    for k in range(2, m + 1):
+    for level, k in enumerate(others, 1):
         assert all(t.exponent.is_zero for t in terms), "transform terms grew an exponential"
         force = (force_sides or {}).get(k)
         terms, config, stats = integrate_level(
             terms, k, config, SideRule.FEWER_POLES, history, force_side=force
         )
         levels.append(stats)
-        assert stats.residues <= (n + 1) ** (k - 1), "level node bound (n+1)^k exceeded"
+        assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
     C = Fraction(0)
     for t in terms:
         if not t.exponent.is_zero:

@@ -90,6 +90,19 @@ def test_stats_lines_report_merging(capsys):
         assert int(fields["merged"]) >= 0
 
 
+def test_stats_direct_order_and_levels(capsys):
+    code, out, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                       "--method", "direct", "--stats")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "stats: method=direct order=l2,l3,l1",
+        "stats: method=direct level=1 terms_in=1 poles=3 left=2 right=1 terms_out=2 merged=0",
+        "stats: method=direct level=2 terms_in=2 poles=6 left=6 right=0 terms_out=3 merged=3",
+        "stats: method=direct level=3 terms_in=3 poles=0 left=0 right=0 terms_out=3 merged=0",
+        "stats: perturbation var=l3 epsilon=1 delta=1",
+    ]
+
+
 def test_verify_mc_line(capsys):
     code, out, _ = run(
         capsys, "volume", str(INSTANCES / "paper-example.json"),
@@ -140,6 +153,27 @@ def test_exit_2_negative_digits(capsys):
                             "--digits", "-2", "--method", "transform")
     assert code == 2
     assert "--digits: must be at least 0, got -2" in err
+
+
+@pytest.fixture
+def int_str_limit_4300():
+    """CPython's default int-to-str limit, whatever the environment set."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_exit_2_digits_above_int_str_limit(capsys, int_str_limit_4300):
+    code, out, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                       "--digits", "4300", "--method", "transform")
+    assert code == 0
+    assert len(out.splitlines()[0].split("(0.")[1].rstrip(")")) == 4300
+    code, err = usage_error(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                            "--digits", "4301", "--method", "transform")
+    assert code == 2
+    assert "--digits: must be at most 4300" in err
+    assert "got 4301" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -1,13 +1,15 @@
 """Direct method: worked example, generators, and structural properties."""
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import lapvol as lv
-from lapvol.direct import initial_term, run_direct, volume_direct
+from lapvol.direct import _direct_domain, initial_term, run_direct, volume_direct
 from lapvol.linforms import LinForm
-from lapvol.terms import SideRule, final_level_value, integrate_level
+from lapvol.polytope import contour_seed
+from lapvol.terms import ContourConfig, SideRule, final_level_value, integrate_level
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 
@@ -62,9 +64,6 @@ def test_worked_example_volume(worked):
 
 def test_worked_example_branch_partials(worked):
     norm, _ = worked
-    from lapvol.direct import _direct_domain
-    from lapvol.terms import ContourConfig
-
     config = ContourConfig(
         {1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.rows)
     )
@@ -199,3 +198,70 @@ def test_generic_m5_n6_merges_like_terms():
     for k, lvl in enumerate(tr.levels, start=1):
         assert lvl.terms_out <= lvl.residues <= (n + 1) ** k
     assert run.result == tr.result > 0
+
+
+# Generic instances in the benchmark's make-up (a row of distinct primes,
+# signed entries elsewhere), m = 3 and m = 4, n = 4.
+ORDER_CASES = [
+    ([[7001, 9001, 1009, 3001], [52, 62, 75, -65], [-37, -97, -80, 69]], [91, 78, 19]),
+    ([[1009, 2003, 9001, 3001], [-95, 33, -78, -75], [-56, 93, 70, 65]], [35, 5, 4]),
+    ([[3001, 2003, 9001, 1009], [98, 61, 27, -63], [-50, 78, -90, 35], [-76, -41, -3, -84]],
+     [70, 2, 49, 88]),
+    ([[5003, 6007, 7001, 8009], [-60, -84, -21, -48], [32, 70, -74, -2], [-53, 24, 21, -18]],
+     [80, 80, 57, 17]),
+    ([[1, 1], [-2, 2], [2, -1]], [1, 1, 1]),  # the paper's worked example
+]
+
+
+def volume_in_order(norm, order):
+    """The direct method integrating the variables in ``order``, the last
+    one in closed form, on the engine-chosen contour."""
+    c = contour_seed(norm, None)
+    config = ContourConfig(
+        {i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.rows)
+    )
+    terms, history = [initial_term(norm)], []
+    for k in order[:-1]:
+        terms, config, _ = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
+    return sum((final_level_value(t, order[-1]) for t in terms), F(0))
+
+
+@pytest.mark.parametrize("A,b", ORDER_CASES)
+def test_every_integration_order_gives_the_volume(A, b):
+    norm = lv.normalize(lv.make_instance(A, b))
+    run = run_direct(norm)
+    for order in itertools.permutations(range(1, norm.m + 1)):
+        assert volume_in_order(norm, order) == run.result
+    assert run.result == lv.volume_transform(norm)
+
+
+@pytest.mark.parametrize("A,b", ORDER_CASES)
+def test_sign_order_and_first_level_residues(A, b):
+    norm = lv.normalize(lv.make_instance(A, b))
+    run = run_direct(norm)
+    positives = [sum(1 for a in row if a > 0) for row in norm.rows]
+    order = [lvl.var for lvl in run.levels]
+    assert sorted(order) == list(range(1, norm.m + 1))
+    # fewest positive entries first, most last, ties to the lower index
+    assert order == sorted(order, key=lambda k: (positives[k - 1], k))
+    # every factor is positive at the seed and the exponent closes left,
+    # so level 1 collects the variable's own factor and each column
+    # factor with a positive coefficient on it
+    assert run.levels[0].residues == 1 + positives[order[0] - 1]
+
+
+def test_refused_deep_draw_returns_its_volume():
+    # the benchmark's deep seed-12 draw r78-m5n6: integrated in ascending
+    # variable order it met a pole of order 2 at l4 = -8/79*l5 and was
+    # refused (exit 6); the sign order integrates l2, l4, l3, l5 and
+    # returns the volume transform finds
+    A = [[7507, 4177, 4957, 7481, 1097, 2803],
+         [-328, -760, 205, -815, 142, -789],
+         [631, 532, -556, 781, -906, 885],
+         [135, 22, -729, -672, -756, -356],
+         [287, 22, -729, -536, 120, 990]]
+    b = [81, 679, 199, 32, 316]
+    norm = lv.normalize(lv.make_instance(A, b))
+    run = run_direct(norm)
+    assert [lvl.var for lvl in run.levels] == [2, 4, 3, 5, 1]
+    assert run.result == lv.volume_transform(norm) == F(31381059609, 286041585816420767146640)

@@ -7,7 +7,7 @@ import pytest
 import lapvol as lv
 from lapvol.linforms import LinForm, P_VAR
 from lapvol.terms import Side
-from lapvol.transform import run_transform, substituted_term, volume_transform
+from lapvol.transform import eliminated_var, run_transform, substituted_term, volume_transform
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 
@@ -112,13 +112,36 @@ def test_side_choice_independence_random():
     while done < 6:
         m, n = rng.choice([2, 3]), rng.randint(2, 5)
         inst, norm, v = draw_valid_instance(rng, m, n, signed=True)
-        for k in range(2, m + 1):
+        for k in set(range(1, m + 1)) - {eliminated_var(norm.rows)}:
             for side in (Side.LEFT, Side.RIGHT):
                 try:
                     assert run_transform(norm, force_sides={k: side}).result == v
                 except SKIPPABLE:
                     continue
         done += 1
+
+
+def test_eliminated_var_is_the_most_positive_row():
+    assert eliminated_var([[1, -1, 2], [3, 1, 2], [-1, 5, 4]]) == 2
+    assert eliminated_var([[-1, 1], [1, -1], [1, 1]]) == 3
+    assert eliminated_var([[1, -1], [-1, 1]]) == 1  # ties to the lowest index
+
+
+def test_positive_row_moved_last():
+    # the all-positive row eliminates its own variable wherever it sits,
+    # so moving it last changes neither the residue tree nor the volume
+    A = [[3001, 2003, 9001, 1009, 7001], [98, 61, 27, -63, -5],
+         [-50, 78, -90, 35, 11], [-76, -41, -3, -84, 29]]
+    b = [70, 2, 49, 88]
+    norm = lv.normalize(lv.make_instance(A, b))
+    moved = lv.normalize(lv.make_instance(A[1:] + A[:1], b[1:] + b[:1]))
+    assert eliminated_var(moved.rows) == 4
+    c = norm.interior  # the same contour, its entries moved with the rows
+    base = run_transform(norm, abscissae=c)
+    run = run_transform(moved, abscissae=c[1:] + c[:1])
+    assert [lvl.residues for lvl in run.levels] == [lvl.residues for lvl in base.levels]
+    assert sum(lvl.residues for lvl in run.levels) == 9
+    assert run.result == base.result == lv.volume_direct(norm)
 
 
 def test_matches_two_constraint_closed_form():
