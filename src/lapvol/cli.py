@@ -12,10 +12,13 @@ malformed transform or disagreeing methods).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .errors import (
@@ -202,6 +205,25 @@ def _cmd_check_only(inst: PolytopeInstance) -> int:
     return EXIT_OK
 
 
+# The interpreter caps int-to-str conversions (0 meaning no cap); older
+# interpreters have no cap.
+_int_str_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+@contextlib.contextmanager
+def _uncapped_int_str():
+    """Lift the int-to-str cap for the block, restoring it afterwards: an
+    exact volume is printed whatever its size."""
+    cap = _int_str_cap()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def _print_stats(kind: str, run) -> None:
     if kind == "direct":
         print(f"stats: method=direct order={','.join(var_name(lvl.var) for lvl in run.levels)}")
@@ -234,12 +256,13 @@ def _cmd_volume(args) -> int:
               "engine bug, please report the instance", file=sys.stderr)
         return EXIT_INTERNAL
     volume = next(iter(values.values()))
-    print(f"{volume} ({decimal_string(volume, args.digits)})")
-    if args.method == "both":
-        print("methods agree: direct == transform (exact)")
-    if args.stats:
-        for kind, run in runs.items():
-            _print_stats(kind, run)
+    with _uncapped_int_str():
+        print(f"{volume} ({decimal_string(volume, args.digits)})")
+        if args.method == "both":
+            print("methods agree: direct == transform (exact)")
+        if args.stats:
+            for kind, run in runs.items():
+                _print_stats(kind, run)
     if args.verify_mc:
         est = mc_volume(inst, args.samples, args.seed, norm)
         z = est.z_score(volume)
@@ -269,15 +292,18 @@ def _cmd_gen(spec: str) -> int:
     return EXIT_OK
 
 
-def _int_in_range(least: int, most: int = 0):
-    """An argparse type accepting integers >= ``least`` and, unless ``most``
-    is 0, <= ``most`` (usage error, exit 2, otherwise)."""
+def _int_in_range(least: int, most: Callable[[], int] = lambda: 0):
+    """An argparse type accepting integers >= ``least`` and, unless
+    ``most()`` is 0, <= ``most()`` (usage error, exit 2, otherwise).
+    ``most`` is called when the option is parsed, not when the parser is
+    built."""
     def integer(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        if most and value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
+        cap = most()
+        if cap and value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
         return value
     return integer
 
@@ -297,10 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     vol = sub.add_parser("volume", help="compute the exact volume of an instance file")
     vol.add_argument("file")
     vol.add_argument("--method", choices=("direct", "transform", "both"), default="both")
-    # the rendered digits pass through one int-to-str conversion, which
-    # the interpreter caps (sys.get_int_max_str_digits, 0 meaning no cap)
-    int_str_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    vol.add_argument("--digits", type=_int_in_range(0, int_str_cap), default=12,
+    # the rendered digits pass through one int-to-str conversion
+    vol.add_argument("--digits", type=_int_in_range(0, _int_str_cap), default=12,
                      help="decimal digits to render (default 12)")
     vol.add_argument("--check-only", action="store_true",
                      help="run the validation gates and report flags/witnesses only")
@@ -315,8 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.gen:
         return _cmd_gen(args.gen)

@@ -45,9 +45,10 @@ class DivergentSlice(VolumeEngineError):
 
 
 class MalformedH(VolumeEngineError):
-    """Internal consistency failure: the associated transform did not
-    come out as a constant over a pure power of p.  Always an engine
-    bug, never a property of the input."""
+    """Internal consistency failure: the last level did not come out as
+    constants over pure powers of one variable (for the associated
+    transform, C / p^(n+1)).  Always an engine bug, never a property of
+    the input."""
 
 
 class GenericityViolated(VolumeEngineError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import NotAPoleInVar
 
@@ -82,6 +82,16 @@ class LinForm:
         form._hash = None
         form._primitive = True if primitive else None
         return form
+
+    @classmethod
+    def from_ints(cls, items: Sequence[Tuple[int, int]]) -> Tuple[int, "LinForm"]:
+        """Split a form given as integer pairs, sorted by variable with no
+        zero coefficient, as ``(content, form)``: ``form`` is its primitive
+        form and ``content`` the signed integer it was divided by."""
+        s = gcd(*[c for _, c in items])
+        if items[-1][1] < 0:
+            s = -s
+        return s, cls.from_items(tuple([(v, c // s) for v, c in items]), primitive=True)
 
     @classmethod
     def var(cls, var: int, coeff: RatLike = 1) -> "LinForm":

@@ -148,7 +148,7 @@ class McEstimate:
     stderr: float
     samples: int
     seed: int
-    box_bound: Fraction
+    box: Tuple[Fraction, ...]  # the sampled box is the product of [0, box[j]]
 
     def z_score(self, exact) -> float:
         exact = float(exact)
@@ -161,12 +161,14 @@ _MC_BATCH = 1 << 16  # fixed batch size keeps the PCG64 stream reproducible
 def mc_volume(
     inst: PolytopeInstance, samples: int, seed: int, norm: Optional[NormalizedInstance] = None
 ) -> McEstimate:
-    """Hit-or-miss estimate over the certified box [0, sum(u)]^n.
+    """Hit-or-miss estimate over the certified box, the product of
+    [0, sum(c)/(A'c)_j] over the coordinates j.
 
-    The box side comes from the compactness witness u >= 0 with
-    A'u >= 1 of the normalized rows (``norm.box_witness``, where ``norm``
-    defaults to ``normalize(inst)``; pass it when already at hand to
-    skip the LP): every x in the body has sum(x) <= u'Ax <= sum(u).
+    The sides come from the contour seed c > 0 with A'c > 0 of the
+    normalized rows (``norm.interior``, where ``norm`` defaults to
+    ``normalize(inst)``; pass it when already at hand to skip the LP):
+    every x in the body has (A'c)_j x_j <= c'Ax <= sum(c).  The largest
+    side is sum(u) for the compactness witness u = c / min_j (A'c)_j.
     Raises like ``normalize`` on an invalid instance.  Sampling uses
     numpy's PCG64 generator, so a seed pins the estimate bit for bit
     across platforms.
@@ -175,22 +177,26 @@ def mc_volume(
 
     if norm is None:
         norm = normalize(inst)
-    bound = sum(norm.box_witness, Fraction(0))
-    assert bound > 0
+    c = norm.interior
+    total = sum(c, Fraction(0))
+    box = tuple(
+        total / sum(row[j] * ci for row, ci in zip(norm.rows, c)) for j in range(norm.n)
+    )
     n = inst.n
-    A = np.array([[float(v) for v in row] for row in inst.rows])
+    sides = np.array([float(v) for v in box])
+    # the columns of A scaled by the sides take unit-cube samples
+    A = np.array([[float(v) for v in row] for row in inst.rows]) * sides
     b = np.array([float(v) for v in inst.rhs])
-    side = float(bound)
     gen = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0
     while done < samples:
         count = min(_MC_BATCH, samples - done)
-        x = gen.random((count, n)) * side
-        hits += int(np.count_nonzero((x @ A.T <= b).all(axis=1)))
+        u = gen.random((count, n))
+        hits += int(np.count_nonzero((u @ A.T <= b).all(axis=1)))
         done += count
     p_hat = hits / samples
-    scale = side ** n
+    scale = float(np.prod(sides))
     estimate = p_hat * scale
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples) * scale
-    return McEstimate(estimate, stderr, samples, seed, bound)
+    return McEstimate(estimate, stderr, samples, seed, box)

@@ -32,6 +32,17 @@ coefficients of such terms once per level, keeps the first term of each
 shape in insertion order, and drops the shapes whose coefficients
 cancel to zero.
 
+Integer ends.  The start terms of both methods are built from integer
+columns (:func:`integer_columns`): each column factor is written down
+directly as a primitive integer form and its scale folded into the
+coefficient once.  The last residue level is fused with the closed form
+(:func:`close_level`): with only ``var`` and ``last`` left, every factor
+b*var + c*last maps at the zero of a*var + g*last to (a*c - b*g)/a
+times ``last``, so each residue is one pair (alpha, K) standing for
+K * exp(alpha*last) / last^q, computed from integer products without
+building a Term.  :func:`power_sum` is the one closed form for such
+powers of one variable.
+
 Repeated roots before the final level mean the data are degenerate and
 are rejected rather than differentiated through.
 """
@@ -40,10 +51,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from functools import cached_property
+from math import factorial, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateInstance, DivergentSlice
+from .errors import DegenerateInstance, DivergentSlice, MalformedH
 from .linforms import LinForm, var_name
 
 
@@ -103,9 +115,9 @@ def canonical_term(term: Term) -> Term:
     return Term(coeff, term.exponent, tuple(denom.items()))
 
 
-def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[LinForm, LinForm]]:
-    """The first pair (in index order) of proportional factors, or None.
-    Proportional factors share a primitive form."""
+def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[int, int]]:
+    """The indices of the first pair (in index order) of proportional
+    factors, or None.  Proportional factors share a primitive form."""
     groups: Dict[LinForm, List[int]] = {}
     for i, f in enumerate(factors):
         groups.setdefault(f.primitive()[1], []).append(i)
@@ -113,19 +125,39 @@ def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[LinForm, LinFo
     if not repeated:
         return None
     a, b = min(repeated)[:2]
-    return factors[a], factors[b]
+    return a, b
+
+
+def integer_columns(rows) -> List[Tuple[int, List[int]]]:
+    """Each column j of the rows as (D, [D*A[i][j] for each row i]), D
+    being the lcm of the column's denominators, so every entry is an
+    int and the column is the integer one divided by D."""
+    columns = []
+    for col in zip(*rows):
+        den = lcm(*[x.denominator for x in col])
+        columns.append((den, [x.numerator * (den // x.denominator) for x in col]))
+    return columns
 
 
 @dataclass(frozen=True)
 class PoleSite:
-    """One distinct root of the current variable in a term's denominator;
-    ``factor`` is the primitive factor vanishing there."""
+    """One distinct root of ``var`` in a term's denominator: the zero of
+    the primitive ``factor``.  The root and the leading coefficient are
+    derived from the factor when read (perturbation and messages only).
+    """
 
-    root: LinForm
-    leading: Fraction
+    factor: LinForm
+    var: int
     side: Side
     order: int
-    factor: Optional[LinForm] = None
+
+    @property
+    def leading(self) -> Fraction:
+        return self.factor.coeff(self.var)
+
+    @cached_property
+    def root(self) -> LinForm:
+        return self.factor.solve_for(self.var)[1]
 
 
 @dataclass(frozen=True)
@@ -222,8 +254,7 @@ class _Classifier:
                 side = Side.LEFT
             else:
                 side = Side.RIGHT
-            leading, root = factor.solve_for(self.var)
-            site = PoleSite(root, leading, side, 1, factor)
+            site = PoleSite(factor, self.var, side, 1)
         self.sites[factor] = site
         return site
 
@@ -259,8 +290,7 @@ def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
     leading coefficient; the root is substituted everywhere else.
     """
     _require_simple(var, pole)
-    factor = pole.factor or (LinForm.var(var) - pole.root).primitive()[1]
-    return _residue(canonical_term(term), var, factor, 1)
+    return _residue(canonical_term(term), var, pole.factor.primitive()[1], 1)
 
 
 def _eliminate(f: LinForm, g: LinForm, var: int, a: int, b: int) -> Tuple[LinForm, int]:
@@ -269,11 +299,8 @@ def _eliminate(f: LinForm, g: LinForm, var: int, a: int, b: int) -> Tuple[LinFor
     acc = {v: a * c for v, c in f.items()}
     for v, c in g.items():
         acc[v] = acc.get(v, 0) - b * c
-    items = sorted(vc for vc in acc.items() if vc[1])
-    s = gcd(*[c for _, c in items])
-    if items[-1][1] < 0:
-        s = -s
-    return LinForm.from_items(tuple([(v, c // s) for v, c in items]), primitive=True), s
+    s, h = LinForm.from_ints(sorted(vc for vc in acc.items() if vc[1]))
+    return h, s
 
 
 def _residue(term: Term, var: int, g: LinForm, sign: int) -> Term:
@@ -322,6 +349,41 @@ def _substitute_exponent(L: LinForm, g: LinForm, var: int, a: int) -> LinForm:
     return LinForm.from_items(tuple(sorted((v, c) for v, c in coeffs.items() if c)))
 
 
+def _collected(term: Term, term_sites: Sequence[PoleSite], var: int, rule: SideRule,
+               force_side: Optional[Side]) -> Tuple[int, List[PoleSite]]:
+    """The closure of the term's integral over ``var``: its sign (-1 for
+    a clockwise right closure) and the simple poles it collects."""
+    if any(s.side is Side.ON_PATH for s in term_sites):
+        raise RuntimeError(
+            f"pole on the integration path Re({var_name(var)}); "
+            "perturb_abscissa must run before integrate_var"
+        )
+    a = term.exponent.coeff(var)
+    if rule is SideRule.FEWER_POLES:
+        assert a == 0, "fewer-poles rule requires a pure-rational term"
+    if rule is SideRule.BY_EXPONENT_SIGN and a != 0:
+        side = Side.LEFT if a > 0 else Side.RIGHT
+    else:
+        # no exponential decay: both closures are valid only when the
+        # integrand dies off at least quadratically
+        degree = sum(s.order for s in term_sites)
+        if degree < 2:
+            raise DivergentSlice(
+                f"term {term} has degree {degree} in "
+                f"{var_name(var)} and no exponential decay"
+            )
+        if force_side is not None:
+            side = force_side
+        else:
+            n_left = sum(1 for s in term_sites if s.side is Side.LEFT)
+            n_right = len(term_sites) - n_left
+            side = Side.LEFT if n_left <= n_right else Side.RIGHT
+    poles = [site for site in term_sites if site.side is side]
+    for site in poles:
+        _require_simple(var, site)
+    return (1 if side is Side.LEFT else -1), poles
+
+
 def integrate_var(
     terms: Sequence[Term],
     var: int,
@@ -346,36 +408,8 @@ def integrate_var(
         sites = [_sites(t, classify) for t in terms]
     out: List[Term] = []
     for term, term_sites in zip(terms, sites):
-        if any(s.side is Side.ON_PATH for s in term_sites):
-            raise RuntimeError(
-                f"pole on the integration path Re({var_name(var)}); "
-                "perturb_abscissa must run before integrate_var"
-            )
-        a = term.exponent.coeff(var)
-        if rule is SideRule.FEWER_POLES:
-            assert a == 0, "fewer-poles rule requires a pure-rational term"
-        if rule is SideRule.BY_EXPONENT_SIGN and a != 0:
-            side = Side.LEFT if a > 0 else Side.RIGHT
-        else:
-            # no exponential decay: both closures are valid only when the
-            # integrand dies off at least quadratically
-            degree = sum(s.order for s in term_sites)
-            if degree < 2:
-                raise DivergentSlice(
-                    f"term {term} has degree {degree} in "
-                    f"{var_name(var)} and no exponential decay"
-                )
-            if force_side is not None:
-                side = force_side
-            else:
-                n_left = sum(1 for s in term_sites if s.side is Side.LEFT)
-                n_right = len(term_sites) - n_left
-                side = Side.LEFT if n_left <= n_right else Side.RIGHT
-        sign = 1 if side is Side.LEFT else -1
-        for site in term_sites:
-            if site.side is side:
-                _require_simple(var, site)
-                out.append(_residue(term, var, site.factor, sign))
+        sign, poles = _collected(term, term_sites, var, rule, force_side)
+        out.extend(_residue(term, var, site.factor, sign) for site in poles)
     return out
 
 
@@ -400,27 +434,47 @@ def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     ]
 
 
-def final_level_value(term: Term, var: int) -> Fraction:
-    """Closed form of the last one-variable inversion integral.
+# A sum of powers of one variable x: (alpha, q) -> K stands for the
+# summand K * exp(alpha*x) / x^q.
+PowerSum = Dict[Tuple[Fraction, int], Fraction]
 
-    With every factor a multiple of ``var`` (total multiplicity q) and
-    exponent a*var, the integral is K * a^(q-1) / (q-1)! for a > 0 and
-    zero otherwise, where K divides the coefficient by the product of
-    the factors' leading coefficients.
-    """
-    q = 0
-    leading = 1
-    for factor, mult in term.denom:
-        assert factor.is_multiple_of_var(var), (
-            f"final level expects pure multiples of {var_name(var)}, got {factor}"
-        )
-        leading *= factor.coeff(var) ** mult
-        q += mult
-    assert set(term.exponent.variables) <= {var}
-    alpha = term.exponent.coeff(var)
-    if alpha <= 0:
-        return Fraction(0)
-    return term.coeff / leading * alpha ** (q - 1) / factorial(q - 1)
+
+def power_sum(powers: PowerSum) -> Fraction:
+    """Closed form of the last one-variable inversion integral: the
+    integral of K * exp(alpha*x) / x^q over a vertical path right of 0
+    is K * alpha^(q-1) / (q-1)! for alpha > 0 and zero otherwise."""
+    by_degree: Dict[int, Fraction] = {}
+    for (alpha, q), K in powers.items():
+        if alpha > 0:
+            by_degree[q] = by_degree.get(q, 0) + K * alpha ** (q - 1)
+    return sum((v / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
+
+
+def power_terms(terms: Sequence[Term], last: int, implicit: Fraction = 0) -> PowerSum:
+    """The terms, every factor a multiple of ``last``, as a power sum in
+    ``last``: K divides the coefficient by the product of the factors'
+    leading coefficients.  ``implicit`` is a coefficient on ``last``
+    that the exponents leave out (transform's exp(p))."""
+    powers: PowerSum = {}
+    for t in terms:
+        K, q = t.coeff, 0
+        for factor, mult in t.denom:
+            if not factor.is_multiple_of_var(last):
+                raise MalformedH(
+                    f"surviving denominator factor {factor} is not a power of {var_name(last)}"
+                )
+            K /= factor.coeff(last) ** mult
+            q += mult
+        assert set(t.exponent.variables) <= {last}
+        key = (implicit + t.exponent.coeff(last), q)
+        powers[key] = powers.get(key, 0) + K
+    return {key: K for key, K in powers.items() if K != 0}
+
+
+def final_level_value(term: Term, var: int) -> Fraction:
+    """Closed form of the last integral of one term whose factors are
+    all multiples of ``var``: :func:`power_sum` of :func:`power_terms`."""
+    return power_sum(power_terms([term], var))
 
 
 def perturb_abscissa(
@@ -473,6 +527,42 @@ def _sides_stable(history: History, trial: Mapping[int, Fraction]) -> bool:
     return True
 
 
+def _classified(
+    terms: Sequence[Term], var: int, config: ContourConfig, history: History
+) -> Tuple[List[Term], List[List[PoleSite]], ContourConfig, int]:
+    """Canonicalize the terms and classify their poles in ``var``,
+    repairing an on-path collision first, and record the classification
+    in ``history``.  Returns the terms, their sites, the (possibly
+    perturbed) config and the number of repairs."""
+    terms = [canonical_term(t) for t in terms]
+    classify = _Classifier(var, config)
+    sites = [_sites(t, classify) for t in terms]
+    repaired = 0
+    if any(s.side is Side.ON_PATH for s in classify.distinct()):
+        config = perturb_abscissa(config, var, classify.distinct(), history)
+        repaired = 1
+        classify = _Classifier(var, config)
+        sites = [_sites(t, classify) for t in terms]
+        assert not any(s.side is Side.ON_PATH for s in classify.distinct())
+    history.append((var, tuple(classify.distinct())))
+    return terms, sites, config, repaired
+
+
+def _level_stats(var: int, terms: Sequence[Term], sites: Sequence[Sequence[PoleSite]],
+                 repaired: int, residues: int, terms_out: int) -> LevelStats:
+    flat = [s for term_sites in sites for s in term_sites]
+    return LevelStats(
+        var=var,
+        terms_in=len(terms),
+        poles_found=len(flat),
+        left=sum(1 for s in flat if s.side is Side.LEFT),
+        right=sum(1 for s in flat if s.side is Side.RIGHT),
+        repaired=repaired,
+        residues=residues,
+        terms_out=terms_out,
+    )
+
+
 def integrate_level(
     terms: Sequence[Term],
     var: int,
@@ -485,28 +575,75 @@ def integrate_level(
     the classification, integrate, then merge like terms.  Returns the
     new term list, the (possibly perturbed) config and the level
     diagnostics."""
-    terms = [canonical_term(t) for t in terms]
-    classify = _Classifier(var, config)
-    sites = [_sites(t, classify) for t in terms]
-    repaired = 0
-    if any(s.side is Side.ON_PATH for s in classify.distinct()):
-        config = perturb_abscissa(config, var, classify.distinct(), history)
-        repaired = 1
-        classify = _Classifier(var, config)
-        sites = [_sites(t, classify) for t in terms]
-        assert not any(s.side is Side.ON_PATH for s in classify.distinct())
-    history.append((var, tuple(classify.distinct())))
+    terms, sites, config, repaired = _classified(terms, var, config, history)
     residues = integrate_var(terms, var, config, rule, force_side, sites)
     out = merge_like_terms(residues)
-    flat = [s for term_sites in sites for s in term_sites]
-    stats = LevelStats(
-        var=var,
-        terms_in=len(terms),
-        poles_found=len(flat),
-        left=sum(1 for s in flat if s.side is Side.LEFT),
-        right=sum(1 for s in flat if s.side is Side.RIGHT),
-        repaired=repaired,
-        residues=len(residues),
-        terms_out=len(out),
-    )
-    return out, config, stats
+    return out, config, _level_stats(var, terms, sites, repaired, len(residues), len(out))
+
+
+def close_level(
+    terms: Sequence[Term],
+    var: int,
+    last: int,
+    config: ContourConfig,
+    rule: SideRule,
+    history: History,
+    force_side: Optional[Side] = None,
+    implicit: Fraction = 0,
+) -> Tuple[PowerSum, ContourConfig, LevelStats]:
+    """The last residue level, where only ``var`` and ``last`` are left,
+    fused with the closed form that follows it.
+
+    Classification, repair and the closure side are those of
+    :func:`integrate_level`.  At the zero of g = a*var + g_last*last a
+    factor f = b*var + c*last becomes (s/a)*last with the integer
+    s = a*c - b*g_last, so a residue is K * exp(alpha*last) / last^q
+    with K = sign * coeff * a^(q-1) / prod(s^mult) and alpha the
+    exponent's coefficient on ``last`` at the zero (plus ``implicit``,
+    as in :func:`power_terms`).  Returns the residues as a power sum in
+    ``last`` (equal (alpha, q) added, zero sums dropped, so
+    ``terms_out`` is what like-term merging would leave), the config and
+    the level's stats.
+    """
+    terms, sites, config, repaired = _classified(terms, var, config, history)
+    powers: PowerSum = {}
+    residues = 0
+    for term, term_sites in zip(terms, sites):
+        sign, poles = _collected(term, term_sites, var, rule, force_side)
+        if not poles:
+            continue
+        # (b, c, mult) of every factor, read once per term
+        parts = []
+        for f, mult in term.denom:
+            b = c = 0
+            for v, x in f.items():
+                if v == var:
+                    b = x
+                elif v == last:
+                    c = x
+                else:
+                    raise MalformedH(
+                        f"denominator factor {f} of the last residue level holds a "
+                        f"variable other than {var_name(var)} and {var_name(last)}"
+                    )
+            parts.append((b, c, mult))
+        index = {f: j for j, (f, _) in enumerate(term.denom)}
+        q = term.total_multiplicity - 1
+        L = term.exponent
+        assert set(L.variables) <= {var, last}
+        L_var, L_last = L.coeff(var), L.coeff(last) + implicit
+        num0, den0 = sign * term.coeff.numerator, term.coeff.denominator
+        for site in poles:
+            jg = index[site.factor]
+            a, g_last, _ = parts[jg]
+            den = den0
+            for j, (b, c, mult) in enumerate(parts):
+                if j != jg:
+                    s = a * c - b * g_last
+                    den *= s if mult == 1 else s ** mult
+            alpha = L_last - L_var * Fraction(g_last, a) if L_var else L_last
+            key = (alpha, q)
+            powers[key] = powers.get(key, 0) + Fraction(num0 * a ** (q - 1), den)
+        residues += len(poles)
+    powers = {key: K for key, K in powers.items() if K != 0}
+    return powers, config, _level_stats(var, terms, sites, repaired, residues, len(powers))

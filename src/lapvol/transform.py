@@ -9,6 +9,12 @@ l_r is the row with the most positive entries (ties to the lowest
 index), which keeps the residue tree small.  The closure side at each
 level is free (both agree up to sign), so the driver picks whichever
 half-plane holds fewer poles.
+
+The start term is built from integer columns.  The last level is
+fused with the closed form (:func:`lapvol.terms.close_level`, the same
+closing level as the direct method's): with exp(p) put back, each
+residue is a pair (alpha = 1, K) for :func:`lapvol.terms.power_sum`,
+which returns the volume, and C is read back as volume * n!.
 """
 from __future__ import annotations
 
@@ -26,8 +32,12 @@ from .terms import (
     SideRule,
     Term,
     canonical_term,
+    close_level,
     coincident_pair,
+    integer_columns,
     integrate_level,
+    power_sum,
+    power_terms,
 )
 
 
@@ -52,29 +62,43 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     """The pure-rational integrand after eliminating l_r = p - sum(l_j)
     (r from :func:`eliminated_var`), every factor in primitive form.
 
-    Exponent is identically zero: the exp(zp) factor lives outside the
-    inner integrals and is inverted analytically at the end.
+    With the integer column a of :func:`integer_columns`, the column
+    factor becomes a_r*p + sum over j != r of (a_j - a_r)*l_j, written
+    down as a primitive integer form; the scales go into the coefficient
+    once.  Exponent is identically zero: the exp(zp) factor lives
+    outside the inner integrals and is inverted analytically at the end.
     """
-    m = norm.m
-    rows = norm.rows
+    m, rows = norm.m, norm.rows
     r = eliminated_var(rows)
     others = [j for j in range(1, m + 1) if j != r]
-    root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
-    factors = [root] + [LinForm.var(j) for j in others]
-    for j in range(norm.n):
-        col = LinForm([(i + 1, rows[i][j]) for i in range(norm.m)])
-        factors.append(col.substitute(r, root))
-    assert all(not f.is_zero for f in factors)
+    root = LinForm.from_items(tuple((j, -1) for j in others) + ((P_VAR, 1),), primitive=True)
+    factors = [root] + [LinForm.from_items(((j, 1),), primitive=True) for j in others]
+    num = den = 1
+    for scale, col in integer_columns(rows):
+        a_r = col[r - 1]
+        items = [(j, col[j - 1] - a_r) for j in others if col[j - 1] != a_r]
+        if a_r:
+            items.append((P_VAR, a_r))
+        assert items, "zero column factor"
+        s, form = LinForm.from_ints(items)
+        factors.append(form)
+        num *= scale
+        den *= s
     if m > 1:
         pair = coincident_pair(factors)
         if pair is not None:
+            p_root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
+            unscaled = [p_root] + [LinForm.var(j) for j in others] + [
+                LinForm([(i + 1, rows[i][j]) for i in range(m)]).substitute(r, p_root)
+                for j in range(norm.n)
+            ]
             raise DegenerateInstance(
-                f"coincident denominator factors ({pair[0]}) and "
-                f"({pair[1]}) after the p-substitution. Perturb A "
+                f"coincident denominator factors ({unscaled[pair[0]]}) and "
+                f"({unscaled[pair[1]]}) after the p-substitution. Perturb A "
                 "slightly (approximate result) or use the known-volume "
                 "generators for such shapes."
             )
-    return canonical_term(Term(Fraction(1), LinForm.zero(), tuple((f, 1) for f in factors)))
+    return canonical_term(Term(Fraction(num, den), LinForm.zero(), tuple((f, 1) for f in factors)))
 
 
 def _transform_domain(rows, r):
@@ -112,29 +136,27 @@ def run_transform(
     terms: List[Term] = [substituted_term(norm)]
     history: list = []
     levels: List[LevelStats] = []
+    if m == 1:
+        powers = power_terms(terms, P_VAR, implicit=1)
     for level, k in enumerate(others, 1):
         assert all(t.exponent.is_zero for t in terms), "transform terms grew an exponential"
         force = (force_sides or {}).get(k)
-        terms, config, stats = integrate_level(
-            terms, k, config, SideRule.FEWER_POLES, history, force_side=force
-        )
+        if level < m - 1:
+            terms, config, stats = integrate_level(
+                terms, k, config, SideRule.FEWER_POLES, history, force_side=force
+            )
+        else:
+            powers, config, stats = close_level(
+                terms, k, P_VAR, config, SideRule.FEWER_POLES, history,
+                force_side=force, implicit=1,
+            )
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
-    C = Fraction(0)
-    for t in terms:
-        if not t.exponent.is_zero:
-            raise MalformedH(f"surviving term carries an exponential: {t}")
-        q = 0
-        leading = 1
-        for factor, mult in t.denom:
-            if not factor.is_multiple_of_var(P_VAR):
-                raise MalformedH(f"surviving denominator factor {factor} is not a power of p")
-            leading *= factor.coeff(P_VAR) ** mult
-            q += mult
+    for _, q in powers:
         if q != n + 1:
             raise MalformedH(f"surviving term has p-multiplicity {q}, expected {n + 1}")
-        C += t.coeff / leading
-    return TransformRun(norm, config, tuple(levels), C, C / factorial(n))
+    volume = power_sum(powers)
+    return TransformRun(norm, config, tuple(levels), volume * factorial(n), volume)
 
 
 def volume_transform(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Fraction:

@@ -1,12 +1,17 @@
 """CLI behavior: report lines, exit codes, file format."""
+import contextlib
 import dataclasses
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lapvol import cli
 from lapvol.oracle import mc_volume
@@ -174,6 +179,106 @@ def test_exit_2_digits_above_int_str_limit(capsys, int_str_limit_4300):
     assert code == 2
     assert "--digits: must be at most 4300" in err
     assert "got 4301" in err
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        assert run(capsys, "volume", str(INSTANCES / "paper-example.json"))[0] == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
+def test_digits_cap_read_when_parsed(capsys, int_str_limit_4300):
+    path = str(INSTANCES / "paper-example.json")
+    assert run(capsys, "volume", path, "--digits", "4300")[0] == 0  # parser built
+    sys.set_int_max_str_digits(1000)
+    code, err = usage_error(capsys, "volume", path, "--digits", "1001")
+    assert code == 2
+    assert "--digits: must be at most 1000, got 1001" in err
+    assert run(capsys, "volume", path, "--digits", "1000")[0] == 0
+
+
+def test_volume_beyond_int_str_limit_renders_exactly(tmp_path, capsys, int_str_limit_4300):
+    # vol{x >= 0, x1 + .. + x5 <= 10^1000} = 10^5000 / 5!: its numerator
+    # has 4998 digits, more than the interpreter renders by default
+    path = write(tmp_path, "huge.json", {"A": [["1"] * 5], "b": ["1" + "0" * 1000]})
+    code, out, err = run(capsys, "volume", path, "--digits", "2", "--stats")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == 4300  # the cap is back
+    sys.set_int_max_str_digits(0)
+    volume = Fraction(10 ** 5000, 120)
+    lines = out.splitlines()
+    assert lines[0] == f"{volume} ({cli.decimal_string(volume, 2)})"
+    assert lines[1] == "methods agree: direct == transform (exact)"
+    assert lines[-1] == f"stats: transform C={volume * 120}"
+
+
+def readme_exit_codes():
+    table = (REPO / "README.md").read_text().split("### Exit codes", 1)[1].split("\n\n")[1]
+    return {int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)}
+
+
+_entries = st.one_of(
+    st.integers(-4, 6),
+    st.sampled_from(["1/2", "-3/4", "0", "2", "1/0", "x", "", " 5 ", "1.5", "2e1", "."]),
+    st.floats(-4, 6),
+    st.sampled_from([float("nan"), float("inf")]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_rows = st.lists(st.lists(_entries, max_size=4), max_size=4)
+
+
+@st.composite
+def _instances(draw):
+    """Well-formed documents, so that the gates and the engine run too."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-3, 6), st.sampled_from(["1/2", "-3/4", "5/3", "0"]))
+    A = [[draw(value) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.one_of(st.integers(-1, 4), st.just("1/2"))) for _ in range(m)]
+    return {"A": A, "b": b}
+
+
+_docs = st.one_of(
+    _instances(),
+    _instances(),
+    _instances(),
+    st.one_of(
+        st.fixed_dictionaries({"A": _rows, "b": st.lists(_entries, max_size=4)}),
+        st.fixed_dictionaries({"A": _entries, "b": _entries}),
+        st.dictionaries(st.text(max_size=2), _entries, max_size=2),
+        st.lists(_entries, max_size=2),
+        _entries,
+    ),
+)
+_options = st.lists(st.sampled_from([
+    ["--method", "direct"], ["--method", "transform"], ["--stats"], ["--check-only"],
+    ["--tolerate-floats"], ["--digits", "0"], ["--verify-mc", "--samples", "50"],
+]), max_size=3)
+_bad_option = st.sampled_from([[]] * 8 + [["--digits", "-1"], ["--samples", "0"]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_docs, raw=st.one_of(st.none(), st.none(), st.none(), st.text(max_size=12)),
+       options=_options, bad=_bad_option)
+def test_fuzz_every_exit_code_is_documented(doc, raw, options, bad):
+    codes = readme_exit_codes()
+    assert codes == {0, 2, 3, 4, 5, 6, 7}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(raw if raw is not None else json.dumps(doc))
+        argv = ["volume", str(path)] + [arg for option in options for arg in option] + bad
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in codes
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

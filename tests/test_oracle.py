@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
+from lapvol import lp
 from lapvol.oracle import (
     box_instance,
     identity_check,
@@ -154,9 +155,34 @@ def test_mc_simplex2():
 def test_mc_box_bound_is_certified():
     inst, vol = box_instance(2, [2, 3])
     est = mc_volume(inst, 400_000, seed=8)
-    # box witness bound u'b covers the body: sides 2 and 3 both fit
-    assert float(est.box_bound) >= 3
+    # the certified box covers the body: sides 2 and 3 both fit
+    assert est.box[0] >= 2 and est.box[1] >= 3
     assert abs(est.estimate - float(vol)) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: paper_example()[0],
+    lambda: lv.make_instance([[1, 2, 3], [3, -1, 1]], [2, 3]),
+    lambda: lv.random_instance(random.Random(11), 3, 4),
+])
+def test_mc_box_holds_the_body(make):
+    inst = make()
+    est = mc_volume(inst, 1000, seed=0)
+    # every side is at least max x_j over the body, found by an exact LP
+    for j, side in enumerate(est.box):
+        unit = [int(k == j) for k in range(inst.n)]
+        status, _, top = lp.maximize(unit, inst.rows, inst.rhs)
+        assert status == lp.OPTIMAL and top <= side
+    # the largest side is the cube side sum(u) of the compactness witness
+    assert max(est.box) == sum(lv.normalize(inst).box_witness)
+
+
+def test_mc_box_beats_the_cube_on_paper_example():
+    # sampling the cube [0, sum(u)]^2 gave stderr 0.003903 at this seed
+    # and sample count; the box [0, 3] x [0, 3/2] halves the sampled area
+    est = mc_volume(paper_example()[0], 200_000, seed=1)
+    assert est.box == (3, Fraction(3, 2))
+    assert est.stderr < 0.003903
 
 
 def test_mc_rejects_unbounded():

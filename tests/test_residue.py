@@ -203,7 +203,7 @@ def test_residue_partial_fraction_shape():
 
 
 def test_residue_rejects_higher_order():
-    site = PoleSite(LinForm.zero(), F(1), Side.LEFT, 2)
+    site = PoleSite(lf([(1, 1)]), 1, Side.LEFT, 2)  # root l1 = 0, leading 1
     term = Term(F(1), LinForm.zero(), ((lf([(1, 1)]), 1), (lf([(1, 2)]), 1)))
     with pytest.raises(lv.DegenerateInstance):
         residue_simple(term, 1, site)
@@ -372,7 +372,7 @@ def test_final_level_zero_exponent_is_zero():
 
 def test_perturb_noop_without_collision():
     config = cfg(3, 2, 1)
-    site = PoleSite(lf([(3, 1)]), F(1), Side.LEFT, 1)
+    site = PoleSite(lf([(2, 1), (3, -1)]), 2, Side.LEFT, 1)  # root l2 = l3, leading 1
     assert perturb_abscissa(config, 2, [site], []) is config
 
 
