@@ -34,7 +34,14 @@ from .errors import (
 from .direct import run_direct
 from .linforms import var_name
 from .oracle import known_instance, mc_volume
-from .polytope import PolytopeInstance, certify, make_instance, normalize, scale_and_dedupe
+from .polytope import (
+    PolytopeInstance,
+    certify,
+    integer_columns,
+    make_instance,
+    normalize,
+    scale_and_dedupe,
+)
 from .transform import run_transform
 
 EXIT_OK = 0
@@ -190,7 +197,7 @@ def _cmd_check_only(inst: PolytopeInstance) -> int:
     print(f"normalize: m={len(rows)} n={len(rows[0])} "
           f"(dropped {dropped} vacuous, merged {merged} duplicate rows)")
     try:
-        c, u = certify(rows)
+        c, u = certify(integer_columns(rows))
     except NotCompact:
         # for b > 0 both gates fail together (the conditions are
         # equivalent); the report exits with the deepest failed
@@ -256,6 +263,14 @@ def _cmd_volume(args) -> int:
               "engine bug, please report the instance", file=sys.stderr)
         return EXIT_INTERNAL
     volume = next(iter(values.values()))
+    if args.verify_mc:
+        # sampled before anything is printed: a body outside the float
+        # range is refused with one error line
+        try:
+            est = mc_volume(inst, args.samples, args.seed, norm)
+        except ValueError as exc:
+            print(f"error: --verify-mc: {exc}", file=sys.stderr)
+            return EXIT_BAD_FILE
     with _uncapped_int_str():
         print(f"{volume} ({decimal_string(volume, args.digits)})")
         if args.method == "both":
@@ -264,7 +279,6 @@ def _cmd_volume(args) -> int:
             for kind, run in runs.items():
                 _print_stats(kind, run)
     if args.verify_mc:
-        est = mc_volume(inst, args.samples, args.seed, norm)
         z = est.z_score(volume)
         print(
             f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} "

@@ -16,7 +16,8 @@ column factor with a positive coefficient on it: 1 + #{j : A_ij > 0}
 residues.  :func:`integration_order` therefore integrates the rows with
 the fewest positive entries first and leaves the row with the most to
 the closed-form last level.  The score is read once from the signs of
-the normalized rows.  Variable ids keep naming the input's rows.
+the instance's integer columns, which are those of the normalized rows.
+Variable ids keep naming the input's rows.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .terms import (
     close_level,
     coincident_pair,
     final_level_value,  # noqa: F401  (not called: perfbench's direct.final span looks it up here)
-    integer_columns,
     integrate_level,
     power_sum,
     power_terms,
@@ -56,7 +56,7 @@ def initial_term(norm: NormalizedInstance) -> Term:
     primitive form.
 
     Each column factor (A'l)_j is written down as the primitive form of
-    the integer column of :func:`integer_columns`; the scales D/s go
+    the instance's integer column ``norm.columns[j]``; the scales D/s go
     into the coefficient once.  Any two proportional factors would
     create a repeated pole at level one already, so they are rejected
     here with a hint; axis-parallel constraint rows (boxes) are the
@@ -65,7 +65,7 @@ def initial_term(norm: NormalizedInstance) -> Term:
     m, rows = norm.m, norm.rows
     factors = [LinForm.from_items(((i, 1),), primitive=True) for i in range(1, m + 1)]
     num = den = 1
-    for scale, col in integer_columns(rows):
+    for scale, col in norm.columns:
         s, form = LinForm.from_ints([(i, a) for i, a in enumerate(col, 1) if a])
         factors.append(form)
         num *= scale
@@ -89,16 +89,18 @@ def initial_term(norm: NormalizedInstance) -> Term:
     return canonical_term(Term(Fraction(num, den), exponent, tuple((f, 1) for f in factors)))
 
 
-def integration_order(rows) -> Tuple[int, ...]:
+def integration_order(columns) -> Tuple[int, ...]:
     """The variable ids in integration order: ascending number of
-    positive entries in the variable's row, ties to the lower id."""
-    positives = [sum(1 for a in row if a > 0) for row in rows]
-    return tuple(sorted(range(1, len(rows) + 1), key=lambda k: positives[k - 1]))
+    positive entries in the variable's row, read from the integer
+    ``columns`` (:func:`lapvol.polytope.integer_columns`), ties to the
+    lower id."""
+    positives = [sum(a > 0 for a in row) for row in zip(*(col for _, col in columns))]
+    return tuple(sorted(range(1, len(positives) + 1), key=lambda k: positives[k - 1]))
 
 
-def _direct_domain(rows):
-    m = len(rows)
-    return lambda abscissae: is_strict_interior(rows, [abscissae[i] for i in range(1, m + 1)])
+def _direct_domain(columns):
+    m = len(columns[0][1])
+    return lambda abscissae: is_strict_interior(columns, [abscissae[i] for i in range(1, m + 1)])
 
 
 def run_direct(
@@ -109,9 +111,9 @@ def run_direct(
     m, n = norm.m, norm.n
     c = contour_seed(norm, abscissae)
     config = ContourConfig(
-        {i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.rows)
+        {i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.columns)
     )
-    order = integration_order(norm.rows)
+    order = integration_order(norm.columns)
     last = order[-1]
     terms: List[Term] = [initial_term(norm)]
     history: list = []

@@ -10,7 +10,12 @@ variable, so the slack identity block is never stored and a pivot swaps
 a row label with a column label.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): each row is scaled once to integers, its slack with
 it, and every entry is held as d times its value, d the last pivot, so
-an update is one exact integer division.
+an update is one exact integer division.  Int entries are taken as they
+are, so a caller that already holds integer rows (the margin LP does)
+pays no rational conversion.  The optimal vertex is x = X/d with integer
+X, and it is verified in integers against a copy of the integer-scaled
+start rows: with each row scale and d positive, X >= 0, row.X <= rhs*d
+and cost.X == -z say exactly x >= 0, Ax <= b and cost.x == z.
 """
 from __future__ import annotations
 
@@ -33,9 +38,9 @@ def maximize(
     optimal vertex verified by substitution, or ``(UNBOUNDED, None,
     None)``.  Raises ValueError for malformed data or a negative b entry.
     """
-    cost = [rat(v) for v in objective]
-    rows = [[rat(v) for v in row] for row in A]
-    rhs = [rat(v) for v in b]
+    cost = [_exact(v) for v in objective]
+    rows = [[_exact(v) for v in row] for row in A]
+    rhs = [_exact(v) for v in b]
     n, m = len(cost), len(rows)
     if n < 1:
         raise ValueError("need at least one variable")
@@ -48,10 +53,12 @@ def maximize(
     # objective row [-z, reduced costs].  Column k > 0 belongs to nonbasic
     # variable col[k]: ids [0, n) structural, [n, n+m) slack.  Each row is
     # scaled to integers by the lcm of its denominators, so every entry is
-    # held as d times its value (d = 1 until the first pivot).
-    tab = [[bi] + row for row, bi in zip(rows, rhs)] + [[Fraction(0)] + cost]
-    scale = [lcm(*(v.denominator for v in row)) for row in tab]
-    tab = [[v.numerator * (k // v.denominator) for v in row] for row, k in zip(tab, scale)]
+    # held as d times its value (d = 1 until the first pivot); ``start``
+    # keeps the scaled rows for the final checks.
+    start = [[bi] + row for row, bi in zip(rows, rhs)] + [[0] + cost]
+    scale = [lcm(*(v.denominator for v in row)) for row in start]
+    start = [[v.numerator * (k // v.denominator) for v in row] for row, k in zip(start, scale)]
+    tab = [row[:] for row in start]
     basis, col, d = list(range(n, n + m)), [None] + list(range(n)), 1
     while True:
         enter = min((k for k in range(1, n + 1) if tab[m][k] > 0), key=col.__getitem__, default=None)
@@ -75,10 +82,18 @@ def maximize(
         basis[leave], col[enter] = col[enter], basis[leave]
 
     row_of = dict(zip(basis, tab))
-    x = [Fraction(row_of[j][0], d) if j in row_of else Fraction(0) for j in range(n)]
-    z = Fraction(-tab[m][0], d * scale[m])
-    assert all(v >= 0 for v in x), "simplex witness violates x >= 0"
-    for row, bi in zip(rows, rhs):
-        assert sum(a * v for a, v in zip(row, x)) <= bi, "simplex witness violates Ax <= b"
-    assert sum(c * v for c, v in zip(cost, x)) == z, "simplex value disagrees with its witness"
-    return OPTIMAL, tuple(x), z
+    X = [row_of[j][0] if j in row_of else 0 for j in range(n)]  # x = X/d, d > 0
+    assert all(v >= 0 for v in X), "simplex witness violates x >= 0"
+    for row in start[:m]:
+        assert sum(a * v for a, v in zip(row[1:], X)) <= row[0] * d, \
+            "simplex witness violates Ax <= b"
+    assert sum(a * v for a, v in zip(start[m][1:], X)) == -tab[m][0], \
+        "simplex value disagrees with its witness"
+    return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m])
+
+
+def _exact(value):
+    """An int as it is, anything else as an exact rational (a float is
+    refused)."""
+    return value if type(value) is int else rat(value)
+

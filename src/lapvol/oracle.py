@@ -8,11 +8,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import GenericityViolated
 from .linforms import rat
-from .polytope import NormalizedInstance, PolytopeInstance, make_instance, normalize
+from .polytope import (
+    NormalizedInstance,
+    PolytopeInstance,
+    integer_sums,
+    make_instance,
+    normalize,
+)
 
 
 def _genericity(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
@@ -169,24 +175,29 @@ def mc_volume(
     ``normalize(inst)``; pass it when already at hand to skip the LP):
     every x in the body has (A'c)_j x_j <= c'Ax <= sum(c).  The largest
     side is sum(u) for the compactness witness u = c / min_j (A'c)_j.
-    Raises like ``normalize`` on an invalid instance.  Sampling uses
-    numpy's PCG64 generator, so a seed pins the estimate bit for bit
-    across platforms.
+    Raises like ``normalize`` on an invalid instance, and raises
+    ValueError before sampling when an entry of A or b or a box side is
+    too large for a float or the box volume is not a finite positive
+    float.  Sampling uses numpy's PCG64 generator, so a seed pins the
+    estimate bit for bit across platforms.
     """
     import numpy as np  # only this estimator needs numpy; importing lapvol does not
 
     if norm is None:
         norm = normalize(inst)
-    c = norm.interior
-    total = sum(c, Fraction(0))
-    box = tuple(
-        total / sum(row[j] * ci for row, ci in zip(norm.rows, c)) for j in range(norm.n)
-    )
+    # c is integral, so (A'c)_j = s_j / D_j and the side is sum(c) D_j / s_j
+    ci, sums = integer_sums(norm.columns, norm.interior)
+    box = tuple(Fraction(sum(ci) * den, s) for s, (den, _) in zip(sums, norm.columns))
     n = inst.n
-    sides = np.array([float(v) for v in box])
+    rows = [_floats(row, "an entry of A") for row in inst.rows]
+    b = np.array(_floats(inst.rhs, "an entry of b"))
+    sides = np.array(_floats(box, "a side of the sampling box"))
+    with np.errstate(over="ignore"):
+        scale = float(np.prod(sides))
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"the sampling box has volume {scale}, not a finite positive float")
     # the columns of A scaled by the sides take unit-cube samples
-    A = np.array([[float(v) for v in row] for row in inst.rows]) * sides
-    b = np.array([float(v) for v in inst.rhs])
+    A = np.array(rows) * sides
     gen = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0
@@ -196,7 +207,15 @@ def mc_volume(
         hits += int(np.count_nonzero((u @ A.T <= b).all(axis=1)))
         done += count
     p_hat = hits / samples
-    scale = float(np.prod(sides))
     estimate = p_hat * scale
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples) * scale
     return McEstimate(estimate, stderr, samples, seed, box)
+
+
+def _floats(values, what: str) -> List[float]:
+    """``values`` as floats; ValueError naming ``what`` when one is too
+    large for a float."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None

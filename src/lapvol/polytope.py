@@ -14,13 +14,21 @@ the optimum is strictly positive.  Its witness c, scaled to integers,
 seeds the integration abscissae, and the compactness witness is derived
 from it exactly as u = c / min_j (A'c)_j, so u >= 0 and A'u >= 1 (which
 bounds the body and yields the Monte Carlo box bound sum(u)).
+
+Integer columns.  After cleanup each column j is held once as an
+integer column with its scale D_j (:func:`integer_columns`), and the
+normalized instance carries them.  The margin LP, the seed check
+c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to integers
+too), the margin min_j (A'c)_j, the start terms of both methods and
+their sign-read variable choices all read these ints; the rational rows
+stay for the refusal messages and the Monte Carlo sampler.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import lp
 from .errors import EmptyAfterCleanup, NonpositiveB, NotCompact, NotPointed
@@ -28,6 +36,7 @@ from .linforms import rat
 
 Row = Tuple[Fraction, ...]
 Matrix = Tuple[Row, ...]
+Column = Tuple[int, Tuple[int, ...]]  # (D_j, the ints D_j * A[i][j] over rows i)
 
 
 @dataclass(frozen=True)
@@ -60,16 +69,12 @@ def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Validated instance with implied right-hand side all-ones.
-
-    Only constructed once the margin LP certified the instance, so
-    ``compact`` and ``pointed`` are always True on live objects; they are
-    kept as fields because reports print them.
-    """
+    """Validated instance with implied right-hand side all-ones, its
+    integer columns, and the certificate of the margin LP (only a
+    certified instance is constructed)."""
 
     rows: Matrix
-    compact: bool
-    pointed: bool
+    columns: Tuple[Column, ...]          # integer_columns(rows)
     interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
     box_witness: Tuple[Fraction, ...]    # u >= 0 with A'u >= 1
     dropped_vacuous: int
@@ -106,16 +111,28 @@ def scale_and_dedupe(inst: PolytopeInstance) -> Tuple[Matrix, int, int]:
     return tuple(seen), dropped, merged
 
 
-def find_strict_interior(rows: Matrix) -> Tuple[Fraction, ...]:
-    """A strictly feasible c > 0 with A'c > 0, scaled to integers.
+def integer_columns(rows) -> Tuple[Column, ...]:
+    """Each column j of the rows as (D, (D*A[i][j] for each row i)), D
+    being the lcm of the column's denominators, so every entry is an
+    int and the column is the integer one divided by D."""
+    columns = []
+    for col in zip(*rows):
+        den = lcm(*[x.denominator for x in col])
+        columns.append((den, tuple(x.numerator * (den // x.denominator) for x in col)))
+    return tuple(columns)
+
+
+def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
+    """A strictly feasible c > 0 with A'c > 0, scaled to integers, for
+    the rows whose :func:`integer_columns` are ``columns``.
 
     Raises NotPointed when {x >= 0, Ax <= 0} has a nonzero solution, in
     which case no such c exists and the inversion integral is undefined.
     """
-    m, n = len(rows), len(rows[0])
+    m, n = len(columns[0][1]), len(columns)
     # variables c_1..c_m, t >= 0; maximize the margin t
     A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]   # t - c_i <= 0
-    A += [[-rows[i][j] for i in range(m)] + [1] for j in range(n)]   # t - (A'c)_j <= 0
+    A += [[-a for a in col] + [den] for den, col in columns]         # D_j (t - (A'c)_j) <= 0
     A.append([1] * m + [0])                                          # sum(c) <= 1
     b = [0] * (m + n) + [1]
     status, x, t_star = lp.maximize([0] * m + [1], A, b)
@@ -125,23 +142,26 @@ def find_strict_interior(rows: Matrix) -> Tuple[Fraction, ...]:
             "no c > 0 with A'c > 0 exists; {x >= 0, Ax <= 0} has a nonzero solution"
         )
     c = _integerize(x[:m])
-    assert is_strict_interior(rows, c)
+    assert is_strict_interior(columns, c)
     return c
 
 
-def certify(rows: Matrix) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """The certificate (c, u) of the cleaned rows: the contour seed c of
-    :func:`find_strict_interior` and the compactness witness
-    u = c / min_j (A'c)_j, which has u >= 0 and A'u >= 1.
+def certify(columns: Sequence[Column]) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """The certificate (c, u) of the cleaned rows, given by their
+    integer columns: the contour seed c of :func:`find_strict_interior`
+    and the compactness witness u = c / min_j (A'c)_j, which has u >= 0
+    and A'u >= 1.
 
     Raises NotCompact when no such c exists: for b > 0 the body is then
     unbounded as well as not pointed.
     """
     try:
-        c = find_strict_interior(rows)
+        c = find_strict_interior(columns)
     except NotPointed as exc:
         raise NotCompact("polytope is unbounded (no u >= 0 with A'u >= 1)") from exc
-    margin = min(_column_sums(rows, c))
+    # c is integral, so (A'c)_j is the integer sum s_j over D_j
+    _, sums = integer_sums(columns, c)
+    margin = min(Fraction(s, den) for s, (den, _) in zip(sums, columns))
     return c, tuple(v / margin for v in c)
 
 
@@ -149,7 +169,7 @@ def compact_witness(rows: Matrix) -> Optional[Tuple[Fraction, ...]]:
     """A u >= 0 with A'u >= 1 in every coordinate, or None if the body
     is unbounded."""
     try:
-        return certify(rows)[1]
+        return certify(integer_columns(rows))[1]
     except NotCompact:
         return None
 
@@ -158,11 +178,11 @@ def normalize(inst: PolytopeInstance) -> NormalizedInstance:
     """Full ingestion pipeline: scale b to ones, clean rows, certify
     compactness and pointedness.  Raises on any failed gate."""
     rows, dropped, merged = scale_and_dedupe(inst)
-    c, u = certify(rows)
+    columns = integer_columns(rows)
+    c, u = certify(columns)
     return NormalizedInstance(
         rows=rows,
-        compact=True,
-        pointed=True,
+        columns=columns,
         interior=c,
         box_witness=u,
         dropped_vacuous=dropped,
@@ -170,10 +190,20 @@ def normalize(inst: PolytopeInstance) -> NormalizedInstance:
     )
 
 
-def is_strict_interior(rows: Matrix, c: Sequence[Fraction]) -> bool:
+def integer_sums(columns: Sequence[Column], c: Sequence) -> Tuple[List[int], List[int]]:
+    """c scaled to integers by the lcm k of its denominators, and the
+    integer sums s_j = col_j . (k c), so that (A'c)_j = s_j / (k D_j)
+    has the sign of s_j."""
+    k = lcm(*(v.denominator for v in c))
+    ci = [v.numerator * (k // v.denominator) for v in c]
+    return ci, [sum(a * v for a, v in zip(col, ci)) for _, col in columns]
+
+
+def is_strict_interior(columns: Sequence[Column], c: Sequence) -> bool:
     """True iff c > 0 and A'c > 0 componentwise, the condition on every
-    contour seed."""
-    return all(v > 0 for v in c) and all(v > 0 for v in _column_sums(rows, c))
+    contour seed, decided on the integer columns."""
+    ci, sums = integer_sums(columns, c)
+    return all(v > 0 for v in ci) and all(s > 0 for s in sums)
 
 
 def contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tuple[Fraction, ...]:
@@ -184,14 +214,9 @@ def contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tup
     c = tuple(rat(v) for v in abscissae)
     if len(c) != norm.m:
         raise ValueError(f"need {norm.m} abscissae, got {len(c)}")
-    if not is_strict_interior(norm.rows, c):
+    if not is_strict_interior(norm.columns, c):
         raise ValueError("abscissae must satisfy c > 0 and A'c > 0")
     return c
-
-
-def _column_sums(rows: Matrix, c: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """A'c: one entry per column."""
-    return tuple(sum(row[j] * ci for row, ci in zip(rows, c)) for j in range(len(rows[0])))
 
 
 def _integerize(values: Sequence[Fraction]) -> Tuple[Fraction, ...]:

@@ -32,13 +32,14 @@ coefficients of such terms once per level, keeps the first term of each
 shape in insertion order, and drops the shapes whose coefficients
 cancel to zero.
 
-Integer ends.  The start terms of both methods are built from integer
-columns (:func:`integer_columns`): each column factor is written down
-directly as a primitive integer form and its scale folded into the
-coefficient once.  The last residue level is fused with the closed form
-(:func:`close_level`): with only ``var`` and ``last`` left, every factor
-b*var + c*last maps at the zero of a*var + g*last to (a*c - b*g)/a
-times ``last``, so each residue is one pair (alpha, K) standing for
+Integer ends.  The start terms of both methods are built from the
+integer columns that the normalized instance carries
+(:func:`lapvol.polytope.integer_columns`, computed once per instance):
+each column factor is written down directly as a primitive integer form
+and its scale folded into the coefficient once.  The last residue level
+is fused with the closed form (:func:`close_level`): with only ``var``
+and ``last`` left, every factor b*var + c*last maps at the zero of
+a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one pair (alpha, K) standing for
 K * exp(alpha*last) / last^q, computed from integer products without
 building a Term.  :func:`power_sum` is the one closed form for such
 powers of one variable.
@@ -126,17 +127,6 @@ def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[int, int]]:
         return None
     a, b = min(repeated)[:2]
     return a, b
-
-
-def integer_columns(rows) -> List[Tuple[int, List[int]]]:
-    """Each column j of the rows as (D, [D*A[i][j] for each row i]), D
-    being the lcm of the column's denominators, so every entry is an
-    int and the column is the integer one divided by D."""
-    columns = []
-    for col in zip(*rows):
-        den = lcm(*[x.denominator for x in col])
-        columns.append((den, [x.numerator * (den // x.denominator) for x in col]))
-    return columns
 
 
 @dataclass(frozen=True)

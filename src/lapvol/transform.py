@@ -6,14 +6,15 @@ a pure rational function; integrating the other m-1 variables in
 ascending order leaves a function of p that must be C / p^(n+1) for a
 single constant C, and the volume is C / n!.  The eliminated variable
 l_r is the row with the most positive entries (ties to the lowest
-index), which keeps the residue tree small.  The closure side at each
-level is free (both agree up to sign), so the driver picks whichever
-half-plane holds fewer poles.
+index, signs read from the instance's integer columns), which keeps the
+residue tree small.  The closure side at each level is free (both agree
+up to sign), so :func:`run_transform` picks whichever half-plane holds
+fewer poles.
 
-The start term is built from integer columns.  The last level is
-fused with the closed form (:func:`lapvol.terms.close_level`, the same
-closing level as the direct method's): with exp(p) put back, each
-residue is a pair (alpha = 1, K) for :func:`lapvol.terms.power_sum`,
+The start term is built from the instance's integer columns.  The last
+level is fused with the closed form (:func:`lapvol.terms.close_level`,
+the same closing level as the direct method's): with exp(p) put back,
+each residue is a pair (alpha = 1, K) for :func:`lapvol.terms.power_sum`,
 which returns the volume, and C is read back as volume * n!.
 """
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .terms import (
     canonical_term,
     close_level,
     coincident_pair,
-    integer_columns,
     integrate_level,
     power_sum,
     power_terms,
@@ -50,11 +50,12 @@ class TransformRun:
     result: Fraction
 
 
-def eliminated_var(rows) -> int:
+def eliminated_var(columns) -> int:
     """The variable id r that the substitution l_r = p - sum(l_j)
-    removes: the row with the most positive entries, ties to the lowest
-    index."""
-    positives = [sum(1 for a in row if a > 0) for row in rows]
+    removes: the row with the most positive entries, read from the
+    integer ``columns`` (:func:`lapvol.polytope.integer_columns`), ties
+    to the lowest index."""
+    positives = [sum(a > 0 for a in row) for row in zip(*(col for _, col in columns))]
     return 1 + positives.index(max(positives))
 
 
@@ -62,19 +63,19 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     """The pure-rational integrand after eliminating l_r = p - sum(l_j)
     (r from :func:`eliminated_var`), every factor in primitive form.
 
-    With the integer column a of :func:`integer_columns`, the column
+    With the instance's integer column a (``norm.columns[j]``), the column
     factor becomes a_r*p + sum over j != r of (a_j - a_r)*l_j, written
     down as a primitive integer form; the scales go into the coefficient
     once.  Exponent is identically zero: the exp(zp) factor lives
     outside the inner integrals and is inverted analytically at the end.
     """
     m, rows = norm.m, norm.rows
-    r = eliminated_var(rows)
+    r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
     root = LinForm.from_items(tuple((j, -1) for j in others) + ((P_VAR, 1),), primitive=True)
     factors = [root] + [LinForm.from_items(((j, 1),), primitive=True) for j in others]
     num = den = 1
-    for scale, col in integer_columns(rows):
+    for scale, col in norm.columns:
         a_r = col[r - 1]
         items = [(j, col[j - 1] - a_r) for j in others if col[j - 1] != a_r]
         if a_r:
@@ -101,16 +102,16 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     return canonical_term(Term(Fraction(num, den), LinForm.zero(), tuple((f, 1) for f in factors)))
 
 
-def _transform_domain(rows, r):
+def _transform_domain(columns, r):
     """Strict feasibility in the substituted coordinates: the vector
     with c_j at j != r and d - sum(c_j) at r must stay in
-    {y > 0, A'y > 0}."""
-    m = len(rows)
+    {y > 0, A'y > 0}, checked on the integer columns."""
+    m = len(columns[0][1])
 
     def ok(abscissae) -> bool:
         rest = sum(abscissae[j] for j in range(1, m + 1) if j != r)
         y = [abscissae[P_VAR] - rest if j == r else abscissae[j] for j in range(1, m + 1)]
-        return is_strict_interior(rows, y)
+        return is_strict_interior(columns, y)
 
     return ok
 
@@ -128,11 +129,11 @@ def run_transform(
     """
     m, n = norm.m, norm.n
     c = contour_seed(norm, abscissae)
-    r = eliminated_var(norm.rows)
+    r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
     points = {j: c[j - 1] for j in others}
     points[P_VAR] = sum(c, Fraction(0))
-    config = ContourConfig(points, domain_ok=_transform_domain(norm.rows, r))
+    config = ContourConfig(points, domain_ok=_transform_domain(norm.columns, r))
     terms: List[Term] = [substituted_term(norm)]
     history: list = []
     levels: List[LevelStats] = []

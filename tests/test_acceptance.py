@@ -41,7 +41,7 @@ def test_criterion_01_direct_worked_example(worked):
     norm, vol = worked
     t0 = time.perf_counter()
     run = run_direct(norm, abscissae=(3, 2, 1))
-    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.rows))
+    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.columns))
     history = []
     branches, config, _ = integrate_level(
         [initial_term(norm)], 1, config, SideRule.BY_EXPONENT_SIGN, history

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapvol import cli
+from lapvol import cli, polytope
 from lapvol.oracle import mc_volume
 from lapvol.polytope import normalize
 
@@ -385,6 +385,26 @@ def test_verify_mc_solves_one_lp(lp_calls, capsys):
     assert mc_volume(inst, 1000, 0, normalize(inst)) == est  # bit for bit
     mc_line = next(l for l in out.splitlines() if l.startswith("mc:"))
     assert mc_line.startswith(f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} ")
+
+
+@pytest.mark.parametrize("doc,extra", [
+    ({"A": [["1"] * 5], "b": ["1" + "0" * 400]}, []),            # sides beyond the float range
+    ({"A": [["1" + "0" * 400] * 5], "b": ["1"]}, ["--digits", "2"]),  # entries of A beyond it
+])
+def test_verify_mc_refuses_a_body_beyond_the_float_range(tmp_path, capsys, doc, extra):
+    path = write(tmp_path, "huge.json", doc)
+    code, out, err = run(capsys, "volume", path, "--verify-mc", "--samples", "10", *extra)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --verify-mc: "), err
+
+
+def test_integer_columns_computed_once(monkeypatch, capsys):
+    calls = []
+    real = polytope.integer_columns
+    monkeypatch.setattr(polytope, "integer_columns", lambda rows: calls.append(rows) or real(rows))
+    code, _, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--stats",
+                     "--verify-mc", "--samples", "100")
+    assert code == 0 and len(calls) == 1
 
 
 def test_exit_7_method_disagreement(monkeypatch, capsys):

@@ -34,8 +34,8 @@ from lapvol.transform import _transform_domain, eliminated_var, run_transform, s
 def reference_direct(norm, abscissae=None):
     m, n = norm.m, norm.n
     c = contour_seed(norm, abscissae)
-    config = ContourConfig({i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.rows))
-    order = integration_order(norm.rows)
+    config = ContourConfig({i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.columns))
+    order = integration_order(norm.columns)
     terms, history, levels = [initial_term(norm)], [], []
     for level, k in enumerate(order[:-1], 1):
         terms, config, stats = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
@@ -52,11 +52,11 @@ def reference_direct(norm, abscissae=None):
 def reference_transform(norm, abscissae=None, force_sides=None):
     m, n = norm.m, norm.n
     c = contour_seed(norm, abscissae)
-    r = eliminated_var(norm.rows)
+    r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
     points = {j: c[j - 1] for j in others}
     points[P_VAR] = sum(c, Fraction(0))
-    config = ContourConfig(points, domain_ok=_transform_domain(norm.rows, r))
+    config = ContourConfig(points, domain_ok=_transform_domain(norm.columns, r))
     terms, history, levels = [substituted_term(norm)], [], []
     for level, k in enumerate(others, 1):
         force = (force_sides or {}).get(k)
@@ -98,7 +98,7 @@ def fraction_start_terms(norm):
     direct = canonical_term(Term(
         Fraction(1), LinForm([(i, 1) for i in range(1, m + 1)]),
         tuple((f, 1) for f in [LinForm.var(i) for i in range(1, m + 1)] + columns)))
-    r = eliminated_var(rows)
+    r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
     root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
     factors = [root] + [LinForm.var(j) for j in others] + [f.substitute(r, root) for f in columns]
@@ -149,7 +149,7 @@ def test_fused_closing_level_paper_example_and_contours():
 def test_fused_closing_level_under_forced_sides():
     cases = [lv.normalize(lv.paper_example()[0])] + draws(True, 8, 31)
     for norm in cases:
-        r = eliminated_var(norm.rows)
+        r = eliminated_var(norm.columns)
         for k in set(range(1, norm.m + 1)) - {r}:
             for side in (Side.LEFT, Side.RIGHT):
                 forced = {k: side}

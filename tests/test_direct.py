@@ -65,7 +65,7 @@ def test_worked_example_volume(worked):
 def test_worked_example_branch_partials(worked):
     norm, _ = worked
     config = ContourConfig(
-        {1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.rows)
+        {1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.columns)
     )
     history = []
     branches, config, _ = integrate_level(
@@ -218,7 +218,7 @@ def volume_in_order(norm, order):
     one in closed form, on the engine-chosen contour."""
     c = contour_seed(norm, None)
     config = ContourConfig(
-        {i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.rows)
+        {i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.columns)
     )
     terms, history = [initial_term(norm)], []
     for k in order[:-1]:

@@ -167,7 +167,7 @@ def scipy_test_lps(seed):
 def margin_lp(rows, lp_calls):
     """The arguments of the margin LP polytope.find_strict_interior solves."""
     try:
-        polytope.find_strict_interior(rows)
+        polytope.find_strict_interior(polytope.integer_columns(rows))
     except lv.NotPointed:
         pass
     return lp_calls[-1]
@@ -226,8 +226,63 @@ def test_gate_failing_margin_lp_matches_dense_reference(lp_calls):
     inst = lv.random_instance(random.Random(1), 2, 3, signed=True)
     rows = polytope.scale_and_dedupe(inst)[0]
     with pytest.raises(lv.NotPointed):
-        polytope.find_strict_interior(rows)
+        polytope.find_strict_interior(polytope.integer_columns(rows))
     (args,) = lp_calls
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] == 0
     assert result == dense_maximize(*args)
+
+
+# -- ints taken as they are ---------------------------------------------------
+
+
+def _mixed(values, first):
+    """Alternate ints and Fractions along ``values``, starting with an
+    int when ``first`` is 0."""
+    return [Fraction(v) if (k + first) % 2 else int(v) for k, v in enumerate(values)]
+
+
+def test_int_fraction_and_mixed_inputs_agree():
+    for seed in range(8):
+        for obj, A, b in scipy_test_lps(seed):
+            expected = lp.maximize(obj, A, b)
+            as_fractions = ([Fraction(v) for v in obj], [[Fraction(v) for v in row] for row in A],
+                            [Fraction(v) for v in b])
+            mixed = (_mixed(obj, 0), [_mixed(row, i) for i, row in enumerate(A)], _mixed(b, 1))
+            assert lp.maximize(*as_fractions) == expected, (obj, A, b)
+            assert lp.maximize(*mixed) == expected, (obj, A, b)
+    # a Fraction LP with integral entries given as ints: the cycling case
+    obj = [Fraction(3, 4), -150, Fraction(1, 50), -6]
+    A = [[Fraction(1, 4), -60, Fraction(-1, 25), 9], [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+         [0, 0, 1, 0]]
+    expected = lp.maximize(obj, A, [0, 0, 1])
+    as_fractions = ([Fraction(v) for v in obj], [[Fraction(v) for v in row] for row in A],
+                    [Fraction(0), Fraction(0), Fraction(1)])
+    assert lp.maximize(*as_fractions) == expected == dense_maximize(obj, A, [0, 0, 1])
+
+
+@pytest.mark.parametrize("args", [
+    ([1.0], [[1]], [1]),
+    ([1], [[0.5]], [1]),
+    ([1], [[1]], [1.0]),
+])
+def test_float_entry_refused(args):
+    with pytest.raises(TypeError, match="float"):
+        lp.maximize(*args)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_margin_lp_on_integer_columns_matches_fraction_rows(lp_calls, block):
+    # find_strict_interior writes column j as [-D_j A_1j .. -D_j A_mj, D_j]:
+    # the integer row lp.maximize derived from [-A_1j .. -A_mj, 1]
+    for seed in range(300 + 25 * block, 325 + 25 * block):
+        rng = random.Random(seed)
+        inst = lv.random_instance(rng, rng.randint(1, 6), rng.randint(1, 12), signed=True)
+        rows = polytope.scale_and_dedupe(inst)[0]
+        args = margin_lp(rows, lp_calls)
+        m, n = len(rows), len(rows[0])
+        A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]
+        A += [[-rows[i][j] for i in range(m)] + [1] for j in range(n)]
+        A.append([1] * m + [0])
+        as_rows = ([0] * m + [1], A, [0] * (m + n) + [1])
+        assert lp.maximize(*args) == lp.maximize(*as_rows) == dense_maximize(*as_rows), seed

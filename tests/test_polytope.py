@@ -8,7 +8,10 @@ import lapvol as lv
 from lapvol import lp
 from lapvol.polytope import (
     compact_witness,
+    certify,
     find_strict_interior,
+    integer_columns,
+    is_strict_interior,
     make_instance,
     normalize,
     scale_and_dedupe,
@@ -92,7 +95,7 @@ def test_compact_witness_verifies():
 
 def test_interior_worked_example():
     rows = rows_of((1, 1), (-2, 2), (2, -1))
-    c = find_strict_interior(rows)
+    c = find_strict_interior(integer_columns(rows))
     assert all(v > 0 for v in c)
     for j in range(2):
         assert sum(rows[i][j] * c[i] for i in range(3)) > 0
@@ -104,21 +107,24 @@ def test_interior_worked_example():
 
 
 def test_interior_identity_rows():
-    c = find_strict_interior(rows_of((1, 0), (0, 1)))
+    c = find_strict_interior(integer_columns(rows_of((1, 0), (0, 1))))
     assert all(v > 0 for v in c)
 
 
 def test_not_pointed():
     with pytest.raises(lv.NotPointed):
-        find_strict_interior(rows_of((-1, 1)))
+        find_strict_interior(integer_columns(rows_of((-1, 1))))
 
 
 def test_normalize_full_pipeline():
     inst, _ = lv.paper_example()
     norm = normalize(inst)
-    assert norm.compact and norm.pointed
     assert norm.m == 3 and norm.n == 2
+    assert norm.columns == integer_columns(norm.rows)
     assert all(v > 0 for v in norm.interior)
+    assert reference_is_strict_interior(norm.rows, norm.interior)
+    assert all(v >= 0 for v in norm.box_witness)
+    assert all(v >= 1 for v in reference_column_sums(norm.rows, norm.box_witness))
 
 
 def test_normalize_solves_one_lp(lp_calls):
@@ -134,6 +140,72 @@ def test_normalize_solves_one_lp(lp_calls):
 def test_normalize_rejects_unbounded():
     with pytest.raises(lv.NotCompact):
         normalize(make_instance([[1, -1]], [1]))
+
+
+# -- the integer seed check against the Fraction reference -------------
+
+
+def reference_column_sums(rows, c):
+    """A'c in Fractions, one entry per column."""
+    return tuple(sum(row[j] * ci for row, ci in zip(rows, c)) for j in range(len(rows[0])))
+
+
+def reference_is_strict_interior(rows, c):
+    """c > 0 and A'c > 0 decided in Fractions on the rows: the check that
+    is_strict_interior decides on the integer columns."""
+    return all(v > 0 for v in c) and all(v > 0 for v in reference_column_sums(rows, c))
+
+
+def test_integer_columns_scale_each_column():
+    rows = rows_of(("1/2", "2/3", 0), ("-3/4", 5, "-7/3"))
+    assert integer_columns(rows) == ((4, (2, -3)), (3, (2, 15)), (3, (0, -7)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seed_check_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    zero_entry = zero_sum = accepted = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        rows = tuple(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+                     for _ in range(m))
+        columns = integer_columns(rows)
+        cases = [
+            [Fraction(rng.randint(-1, 9), rng.randint(1, 5)) for _ in range(m)],
+            [rng.randint(0, 9) for _ in range(m)],  # ints are seeds too
+        ]
+        # a c > 0 with (A'c)_j = 0 exactly: solve column j for the last entry
+        j = rng.randrange(n)
+        if m > 1 and rows[-1][j] != 0:
+            rest = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(m - 1)]
+            last = -sum(row[j] * v for row, v in zip(rows, rest)) / rows[-1][j]
+            cases.append(rest + [last])
+        for c in cases:
+            expected = reference_is_strict_interior(rows, c)
+            assert is_strict_interior(columns, c) == expected, (rows, c)
+            zero_entry += any(v == 0 for v in c)
+            zero_sum += all(v > 0 for v in c) and 0 in reference_column_sums(rows, c)
+            accepted += expected
+    # every boundary the integer check must decide exactly was met
+    assert zero_entry and zero_sum and accepted
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certificate_matches_fraction_reference(seed):
+    rng = random.Random(200 + seed)
+    checked = 0
+    for _ in range(40):
+        inst = lv.random_instance(rng, rng.randint(1, 5), rng.randint(1, 8), signed=True)
+        rows = scale_and_dedupe(inst)[0]
+        try:
+            c, u = certify(integer_columns(rows))
+        except lv.NotCompact:
+            continue
+        assert all(v.denominator == 1 for v in c)
+        assert reference_is_strict_interior(rows, c)
+        assert u == tuple(v / min(reference_column_sums(rows, c)) for v in c)
+        checked += 1
+    assert checked
 
 
 # -- cross-checks against independent formulations ---------------------
@@ -192,7 +264,7 @@ def test_gates_match_boundedness_oracle(seed):
         assert (compact_witness(rows) is not None) == bounded
         pointed = True
         try:
-            find_strict_interior(rows)
+            find_strict_interior(integer_columns(rows))
         except lv.NotPointed:
             pointed = False
         assert pointed == bounded

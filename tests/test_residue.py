@@ -382,7 +382,7 @@ def test_perturb_repairs_worked_collision():
     norm = lv.normalize(inst)
     from lapvol.direct import _direct_domain
 
-    config = cfg(1, 1, 1, domain_ok=_direct_domain(norm.rows))
+    config = cfg(1, 1, 1, domain_ok=_direct_domain(norm.columns))
     term = branch_I2()
     history = [(1, tuple(poles_of(worked_initial_term(), 1, config)))]
     sites = poles_of(term, 2, config)

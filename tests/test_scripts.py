@@ -1,0 +1,32 @@
+"""Smoke tests of the scripts under scripts/: each runs to its summary
+on tiny arguments against the package in src/."""
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cross_check_runs():
+    out = run_script("cross_check.py", "--count", "3", "--mc-samples", "1000")
+    assert re.search(r"^3 instances agreed exactly, \d+ draws skipped, ", out, re.M), out
+    assert re.search(r"^Monte Carlo outside 3 sigma: \d/3 ", out, re.M), out
+
+
+def test_node_census_runs():
+    out = run_script("node_census.py", "--m", "2", "3", "--n", "2", "3", "--trials", "1")
+    lines = out.splitlines()
+    assert lines[0].split()[:2] == ["m", "n"], out
+    cells = [tuple(map(int, line.split()[:2])) for line in lines[1:]]
+    assert cells == [(2, 2), (2, 3), (3, 2), (3, 3)], out
+    # one level for m = 2, two for m = 3, each within its (n+1)^k bound
+    assert "L1:" in lines[1] and "L2:" not in lines[1]
+    assert re.search(r"L2:\d+/16 ", lines[4]), out

@@ -6,6 +6,7 @@ import pytest
 
 import lapvol as lv
 from lapvol.linforms import LinForm, P_VAR
+from lapvol.polytope import integer_columns
 from lapvol.terms import Side
 from lapvol.transform import eliminated_var, run_transform, substituted_term, volume_transform
 
@@ -112,7 +113,7 @@ def test_side_choice_independence_random():
     while done < 6:
         m, n = rng.choice([2, 3]), rng.randint(2, 5)
         inst, norm, v = draw_valid_instance(rng, m, n, signed=True)
-        for k in set(range(1, m + 1)) - {eliminated_var(norm.rows)}:
+        for k in set(range(1, m + 1)) - {eliminated_var(norm.columns)}:
             for side in (Side.LEFT, Side.RIGHT):
                 try:
                     assert run_transform(norm, force_sides={k: side}).result == v
@@ -122,9 +123,9 @@ def test_side_choice_independence_random():
 
 
 def test_eliminated_var_is_the_most_positive_row():
-    assert eliminated_var([[1, -1, 2], [3, 1, 2], [-1, 5, 4]]) == 2
-    assert eliminated_var([[-1, 1], [1, -1], [1, 1]]) == 3
-    assert eliminated_var([[1, -1], [-1, 1]]) == 1  # ties to the lowest index
+    assert eliminated_var(integer_columns([[1, -1, 2], [3, 1, 2], [-1, 5, 4]])) == 2
+    assert eliminated_var(integer_columns([[-1, 1], [1, -1], [1, 1]])) == 3
+    assert eliminated_var(integer_columns([[1, -1], [-1, 1]])) == 1  # ties to the lowest index
 
 
 def test_positive_row_moved_last():
@@ -135,7 +136,7 @@ def test_positive_row_moved_last():
     b = [70, 2, 49, 88]
     norm = lv.normalize(lv.make_instance(A, b))
     moved = lv.normalize(lv.make_instance(A[1:] + A[:1], b[1:] + b[:1]))
-    assert eliminated_var(moved.rows) == 4
+    assert eliminated_var(moved.columns) == 4
     c = norm.interior  # the same contour, its entries moved with the rows
     base = run_transform(norm, abscissae=c)
     run = run_transform(moved, abscissae=c[1:] + c[:1])
