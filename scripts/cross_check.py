@@ -26,7 +26,8 @@ def main() -> int:
     ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
     ap.add_argument("--n-max", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--signed", action="store_true", default=True)
+    ap.add_argument("--signed", action=argparse.BooleanOptionalAction, default=True,
+                    help="draw mixed-sign instances (--no-signed: nonnegative ones)")
     ap.add_argument("--mc-samples", type=int, default=0,
                     help="if > 0, also Monte-Carlo check each instance")
     args = ap.parse_args()

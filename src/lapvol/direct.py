@@ -40,6 +40,7 @@ from .terms import (
     integrate_level,
     power_sum,
     power_terms,
+    require_degree,
 )
 
 
@@ -120,21 +121,23 @@ def run_direct(
     levels: List[LevelStats] = []
     if m == 1:
         powers = power_terms(terms, last)
+        degrees = {q for _, q in powers}
     for level, k in enumerate(order[:-1], 1):
         if level < m - 1:
             terms, config, stats = integrate_level(
                 terms, k, config, SideRule.BY_EXPONENT_SIGN, history
             )
         else:
-            powers, config, stats = close_level(
+            powers, degrees, config, stats = close_level(
                 terms, k, last, config, SideRule.BY_EXPONENT_SIGN, history
             )
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
-    assert all(q == n + 1 for _, q in powers), "final-level degree bookkeeping"
+    require_degree(degrees, last, n)
+    leaves = levels[-1].terms_out if levels else len(powers)
     levels.append(
-        LevelStats(var=last, terms_in=len(powers), poles_found=0, left=0, right=0,
-                   repaired=0, residues=len(powers), terms_out=len(powers))
+        LevelStats(var=last, terms_in=leaves, poles_found=0, left=0, right=0,
+                   repaired=0, residues=leaves, terms_out=leaves)
     )
     return DirectRun(norm, config, tuple(levels), power_sum(powers))
 

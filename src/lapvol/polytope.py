@@ -11,9 +11,10 @@ c > 0 has A'c > 0) are the same condition: both say the recession cone
 {x >= 0, Ax <= 0} is {0}.  One LP therefore certifies both: maximize a
 margin t over {c, t >= 0, c >= t, A'c >= t, sum(c) <= 1} and accept iff
 the optimum is strictly positive.  Its witness c, scaled to integers,
-seeds the integration abscissae, and the compactness witness is derived
-from it exactly as u = c / min_j (A'c)_j, so u >= 0 and A'u >= 1 (which
-bounds the body and yields the Monte Carlo box bound sum(u)).
+seeds the integration abscissae and is all that :func:`normalize` keeps.
+The compactness witness u = c / min_j (A'c)_j, with u >= 0 and A'u >= 1
+(which bounds the body), is derived from c by :func:`certify` only where
+it is asked for (``--check-only``).
 
 Integer columns.  After cleanup each column j is held once as an
 integer column with its scale D_j (:func:`integer_columns`), and the
@@ -70,13 +71,13 @@ def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
 @dataclass(frozen=True)
 class NormalizedInstance:
     """Validated instance with implied right-hand side all-ones, its
-    integer columns, and the certificate of the margin LP (only a
-    certified instance is constructed)."""
+    integer columns, and the contour seed c of the margin LP (only a
+    certified instance is constructed; the witness u is
+    ``certify(columns)[1]``)."""
 
     rows: Matrix
     columns: Tuple[Column, ...]          # integer_columns(rows)
     interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
-    box_witness: Tuple[Fraction, ...]    # u >= 0 with A'u >= 1
     dropped_vacuous: int
     merged_duplicates: int
 
@@ -146,19 +147,23 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     return c
 
 
+def _seed(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
+    """:func:`find_strict_interior`, raising NotCompact where it raises
+    NotPointed: for b > 0 the body is then unbounded as well as not
+    pointed."""
+    try:
+        return find_strict_interior(columns)
+    except NotPointed as exc:
+        raise NotCompact("polytope is unbounded (no u >= 0 with A'u >= 1)") from exc
+
+
 def certify(columns: Sequence[Column]) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """The certificate (c, u) of the cleaned rows, given by their
     integer columns: the contour seed c of :func:`find_strict_interior`
     and the compactness witness u = c / min_j (A'c)_j, which has u >= 0
-    and A'u >= 1.
-
-    Raises NotCompact when no such c exists: for b > 0 the body is then
-    unbounded as well as not pointed.
+    and A'u >= 1.  Raises NotCompact when no such c exists.
     """
-    try:
-        c = find_strict_interior(columns)
-    except NotPointed as exc:
-        raise NotCompact("polytope is unbounded (no u >= 0 with A'u >= 1)") from exc
+    c = _seed(columns)
     # c is integral, so (A'c)_j is the integer sum s_j over D_j
     _, sums = integer_sums(columns, c)
     margin = min(Fraction(s, den) for s, (den, _) in zip(sums, columns))
@@ -176,15 +181,14 @@ def compact_witness(rows: Matrix) -> Optional[Tuple[Fraction, ...]]:
 
 def normalize(inst: PolytopeInstance) -> NormalizedInstance:
     """Full ingestion pipeline: scale b to ones, clean rows, certify
-    compactness and pointedness.  Raises on any failed gate."""
+    compactness and pointedness by the contour seed c alone (the witness
+    u of :func:`certify` is not derived).  Raises on any failed gate."""
     rows, dropped, merged = scale_and_dedupe(inst)
     columns = integer_columns(rows)
-    c, u = certify(columns)
     return NormalizedInstance(
         rows=rows,
         columns=columns,
-        interior=c,
-        box_witness=u,
+        interior=_seed(columns),
         dropped_vacuous=dropped,
         merged_duplicates=merged,
     )

@@ -39,10 +39,12 @@ each column factor is written down directly as a primitive integer form
 and its scale folded into the coefficient once.  The last residue level
 is fused with the closed form (:func:`close_level`): with only ``var``
 and ``last`` left, every factor b*var + c*last maps at the zero of
-a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one pair (alpha, K) standing for
-K * exp(alpha*last) / last^q, computed from integer products without
-building a Term.  :func:`power_sum` is the one closed form for such
-powers of one variable.
+a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one
+pair (alpha, K) standing for K * exp(alpha*last) / last^q, computed from
+integer products without building a Term.  :func:`power_sum` is the one
+closed form for such powers of one variable; it keeps only alpha > 0, so
+alpha is read first and K built only where it is kept or where an
+alpha <= 0 shape repeats (to count the level's shapes exactly).
 
 Repeated roots before the final level mean the data are degenerate and
 are rejected rather than differentiated through.
@@ -580,7 +582,7 @@ def close_level(
     history: History,
     force_side: Optional[Side] = None,
     implicit: Fraction = 0,
-) -> Tuple[PowerSum, ContourConfig, LevelStats]:
+) -> Tuple[PowerSum, set, ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
@@ -590,13 +592,17 @@ def close_level(
     s = a*c - b*g_last, so a residue is K * exp(alpha*last) / last^q
     with K = sign * coeff * a^(q-1) / prod(s^mult) and alpha the
     exponent's coefficient on ``last`` at the zero (plus ``implicit``,
-    as in :func:`power_terms`).  Returns the residues as a power sum in
-    ``last`` (equal (alpha, q) added, zero sums dropped, so
-    ``terms_out`` is what like-term merging would leave), the config and
-    the level's stats.
+    as in :func:`power_terms`).  K is built only where
+    :func:`power_sum` reads it (alpha > 0) and for alpha <= 0 shapes hit
+    twice or more, to see whether they cancel.  Returns the alpha > 0
+    powers in ``last`` (equal (alpha, q) added, zero sums dropped), the
+    degrees q of the terms with collected poles, the config and the
+    level's stats (``terms_out`` counts the alpha <= 0 shapes too).
     """
     terms, sites, config, repaired = _classified(terms, var, config, history)
     powers: PowerSum = {}
+    dead: Dict[Tuple[Fraction, int], list] = {}
+    degrees = set()
     residues = 0
     for term, term_sites in zip(terms, sites):
         sign, poles = _collected(term, term_sites, var, rule, force_side)
@@ -619,21 +625,45 @@ def close_level(
             parts.append((b, c, mult))
         index = {f: j for j, (f, _) in enumerate(term.denom)}
         q = term.total_multiplicity - 1
+        degrees.add(q)
         L = term.exponent
         assert set(L.variables) <= {var, last}
         L_var, L_last = L.coeff(var), L.coeff(last) + implicit
-        num0, den0 = sign * term.coeff.numerator, term.coeff.denominator
         for site in poles:
             jg = index[site.factor]
             a, g_last, _ = parts[jg]
-            den = den0
-            for j, (b, c, mult) in enumerate(parts):
-                if j != jg:
-                    s = a * c - b * g_last
-                    den *= s if mult == 1 else s ** mult
             alpha = L_last - L_var * Fraction(g_last, a) if L_var else L_last
             key = (alpha, q)
-            powers[key] = powers.get(key, 0) + Fraction(num0 * a ** (q - 1), den)
+            if alpha > 0:
+                powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
+            else:
+                dead.setdefault(key, []).append((sign, term, parts, jg, q))
         residues += len(poles)
+    # one residue has K != 0 (coeff, a and every s are), so only a
+    # repeated alpha <= 0 shape can cancel
+    dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
+                   for hits in dead.values())
     powers = {key: K for key, K in powers.items() if K != 0}
-    return powers, config, _level_stats(var, terms, sites, repaired, residues, len(powers))
+    stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
+    return powers, degrees, config, stats
+
+
+def _pole_power(sign: int, term: Term, parts: Sequence[Tuple[int, int, int]], jg: int,
+                q: int) -> Fraction:
+    """K of :func:`close_level`'s residue at the zero of the term's
+    factor ``jg``, from the (b, c, mult) ``parts`` of its factors."""
+    a, g_last, _ = parts[jg]
+    den = term.coeff.denominator
+    for j, (b, c, mult) in enumerate(parts):
+        if j != jg:
+            s = a * c - b * g_last
+            den *= s if mult == 1 else s ** mult
+    return Fraction(sign * term.coeff.numerator * a ** (q - 1), den)
+
+
+def require_degree(degrees, last: int, n: int) -> None:
+    """Every power of ``last`` the closed form sums must be last^(n+1)."""
+    bad = degrees - {n + 1}
+    if bad:
+        raise MalformedH(f"surviving term has {var_name(last)}-multiplicity {min(bad)}, "
+                         f"expected {n + 1}")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DegenerateInstance, MalformedH
+from .errors import DegenerateInstance
 from .linforms import LinForm, P_VAR
 from .polytope import NormalizedInstance, contour_seed, is_strict_interior
 from .terms import (
@@ -38,6 +38,7 @@ from .terms import (
     integrate_level,
     power_sum,
     power_terms,
+    require_degree,
 )
 
 
@@ -139,6 +140,7 @@ def run_transform(
     levels: List[LevelStats] = []
     if m == 1:
         powers = power_terms(terms, P_VAR, implicit=1)
+        degrees = {q for _, q in powers}
     for level, k in enumerate(others, 1):
         assert all(t.exponent.is_zero for t in terms), "transform terms grew an exponential"
         force = (force_sides or {}).get(k)
@@ -147,15 +149,13 @@ def run_transform(
                 terms, k, config, SideRule.FEWER_POLES, history, force_side=force
             )
         else:
-            powers, config, stats = close_level(
+            powers, degrees, config, stats = close_level(
                 terms, k, P_VAR, config, SideRule.FEWER_POLES, history,
                 force_side=force, implicit=1,
             )
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
-    for _, q in powers:
-        if q != n + 1:
-            raise MalformedH(f"surviving term has p-multiplicity {q}, expected {n + 1}")
+    require_degree(degrees, P_VAR, n)
     volume = power_sum(powers)
     return TransformRun(norm, config, tuple(levels), volume * factorial(n), volume)
 

@@ -18,15 +18,21 @@ import lapvol as lv
 from lapvol.direct import _direct_domain, initial_term, integration_order, run_direct
 from lapvol.linforms import LinForm, P_VAR
 from lapvol.polytope import contour_seed
+from lapvol import terms as terms_module
 from lapvol.terms import (
     ContourConfig,
     LevelStats,
     Side,
     SideRule,
     Term,
+    _classified,
     canonical_term,
+    close_level,
     final_level_value,
     integrate_level,
+    integrate_var,
+    power_terms,
+    require_degree,
 )
 from lapvol.transform import _transform_domain, eliminated_var, run_transform, substituted_term
 
@@ -161,3 +167,121 @@ def test_fused_closing_level_under_forced_sides():
 def test_m1_uses_the_same_finisher(A):
     norm = lv.normalize(lv.make_instance(A, [1]))
     assert_same(norm)
+
+
+# -- the pruned closing level -------------------------------------------
+# close_level builds K only for alpha > 0 residues and for alpha <= 0
+# shapes hit more than once (summed to see whether they cancel).
+
+PRIMES = [p for p in range(1009, 2000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def prime_row_draws(count, seed):
+    """Instances of the benchmark's make-up: row 1 distinct primes, rows
+    2..m mixed-sign integers, b positive integers."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(2, 6), rng.randint(2, 5)
+        A = [rng.sample(PRIMES, n)] + [
+            [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
+        out.append(lv.normalize(lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])))
+    return out
+
+
+def closing_shapes(norm):
+    """Direct's closing-level residues, built as Terms by the unfused
+    path, grouped by shape: (alpha, q) -> [hits, sum of K].  Every factor
+    left is the primitive last variable, so a residue's coefficient is K."""
+    c = norm.interior
+    config = ContourConfig({i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.columns))
+    order = integration_order(norm.columns)
+    terms, history = [initial_term(norm)], []
+    for k in order[:-2]:
+        terms, config, _ = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
+    terms, sites, config, _ = _classified(terms, order[-2], config, history)
+    shapes = {}
+    for t in integrate_var(terms, order[-2], config, SideRule.BY_EXPONENT_SIGN, sites=sites):
+        entry = shapes.setdefault((t.exponent.coeff(order[-1]), t.total_multiplicity), [0, 0])
+        entry[0] += 1
+        entry[1] += t.coeff
+    return shapes
+
+
+@pytest.fixture
+def k_builds(monkeypatch):
+    """The number of K values close_level builds during the test."""
+    calls = []
+    real = terms_module._pole_power
+    monkeypatch.setattr(terms_module, "_pole_power", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_pruned_closing_level_on_prime_row_draws(k_builds):
+    once = cancelled = 0
+    for norm in prime_row_draws(40, 10):
+        assert_same(norm)
+        if isinstance(outcome(run_direct, norm), tuple):
+            continue
+        shapes = closing_shapes(norm)
+        k_builds.clear()
+        run_direct(norm)
+        # K is built for every alpha > 0 residue and for every residue of
+        # an alpha <= 0 shape hit more than once, and for no other
+        assert len(k_builds) == sum(hits for (alpha, _), (hits, _) in shapes.items()
+                                    if alpha > 0 or hits > 1)
+        once += sum(alpha <= 0 and hits == 1 for (alpha, _), (hits, _) in shapes.items())
+        cancelled += sum(alpha <= 0 and hits > 1 and total == 0
+                         for (alpha, _), (hits, total) in shapes.items())
+    assert once > 0 and cancelled > 0
+
+
+def two_variable_terms():
+    """Terms in l1 (integrated) and l2 (last).  At c = (3, 1) the exponent
+    closes left and collects the roots of l1 (alpha 1), l1 + l2 (alpha 0)
+    and l1 + 2*l2 (alpha -1) but not l1 - 5*l2 (root 5); the second term
+    hits the alpha <= 0 shapes a second time."""
+    l1, l2 = LinForm.var(1), LinForm.var(2)
+    exponent = LinForm([(1, 1), (2, 1)])
+    first = Term(Fraction(3, 2), exponent, tuple(
+        (f, 1) for f in (l1, l1 + l2, l1 + 2 * l2, l1 - 5 * l2, l2)))
+    second = Term(Fraction(-1, 5), exponent, tuple(
+        (f, 1) for f in (l1 + l2, l1 + 2 * l2, l1 - 5 * l2, l2, l2)))
+    return [canonical_term(t) for t in (first, second)]
+
+
+def config_31():
+    return ContourConfig({1: Fraction(3), 2: Fraction(1)})
+
+
+def test_close_level_keeps_the_alpha_positive_powers(k_builds):
+    for terms in (two_variable_terms()[:1], two_variable_terms()):
+        k_builds.clear()
+        powers, degrees, _, stats = close_level(
+            terms, 1, 2, config_31(), SideRule.BY_EXPONENT_SIGN, [])
+        merged, _, reference = integrate_level(
+            terms, 1, config_31(), SideRule.BY_EXPONENT_SIGN, [])
+        every = power_terms(merged, 2)
+        assert powers == {key: K for key, K in every.items() if key[0] > 0}
+        assert powers and set(every) - set(powers)  # both kinds occur
+        assert stats == reference and stats.terms_out == len(every)
+        assert degrees == {4}
+        # one K per alpha > 0 residue; the alpha <= 0 shapes need theirs
+        # only when hit twice, as with both terms
+        assert len(k_builds) == (1 if len(terms) == 1 else 5)
+
+
+def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
+    l1, l2, l3 = LinForm.var(1), LinForm.var(2), LinForm.var(3)
+    exponent = LinForm([(1, 1), (2, 1)])
+    factors = (l1 + l2, l1 + 2 * l2, l1 - 5 * l2)
+    config = ContourConfig({1: Fraction(3), 2: Fraction(1), 3: Fraction(1)})
+    term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2 + l3,))))
+    with pytest.raises(lv.MalformedH, match="other than l1 and l2"):
+        close_level([term], 1, 2, config, SideRule.BY_EXPONENT_SIGN, [])
+    term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2,))))
+    powers, degrees, _, stats = close_level([term], 1, 2, config, SideRule.BY_EXPONENT_SIGN, [])
+    assert powers == {} and stats.terms_out == 2 and degrees == {3}
+    require_degree(degrees, 2, 2)
+    with pytest.raises(lv.MalformedH, match="l2-multiplicity 3, expected 4"):
+        require_degree(degrees, 2, 3)

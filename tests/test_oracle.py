@@ -15,6 +15,7 @@ from lapvol.oracle import (
     paper_example,
     simplex_instance,
 )
+from lapvol.polytope import certify
 
 from conftest import frac_vec
 
@@ -174,7 +175,7 @@ def test_mc_box_holds_the_body(make):
         status, _, top = lp.maximize(unit, inst.rows, inst.rhs)
         assert status == lp.OPTIMAL and top <= side
     # the largest side is the cube side sum(u) of the compactness witness
-    assert max(est.box) == sum(lv.normalize(inst).box_witness)
+    assert max(est.box) == sum(certify(lv.normalize(inst).columns)[1])
 
 
 def test_mc_box_beats_the_cube_on_paper_example():

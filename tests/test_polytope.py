@@ -123,15 +123,16 @@ def test_normalize_full_pipeline():
     assert norm.columns == integer_columns(norm.rows)
     assert all(v > 0 for v in norm.interior)
     assert reference_is_strict_interior(norm.rows, norm.interior)
-    assert all(v >= 0 for v in norm.box_witness)
-    assert all(v >= 1 for v in reference_column_sums(norm.rows, norm.box_witness))
+    u = certify(norm.columns)[1]
+    assert all(v >= 0 for v in u)
+    assert all(v >= 1 for v in reference_column_sums(norm.rows, u))
 
 
 def test_normalize_solves_one_lp(lp_calls):
     norm = normalize(lv.paper_example()[0])
     assert len(lp_calls) == 1
-    # the derived compactness witness is exact: u >= 0 and A'u >= 1
-    u = norm.box_witness
+    # the compactness witness of certify is exact: u >= 0 and A'u >= 1
+    u = certify(norm.columns)[1]
     assert all(v >= 0 for v in u)
     for j in range(norm.n):
         assert sum(norm.rows[i][j] * u[i] for i in range(norm.m)) >= 1

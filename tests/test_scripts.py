@@ -21,6 +21,13 @@ def test_cross_check_runs():
     assert re.search(r"^Monte Carlo outside 3 sigma: \d/3 ", out, re.M), out
 
 
+def test_cross_check_runs_unsigned():
+    out = run_script("cross_check.py", "--count", "3", "--no-signed")
+    assert re.search(r"^3 instances agreed exactly, \d+ draws skipped, ", out, re.M), out
+    # a nonnegative draw of the same seed is another instance
+    assert out.splitlines()[0] != run_script("cross_check.py", "--count", "1").splitlines()[0]
+
+
 def test_node_census_runs():
     out = run_script("node_census.py", "--m", "2", "3", "--n", "2", "3", "--trials", "1")
     lines = out.splitlines()
