@@ -27,6 +27,7 @@ from .errors import (
     EmptyAfterCleanup,
     InstanceFormatError,
     MalformedH,
+    NoAdmissiblePerturbation,
     NonpositiveB,
     NotCompact,
     NotPointed,
@@ -61,6 +62,7 @@ _ERROR_CODES = [
     (DegenerateInstance, EXIT_DEGENERATE),
     (DivergentSlice, EXIT_INTERNAL),
     (MalformedH, EXIT_INTERNAL),
+    (NoAdmissiblePerturbation, EXIT_INTERNAL),
 ]
 
 

@@ -51,6 +51,14 @@ class MalformedH(VolumeEngineError):
     the input."""
 
 
+class NoAdmissiblePerturbation(VolumeEngineError):
+    """The on-line perturbation tried every shift of an integration path
+    down to 2^-511 and none kept the method's strict domain, moved the
+    path off its level's poles and kept every earlier pole on its side.
+    Small enough shifts always satisfy those strict inequalities, so
+    this is an engine failure, never a property of the input."""
+
+
 class GenericityViolated(VolumeEngineError):
     """Closed-form oracle preconditions (nonzero entries, distinct
     ratios, ...) do not hold for the supplied data."""

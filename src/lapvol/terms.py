@@ -46,19 +46,29 @@ closed form for such powers of one variable; it keeps only alpha > 0, so
 alpha is read first and K built only where it is kept or where an
 alpha <= 0 shape repeats (to count the level's shapes exactly).
 
+Integer kernel.  A level touches each factor once, on ints: one pass
+over a primitive factor reads its coefficient on the variable and its
+value at the integer contour point (:attr:`ContourConfig.point`, the
+abscissae times their common denominator, computed once per config),
+which fix the pole's side.  Each elimination a*f - b*g is done inline
+and made primitive, so the terms a level returns are canonical and are
+not canonicalized again.  The closing level reads the sign of alpha from
+integer products and keys its shapes by alpha as a reduced integer
+pair; only the alpha > 0 powers it keeps get a Fraction alpha.
+
 Repeated roots before the final level mean the data are degenerate and
 are rejected rather than differentiated through.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateInstance, DivergentSlice, MalformedH
+from .errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
 from .linforms import LinForm, var_name
 
 
@@ -131,10 +141,11 @@ def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[int, int]]:
     return a, b
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PoleSite:
     """One distinct root of ``var`` in a term's denominator: the zero of
-    the primitive ``factor``.  The root and the leading coefficient are
+    the primitive ``factor``.  A slotted value built once per distinct
+    factor and level; the root (cached) and the leading coefficient are
     derived from the factor when read (perturbation and messages only).
     """
 
@@ -142,14 +153,17 @@ class PoleSite:
     var: int
     side: Side
     order: int
+    _root: Optional[LinForm] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def leading(self) -> Fraction:
         return self.factor.coeff(self.var)
 
-    @cached_property
+    @property
     def root(self) -> LinForm:
-        return self.factor.solve_for(self.var)[1]
+        if self._root is None:
+            self._root = self.factor.solve_for(self.var)[1]
+        return self._root
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,14 @@ class ContourConfig:
 
     def abscissa(self, var: int) -> Fraction:
         return self.abscissae[var]
+
+    @cached_property
+    def point(self) -> Dict[int, int]:
+        """The abscissae times their common denominator: integers whose
+        signs and ratios are those of the abscissae."""
+        den = lcm(*(x.denominator for x in self.abscissae.values()))
+        return {v: x.numerator * (den // x.denominator)
+                for v, x in self.abscissae.items()}
 
     def with_abscissa(self, var: int, value: Fraction, record: PerturbationRecord) -> "ContourConfig":
         updated = dict(self.abscissae)
@@ -219,34 +241,33 @@ class _Classifier:
 
     With factor = a*var + rest, the factor's value at the path point is
     a*(path - root), so the side follows from the signs of that value
-    and of a.  The value's sign is read from integers: the abscissae
-    scaled by their common denominator.
+    and of a, both read in one pass over the factor's integer
+    coefficients at the config's integer point.
     """
 
     def __init__(self, var: int, config: ContourConfig):
         self.var = var
-        den = lcm(*(x.denominator for x in config.abscissae.values()))
-        self.point = {v: int(x * den) for v, x in config.abscissae.items()}
+        self.point = config.point
         self.sites: Dict[LinForm, Optional[PoleSite]] = {}
 
     def site(self, factor: LinForm) -> Optional[PoleSite]:
-        """The simple-pole site of the factor, or None if the factor does
-        not contain the variable."""
-        try:
-            return self.sites[factor]
-        except KeyError:
-            pass
-        a = factor.coeff(self.var)
+        """Classify a factor not seen before at this level: its
+        simple-pole site, or None if it does not contain the variable."""
+        var, point = self.var, self.point
+        a = at_path = 0
+        for v, c in factor.items():
+            if v == var:
+                a = c
+            at_path += c * point[v]
         site = None
-        if a != 0:
-            at_path = sum(c * self.point[v] for v, c in factor.items())
+        if a:
             if at_path == 0:
                 side = Side.ON_PATH
             elif (at_path > 0) == (a > 0):
                 side = Side.LEFT
             else:
                 side = Side.RIGHT
-            site = PoleSite(factor, self.var, side, 1)
+            site = PoleSite(factor, var, side, 1)
         self.sites[factor] = site
         return site
 
@@ -257,10 +278,13 @@ class _Classifier:
 def _sites(term: Term, classify: _Classifier) -> List[PoleSite]:
     """poles_of for a canonical term, whose factors are distinct."""
     sites = []
+    known = classify.sites
     for f, mult in term.denom:
-        site = classify.site(f)
+        site = known.get(f, False)
+        if site is False:
+            site = classify.site(f)
         if site is not None:
-            sites.append(site if mult == 1 else replace(site, order=mult))
+            sites.append(site if mult == 1 else PoleSite(site.factor, site.var, site.side, mult))
     return sites
 
 
@@ -285,38 +309,43 @@ def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
     return _residue(canonical_term(term), var, pole.factor.primitive()[1], 1)
 
 
-def _eliminate(f: LinForm, g: LinForm, var: int, a: int, b: int) -> Tuple[LinForm, int]:
-    """a*f - b*g, which has no ``var``, as (primitive form h, content s)
-    with a*f - b*g = s*h."""
-    acc = {v: a * c for v, c in f.items()}
-    for v, c in g.items():
-        acc[v] = acc.get(v, 0) - b * c
-    s, h = LinForm.from_ints(sorted(vc for vc in acc.items() if vc[1]))
-    return h, s
-
-
 def _residue(term: Term, var: int, g: LinForm, sign: int) -> Term:
     """``sign`` times the residue of a canonical term at the zero of its
     factor ``g`` (a simple pole).
 
     With a = g's coefficient on ``var``, the root substituted into a
     factor f with coefficient b gives (a*f - b*g)/a = (s/a)*h for the
-    primitive h, so each such factor multiplies the coefficient by
-    (a/s)^mult, and the dropped factor g divides it by a.
+    primitive h and its signed content s, so each such factor multiplies
+    the coefficient by (a/s)^mult, and the dropped factor g divides it
+    by a.  h is positive on its highest-index variable, read after the
+    zero coefficients (``var`` among them) are dropped.
     """
     a = g.coeff(var)
+    g_items = g.items()
     num, den = sign * term.coeff.numerator, a * term.coeff.denominator
     denom: Dict[LinForm, int] = {}
     vanished = 0
     for f, mult in term.denom:
-        b = f.coeff(var)
-        if b != 0:
-            if f == g:
-                vanished += mult
-                continue
-            f, s = _eliminate(f, g, var, a, b)
-            num *= a ** mult
-            den *= s ** mult
+        items = f.items()
+        for v, b in items:
+            if v == var:
+                break
+        else:
+            denom[f] = denom.get(f, 0) + mult
+            continue
+        if f == g:
+            vanished += mult
+            continue
+        acc = {v: a * c for v, c in items}
+        for v, c in g_items:
+            acc[v] = acc.get(v, 0) - b * c
+        pairs = sorted([vc for vc in acc.items() if vc[1]])
+        s = gcd(*[c for _, c in pairs])
+        if pairs[-1][1] < 0:
+            s = -s
+        f = LinForm.from_items(tuple([(v, c // s) for v, c in pairs]), primitive=True)
+        num *= a ** mult
+        den *= s ** mult
         denom[f] = denom.get(f, 0) + mult
     assert vanished == 1, "pole does not belong to this term as a simple factor"
     exponent = _substitute_exponent(term.exponent, g, var, a)
@@ -413,7 +442,9 @@ def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     coefficients cancel are dropped."""
     merged: Dict[tuple, list] = {}
     for t in terms:
-        key = (t.exponent, frozenset(t.denom))
+        # the exponent as integer triples: hashing a Fraction is slow
+        exponent = tuple([(v, c.numerator, c.denominator) for v, c in t.exponent.items()])
+        key = (exponent, frozenset(t.denom))
         entry = merged.get(key)
         if entry is None:
             merged[key] = [t, t.coeff]
@@ -484,7 +515,8 @@ def perturb_abscissa(
     the earlier levels keeps its original side once re-evaluated with
     the shifted abscissa.  A valid epsilon always exists because each
     condition is a finite set of strict inequalities satisfied for all
-    small enough shifts.
+    small enough shifts; if 512 halvings find none, the engine is at
+    fault and :class:`NoAdmissiblePerturbation` is raised.
     """
     values = sorted({site.root.evaluate(config.abscissae) for site in level_sites})
     path = config.abscissa(var)
@@ -504,7 +536,10 @@ def perturb_abscissa(
             record = PerturbationRecord(var, delta, eps)
             return config.with_abscissa(var, candidate, record)
         eps /= 2
-    raise AssertionError("no admissible perturbation found; cannot happen")
+    raise NoAdmissiblePerturbation(
+        f"no admissible perturbation of the path Re({var_name(var)}) within "
+        "512 halvings of the shift"
+    )
 
 
 def _sides_stable(history: History, trial: Mapping[int, Fraction]) -> bool:
@@ -521,12 +556,11 @@ def _sides_stable(history: History, trial: Mapping[int, Fraction]) -> bool:
 
 def _classified(
     terms: Sequence[Term], var: int, config: ContourConfig, history: History
-) -> Tuple[List[Term], List[List[PoleSite]], ContourConfig, int]:
-    """Canonicalize the terms and classify their poles in ``var``,
-    repairing an on-path collision first, and record the classification
-    in ``history``.  Returns the terms, their sites, the (possibly
+) -> Tuple[Sequence[Term], List[List[PoleSite]], ContourConfig, int]:
+    """Classify the poles of canonical terms in ``var``, repairing an
+    on-path collision first, and record the classification in
+    ``history``.  Returns the terms, their sites, the (possibly
     perturbed) config and the number of repairs."""
-    terms = [canonical_term(t) for t in terms]
     classify = _Classifier(var, config)
     sites = [_sites(t, classify) for t in terms]
     repaired = 0
@@ -566,7 +600,11 @@ def integrate_level(
     """One full level: classify poles, repair on-path collisions, record
     the classification, integrate, then merge like terms.  Returns the
     new term list, the (possibly perturbed) config and the level
-    diagnostics."""
+    diagnostics.
+
+    The terms must be canonical (:func:`canonical_term`); the start
+    terms of both methods are, and so is every term this returns, so
+    they are not canonicalized again here."""
     terms, sites, config, repaired = _classified(terms, var, config, history)
     residues = integrate_var(terms, var, config, rule, force_side, sites)
     out = merge_like_terms(residues)
@@ -586,13 +624,14 @@ def close_level(
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
-    Classification, repair and the closure side are those of
-    :func:`integrate_level`.  At the zero of g = a*var + g_last*last a
-    factor f = b*var + c*last becomes (s/a)*last with the integer
-    s = a*c - b*g_last, so a residue is K * exp(alpha*last) / last^q
-    with K = sign * coeff * a^(q-1) / prod(s^mult) and alpha the
-    exponent's coefficient on ``last`` at the zero (plus ``implicit``,
-    as in :func:`power_terms`).  K is built only where
+    The terms must be canonical; classification, repair and the closure
+    side are those of :func:`integrate_level`.  At the zero of
+    g = a*var + g_last*last a factor f = b*var + c*last becomes
+    (s/a)*last with the integer s = a*c - b*g_last, so a residue is
+    K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
+    prod(s^mult) and alpha the exponent's coefficient on ``last`` at the
+    zero (plus ``implicit``, as in :func:`power_terms`), read as a
+    reduced integer pair.  K is built only where
     :func:`power_sum` reads it (alpha > 0) and for alpha <= 0 shapes hit
     twice or more, to see whether they cancel.  Returns the alpha > 0
     powers in ``last`` (equal (alpha, q) added, zero sums dropped), the
@@ -600,8 +639,9 @@ def close_level(
     level's stats (``terms_out`` counts the alpha <= 0 shapes too).
     """
     terms, sites, config, repaired = _classified(terms, var, config, history)
-    powers: PowerSum = {}
-    dead: Dict[Tuple[Fraction, int], list] = {}
+    # alpha as a reduced integer pair (N, D > 0), keyed with q
+    powers: Dict[Tuple[int, int, int], Fraction] = {}
+    dead: Dict[Tuple[int, int, int], list] = {}
     degrees = set()
     residues = 0
     for term, term_sites in zip(terms, sites):
@@ -629,12 +669,19 @@ def close_level(
         L = term.exponent
         assert set(L.variables) <= {var, last}
         L_var, L_last = L.coeff(var), L.coeff(last) + implicit
+        # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (z*a)
+        x = L_last.numerator * L_var.denominator
+        y = L_var.numerator * L_last.denominator
+        z = L_last.denominator * L_var.denominator
         for site in poles:
             jg = index[site.factor]
             a, g_last, _ = parts[jg]
-            alpha = L_last - L_var * Fraction(g_last, a) if L_var else L_last
-            key = (alpha, q)
-            if alpha > 0:
+            N, D = x * a - y * g_last, z * a
+            if D < 0:
+                N, D = -N, -D
+            h = gcd(N, D)
+            key = (N // h, D // h, q)
+            if N > 0:
                 powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
             else:
                 dead.setdefault(key, []).append((sign, term, parts, jg, q))
@@ -643,7 +690,7 @@ def close_level(
     # repeated alpha <= 0 shape can cancel
     dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
                    for hits in dead.values())
-    powers = {key: K for key, K in powers.items() if K != 0}
+    powers = {(Fraction(N, D), q): K for (N, D, q), K in powers.items() if K != 0}
     stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
     return powers, degrees, config, stats
 

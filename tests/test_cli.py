@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapvol import cli, polytope
+from lapvol import cli, direct, polytope
 from lapvol.oracle import mc_volume
 from lapvol.polytope import normalize
 
@@ -418,6 +418,17 @@ def test_exit_7_method_disagreement(monkeypatch, capsys):
     code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"))
     assert code == 7 and out == ""
     assert "direct=17/48" in err and "transform=65/48" in err
+
+
+def test_exit_7_no_admissible_perturbation(monkeypatch, capsys):
+    # the default contour of the paper example needs one repair; with a
+    # domain that holds nowhere, no shift of the path is admissible
+    monkeypatch.setattr(direct, "_direct_domain", lambda columns: (lambda abscissae: False))
+    code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                         "--method", "direct")
+    assert code == 7 and out == ""
+    assert err == "error: no admissible perturbation of the path Re(l3) within 512 " \
+                  "halvings of the shift\n"
 
 
 def test_import_does_not_load_numpy():

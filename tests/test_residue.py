@@ -403,11 +403,29 @@ def test_perturb_repairs_worked_collision():
     )
 
 
+def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
+    # at the zero of g = l1 + l3, f = l1 - l2 + l3 becomes f - g = -l2, and
+    # at the zero of f, g becomes g - f = l2: both differences cancel on l3,
+    # the highest variable, so the sign is read on l2 once the zero is gone
+    g, f = lf([(1, 1), (3, 1)]), lf([(1, 1), (2, -1), (3, 1)])
+    term = canonical_term(
+        Term(F(1), lf([(1, 1), (2, 1), (3, 1)]), ((g, 1), (f, 1), (lf([(2, 1), (3, 2)]), 1)))
+    )
+    out, _, stats = integrate_level([term], 1, cfg(3, 2, 1), SideRule.BY_EXPONENT_SIGN, [])
+    assert stats.residues == len(out) == 2
+    for t in out:
+        assert [h for h, _ in t.denom] == [lf([(2, 1)]), lf([(2, 1), (3, 2)])]
+        # the same term rebuilt from unflagged forms and canonicalized
+        assert t == canonical_term(Term(t.coeff, t.exponent,
+                                        tuple((LinForm(h.items()), m) for h, m in t.denom)))
+    assert [t.coeff for t in out] == [F(-1), F(1)]
+
+
 def test_integrate_level_records_history_and_stats():
     config = cfg(3, 2, 1)
     history = []
     out, config2, stats = integrate_level(
-        [worked_initial_term()], 1, config, SideRule.BY_EXPONENT_SIGN, history
+        [canonical_term(worked_initial_term())], 1, config, SideRule.BY_EXPONENT_SIGN, history
     )
     assert stats.terms_in == 1 and stats.poles_found == 3
     assert stats.left == 3 and stats.right == 0 and stats.repaired == 0
