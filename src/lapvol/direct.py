@@ -21,6 +21,7 @@ Variable ids keep naming the input's rows.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -33,13 +34,13 @@ from .terms import (
     LevelStats,
     SideRule,
     Term,
-    canonical_term,
     close_level,
     coincident_pair,
     final_level_value,  # noqa: F401  (not called: perfbench's direct.final span looks it up here)
     integrate_level,
     power_sum,
     power_terms,
+    primitive,
     require_degree,
 )
 
@@ -53,22 +54,22 @@ class DirectRun:
 
 
 def initial_term(norm: NormalizedInstance) -> Term:
-    """exp(l1+..+lm) over the product of all m+n simple factors, each in
-    primitive form.
+    """exp(l1+..+lm) over the product of all m+n simple factors, each
+    primitive, over the slots l1..lm.
 
-    Each column factor (A'l)_j is written down as the primitive form of
-    the instance's integer column ``norm.columns[j]``; the scales D/s go
-    into the coefficient once.  Any two proportional factors would
-    create a repeated pole at level one already, so they are rejected
-    here with a hint; axis-parallel constraint rows (boxes) are the
-    typical trigger.
+    Each column factor (A'l)_j is the primitive form of the instance's
+    integer column ``norm.columns[j]``; the scales D/s go into the
+    coefficient once.  Any two proportional factors would create a
+    repeated pole at level one already, so they are rejected here with
+    a hint; axis-parallel constraint rows (boxes) are the typical
+    trigger.
     """
     m, rows = norm.m, norm.rows
-    factors = [LinForm.from_items(((i, 1),), primitive=True) for i in range(1, m + 1)]
+    factors = [tuple([int(i == j) for j in range(m)]) for i in range(m)]
     num = den = 1
     for scale, col in norm.columns:
-        s, form = LinForm.from_ints([(i, a) for i, a in enumerate(col, 1) if a])
-        factors.append(form)
+        s, f = primitive(col)
+        factors.append(f)
         num *= scale
         den *= s
     if m > 1:
@@ -85,9 +86,8 @@ def initial_term(norm: NormalizedInstance) -> Term:
                 "generators for such shapes."
             )
     # m = 1: every factor is l1 (the single row is positive by
-    # compactness), and canonical_term adds them up into l1^(n+1)
-    exponent = LinForm([(i, 1) for i in range(1, m + 1)])
-    return canonical_term(Term(Fraction(num, den), exponent, tuple((f, 1) for f in factors)))
+    # compactness), and they add up into l1^(n+1)
+    return Fraction(num, den), (1, (1,) * m), tuple(Counter(factors).items())
 
 
 def integration_order(columns) -> Tuple[int, ...]:
@@ -120,7 +120,7 @@ def run_direct(
     history: list = []
     levels: List[LevelStats] = []
     if m == 1:
-        powers = power_terms(terms, last)
+        powers = power_terms(terms)
         degrees = {q for _, q in powers}
     for level, k in enumerate(order[:-1], 1):
         if level < m - 1:

@@ -8,13 +8,15 @@ for the transform variable p, which orders after every lambda.  A
 coefficient; there is no constant part anywhere in the algebra, so
 structural equality equals mathematical equality.  Forms built from
 user data hold Fractions; the primitive forms of :meth:`LinForm.primitive`
-hold ints, which compare and hash equal to the same Fractions.
+hold ints, which compare and hash equal to the same Fractions.  The
+residue engine itself runs on int tuples (:mod:`lapvol.terms`) and
+builds forms only for its messages.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import NotAPoleInVar
 
@@ -57,7 +59,7 @@ class LinForm:
     0
     """
 
-    __slots__ = ("_coeffs", "_hash", "_primitive")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Union[Mapping[int, RatLike], Iterable[Tuple[int, RatLike]]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -69,29 +71,14 @@ class LinForm:
             else:
                 acc[var] = c
         self._coeffs = tuple(sorted((v, c) for v, c in acc.items() if c != 0))
-        self._hash = None
-        self._primitive = None
 
     @classmethod
-    def from_items(cls, items: Tuple[Tuple[int, RatLike], ...], primitive: bool = False) -> "LinForm":
+    def from_items(cls, items: Tuple[Tuple[int, RatLike], ...]) -> "LinForm":
         """Wrap pairs that are already canonical: sorted by variable, one
-        pair per variable, no zero coefficient.  Skips every check;
-        ``primitive`` asserts that the form is its own primitive form."""
+        pair per variable, no zero coefficient.  Skips every check."""
         form = object.__new__(cls)
         form._coeffs = items
-        form._hash = None
-        form._primitive = True if primitive else None
         return form
-
-    @classmethod
-    def from_ints(cls, items: Sequence[Tuple[int, int]]) -> Tuple[int, "LinForm"]:
-        """Split a form given as integer pairs, sorted by variable with no
-        zero coefficient, as ``(content, form)``: ``form`` is its primitive
-        form and ``content`` the signed integer it was divided by."""
-        s = gcd(*[c for _, c in items])
-        if items[-1][1] < 0:
-            s = -s
-        return s, cls.from_items(tuple([(v, c // s) for v, c in items]), primitive=True)
 
     @classmethod
     def var(cls, var: int, coeff: RatLike = 1) -> "LinForm":
@@ -125,10 +112,6 @@ class LinForm:
             if v == var:
                 return c
         return 0
-
-    def is_multiple_of_var(self, var: int) -> bool:
-        """True iff the form is c*var for some nonzero c."""
-        return len(self._coeffs) == 1 and self._coeffs[0][0] == var
 
     # -- algebra -------------------------------------------------------
 
@@ -202,20 +185,14 @@ class LinForm:
         >>> print(form)
         -2*l1 + 3*l2
         """
-        # cached as True for a form that is its own primitive form (no
-        # self-reference, so forms are freed by reference counting)
-        if self._primitive is None:
-            if not self._coeffs:
-                self._primitive = True
-            else:
-                den = lcm(*(c.denominator for _, c in self._coeffs))
-                ints = [(v, int(c * den)) for v, c in self._coeffs]
-                g = gcd(*(c for _, c in ints))
-                if ints[-1][1] < 0:
-                    g = -g
-                form = LinForm.from_items(tuple((v, c // g) for v, c in ints), primitive=True)
-                self._primitive = (Fraction(g, den), form)
-        return (_ONE, self) if self._primitive is True else self._primitive
+        if not self._coeffs:
+            return _ONE, self
+        den = lcm(*(c.denominator for _, c in self._coeffs))
+        ints = [(v, int(c * den)) for v, c in self._coeffs]
+        g = gcd(*(c for _, c in ints))
+        if ints[-1][1] < 0:
+            g = -g
+        return Fraction(g, den), LinForm.from_items(tuple((v, c // g) for v, c in ints))
 
     # -- plumbing --------------------------------------------------------
 
@@ -223,10 +200,7 @@ class LinForm:
         return isinstance(other, LinForm) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._coeffs)
-        return h
+        return hash(self._coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -1,6 +1,6 @@
 """Shared symbolic machinery for iterated Bromwich integration.
 
-A :class:`Term` is one summand of a partially integrated integrand,
+A term is one summand of a partially integrated integrand,
 
     coeff * exp(L) / product(factor_i ** mult_i),
 
@@ -17,13 +17,25 @@ into a new list via Cauchy residues at simple poles:
 * poles landing exactly on a path are repaired by nudging that path's
   abscissa (the on-line perturbation), never by moving the pole.
 
-Canonical factors.  Every denominator factor is kept in its primitive
-form (:meth:`LinForm.primitive`): coprime integer coefficients with a
-positive coefficient on the highest-index variable, the scale folded
-into ``coeff``.  Proportional factors are then equal, so a pole is
-named by its factor, and the residue at the zero of g (coefficient a on
-the variable) maps a factor f with coefficient b to the integer form
-a*f - b*g divided by its content, without any rational substitution.
+Slot layout.  A run's variables sit in slots, the config's variables in
+ascending id (:attr:`ContourConfig.slots`): l1..lm for the direct
+method, the l_j with j != r and then p for the transform.  A term is the
+plain tuple ``(coeff, exponent, denom)``: ``coeff`` a Fraction,
+``denom`` a tuple of ``(factor, mult)`` pairs, and every form a tuple
+of ints, one per slot.
+
+Canonical factors.  A factor is primitive: coprime ints with a positive
+entry on its last nonzero slot, the highest-index variable, as in
+:meth:`LinForm.primitive`; the scale is folded into ``coeff``.
+Proportional factors are then equal tuples, so a pole is named by its
+factor, and the residue at the zero of g (entry a on the variable's
+slot) maps a factor f with entry b to the integer form a*f - b*g divided
+by its content.  An exponent is a pair ``(den, ints)`` standing for
+ints/den, with den > 0 and gcd(den, *ints) == 1, so equal exponents are
+equal pairs; at the zero of g it becomes (a*L - L_k*g) / (a*den),
+reduced, the same elimination as a factor's.  Each term maps one to one
+onto the canonical LinForm term of the same summand; a LinForm is built
+only for the messages of refusals and errors.
 
 Like-term merging.  Residues of distinct pole sequences often share
 their exponent and denominator (Brion & Vergne, JAMS 1997, sum iterated
@@ -32,29 +44,28 @@ coefficients of such terms once per level, keeps the first term of each
 shape in insertion order, and drops the shapes whose coefficients
 cancel to zero.
 
-Integer ends.  The start terms of both methods are built from the
-integer columns that the normalized instance carries
-(:func:`lapvol.polytope.integer_columns`, computed once per instance):
-each column factor is written down directly as a primitive integer form
-and its scale folded into the coefficient once.  The last residue level
-is fused with the closed form (:func:`close_level`): with only ``var``
-and ``last`` left, every factor b*var + c*last maps at the zero of
-a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one
-pair (alpha, K) standing for K * exp(alpha*last) / last^q, computed from
-integer products without building a Term.  :func:`power_sum` is the one
-closed form for such powers of one variable; it keeps only alpha > 0, so
-alpha is read first and K built only where it is kept or where an
-alpha <= 0 shape repeats (to count the level's shapes exactly).
+Integer ends.  The start terms of both methods are written down from
+the integer columns that the normalized instance carries
+(:func:`lapvol.polytope.integer_columns`, computed once per instance),
+each column factor made primitive and its scale folded into the
+coefficient once.  The last residue level is fused with the closed form
+(:func:`close_level`): with only ``var`` and ``last`` left, every factor
+b*var + c*last maps at the zero of a*var + g*last to (a*c - b*g)/a times
+``last``, so each residue is one pair (alpha, K) standing for
+K * exp(alpha*last) / last^q, computed from integer products without
+building a term.  :func:`power_sum` is the one closed form for such
+powers of one variable; it keeps only alpha > 0, so alpha is read first
+and K built only where it is kept or where an alpha <= 0 shape repeats
+(to count the level's shapes exactly).
 
-Integer kernel.  A level touches each factor once, on ints: one pass
-over a primitive factor reads its coefficient on the variable and its
-value at the integer contour point (:attr:`ContourConfig.point`, the
-abscissae times their common denominator, computed once per config),
-which fix the pole's side.  Each elimination a*f - b*g is done inline
-and made primitive, so the terms a level returns are canonical and are
-not canonicalized again.  The closing level reads the sign of alpha from
-integer products and keys its shapes by alpha as a reduced integer
-pair; only the alpha > 0 powers it keeps get a Fraction alpha.
+Integer kernel.  A level classifies each distinct factor holding the
+variable once: its entry on the variable's slot and its dot product
+with the integer contour point (:attr:`ContourConfig.point`, the
+abscissae in slot order times their common denominator) fix the pole's
+side.  The site history keeps each level's ``(factor, side)`` pairs, and
+a repair re-checks them by the same sign test at the trial abscissae.
+The closing level keys its shapes by alpha as a reduced integer pair;
+only the alpha > 0 powers it keeps get a Fraction alpha.
 
 Repeated roots before the final level mean the data are degenerate and
 are rejected rather than differentiated through.
@@ -66,10 +77,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
 from .linforms import LinForm, var_name
+
+Factor = Tuple[int, ...]
+Exponent = Tuple[int, Factor]
+Term = Tuple[Fraction, Exponent, Tuple[Tuple[Factor, int], ...]]
 
 
 class Side(enum.Enum):
@@ -79,7 +95,7 @@ class Side(enum.Enum):
 
 
 class SideRule(enum.Enum):
-    """How integrate_var picks the closure half-plane.
+    """How a level picks the closure half-plane.
 
     BY_EXPONENT_SIGN: decay side of exp(a*var) (a > 0 left, a < 0
     right); terms with a = 0 fall back to the fewer-poles choice, which
@@ -91,79 +107,38 @@ class SideRule(enum.Enum):
     FEWER_POLES = "fewer-poles"
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: Fraction
-    exponent: LinForm
-    denom: Tuple[Tuple[LinForm, int], ...]
-
-    def __post_init__(self):
-        for f, mult in self.denom:
-            assert not f.is_zero and mult >= 1, "denominator factors must be nonzero"
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(mult for _, mult in self.denom)
-
-    def __str__(self) -> str:
-        den = " * ".join(
-            f"({f})" if mult == 1 else f"({f})^{mult}" for f, mult in self.denom
-        )
-        return f"{self.coeff} * e^({self.exponent}) / [{den}]"
+def _linform(ints: Sequence[int], slots: Sequence[int], den: int = 1) -> LinForm:
+    """The form ints/den over the variables ``slots``, for messages."""
+    return LinForm([(v, Fraction(c, den)) for v, c in zip(slots, ints) if c])
 
 
-def canonical_term(term: Term) -> Term:
-    """The same summand with every factor replaced by its primitive form,
-    the scales folded into the coefficient and equal factors combined
-    into one entry; canonical terms come back unchanged."""
-    coeff = term.coeff
-    denom: Dict[LinForm, int] = {}
-    for f, mult in term.denom:
-        scale, g = f.primitive()
-        if g is not f:
-            coeff /= scale ** mult
-        denom[g] = denom.get(g, 0) + mult
-    if coeff is term.coeff and len(denom) == len(term.denom):
-        return term
-    return Term(coeff, term.exponent, tuple(denom.items()))
+def _term_str(term: Term, slots: Sequence[int]) -> str:
+    coeff, (den, L), denom = term
+    factors = " * ".join(f"({_linform(f, slots)})" + (f"^{mult}" if mult > 1 else "")
+                         for f, mult in denom)
+    return f"{coeff} * e^({_linform(L, slots, den)}) / [{factors}]"
 
 
-def coincident_pair(factors: Sequence[LinForm]) -> Optional[Tuple[int, int]]:
-    """The indices of the first pair (in index order) of proportional
-    factors, or None.  Proportional factors share a primitive form."""
-    groups: Dict[LinForm, List[int]] = {}
+def primitive(ints: Sequence[int]) -> Tuple[int, Factor]:
+    """Split a nonzero integer form as ``(content, factor)``: the factor
+    is primitive and ``content`` the signed integer it was divided by."""
+    s = gcd(*ints)
+    if next(filter(None, reversed(ints))) < 0:
+        s = -s
+    return s, tuple([c // s for c in ints])
+
+
+def coincident_pair(factors: Sequence[Factor]) -> Optional[Tuple[int, int]]:
+    """The indices of the first pair (in index order) of equal primitive
+    factors, that is of proportional forms, or None."""
+    groups: Dict[Factor, List[int]] = {}
     for i, f in enumerate(factors):
-        groups.setdefault(f.primitive()[1], []).append(i)
+        groups.setdefault(f, []).append(i)
     repeated = [idx for idx in groups.values() if len(idx) > 1]
     if not repeated:
         return None
     a, b = min(repeated)[:2]
     return a, b
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class PoleSite:
-    """One distinct root of ``var`` in a term's denominator: the zero of
-    the primitive ``factor``.  A slotted value built once per distinct
-    factor and level; the root (cached) and the leading coefficient are
-    derived from the factor when read (perturbation and messages only).
-    """
-
-    factor: LinForm
-    var: int
-    side: Side
-    order: int
-    _root: Optional[LinForm] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def leading(self) -> Fraction:
-        return self.factor.coeff(self.var)
-
-    @property
-    def root(self) -> LinForm:
-        if self._root is None:
-            self._root = self.factor.solve_for(self.var)[1]
-        return self._root
 
 
 @dataclass(frozen=True)
@@ -193,17 +168,25 @@ class ContourConfig:
         return self.abscissae[var]
 
     @cached_property
-    def point(self) -> Dict[int, int]:
-        """The abscissae times their common denominator: integers whose
-        signs and ratios are those of the abscissae."""
-        den = lcm(*(x.denominator for x in self.abscissae.values()))
-        return {v: x.numerator * (den // x.denominator)
-                for v, x in self.abscissae.items()}
+    def slots(self) -> Tuple[int, ...]:
+        """The variables in ascending id: the terms' slot layout."""
+        return tuple(sorted(self.abscissae))
+
+    @cached_property
+    def point(self) -> Factor:
+        """The abscissae in slot order times their common denominator:
+        integers whose signs and ratios are those of the abscissae."""
+        return _int_point([self.abscissae[v] for v in self.slots])
 
     def with_abscissa(self, var: int, value: Fraction, record: PerturbationRecord) -> "ContourConfig":
         updated = dict(self.abscissae)
         updated[var] = value
         return ContourConfig(updated, self.ledger + (record,), self.domain_ok)
+
+
+def _int_point(values: Sequence[Fraction]) -> Factor:
+    den = lcm(*(x.denominator for x in values))
+    return tuple([x.numerator * (den // x.denominator) for x in values])
 
 
 @dataclass(frozen=True)
@@ -221,165 +204,49 @@ class LevelStats:
     terms_out: int
 
 
-# level history entries: (var, classified pole sites under the final config)
-History = List[Tuple[int, Tuple[PoleSite, ...]]]
+# level history entries: (var, the level's distinct (factor, side) pairs
+# under the final config, in first-seen order)
+History = List[Tuple[int, Tuple[Tuple[Factor, Side], ...]]]
 
 
-def poles_of(term: Term, var: int, config: ContourConfig) -> List[PoleSite]:
-    """Distinct poles of the term in ``var``, classified against the
-    path Re(var) = abscissa(var).
-
-    Factors sharing a root are one site whose order is the sum of their
-    multiplicities; proportional factors share a primitive form, so
-    scaled copies of a factor correctly pile up into a higher-order site.
-    """
-    return _sites(canonical_term(term), _Classifier(var, config))
+def _side(f: Factor, k: int, point: Factor) -> Side:
+    """With f = a*var + rest, f's value at the path point is
+    a*(path - root), so its sign against a's gives the root's side."""
+    at_path = sum(map(mul, f, point))
+    if at_path == 0:
+        return Side.ON_PATH
+    return Side.LEFT if (at_path > 0) == (f[k] > 0) else Side.RIGHT
 
 
-class _Classifier:
-    """Classifies each distinct primitive factor once per level.
-
-    With factor = a*var + rest, the factor's value at the path point is
-    a*(path - root), so the side follows from the signs of that value
-    and of a, both read in one pass over the factor's integer
-    coefficients at the config's integer point.
-    """
-
-    def __init__(self, var: int, config: ContourConfig):
-        self.var = var
-        self.point = config.point
-        self.sites: Dict[LinForm, Optional[PoleSite]] = {}
-
-    def site(self, factor: LinForm) -> Optional[PoleSite]:
-        """Classify a factor not seen before at this level: its
-        simple-pole site, or None if it does not contain the variable."""
-        var, point = self.var, self.point
-        a = at_path = 0
-        for v, c in factor.items():
-            if v == var:
-                a = c
-            at_path += c * point[v]
-        site = None
-        if a:
-            if at_path == 0:
-                side = Side.ON_PATH
-            elif (at_path > 0) == (a > 0):
-                side = Side.LEFT
-            else:
-                side = Side.RIGHT
-            site = PoleSite(factor, var, side, 1)
-        self.sites[factor] = site
-        return site
-
-    def distinct(self) -> List[PoleSite]:
-        return [s for s in self.sites.values() if s is not None]
+def _classified(terms: Sequence[Term], var: int, config: ContourConfig, history: History):
+    """Classify the distinct factors holding ``var``, repairing an
+    on-path collision first, and record the classification in
+    ``history``.  Returns var's slot, the sides by factor, the (possibly
+    perturbed) config and the number of repairs."""
+    k = config.slots.index(var)
+    # the distinct factors holding var, in first-seen order
+    factors = {f: None for _, _, denom in terms for f, _ in denom if f[k]}
+    point = config.point
+    sides = {f: _side(f, k, point) for f in factors}
+    repaired = 0
+    if Side.ON_PATH in sides.values():
+        config = perturb_abscissa(config, var, factors, history)
+        repaired = 1
+        point = config.point
+        sides = {f: _side(f, k, point) for f in factors}
+        assert Side.ON_PATH not in sides.values()
+    history.append((var, tuple(sides.items())))
+    return k, sides, config, repaired
 
 
-def _sites(term: Term, classify: _Classifier) -> List[PoleSite]:
-    """poles_of for a canonical term, whose factors are distinct."""
-    sites = []
-    known = classify.sites
-    for f, mult in term.denom:
-        site = known.get(f, False)
-        if site is False:
-            site = classify.site(f)
-        if site is not None:
-            sites.append(site if mult == 1 else PoleSite(site.factor, site.var, site.side, mult))
-    return sites
-
-
-def _require_simple(var: int, pole: PoleSite) -> None:
-    if pole.order != 1:
-        raise DegenerateInstance(
-            f"pole of order {pole.order} at {var_name(var)} = {pole.root}; "
-            "coincident denominator factors before the final level. "
-            "A tiny random perturbation of A removes the coincidence at the "
-            "price of an approximate volume."
-        )
-
-
-def residue_simple(term: Term, var: int, pole: PoleSite) -> Term:
-    """Residue of the term at a simple pole, as a new canonical term
-    without ``var``.
-
-    The vanishing factor is dropped and divides the coefficient by its
-    leading coefficient; the root is substituted everywhere else.
-    """
-    _require_simple(var, pole)
-    return _residue(canonical_term(term), var, pole.factor.primitive()[1], 1)
-
-
-def _residue(term: Term, var: int, g: LinForm, sign: int) -> Term:
-    """``sign`` times the residue of a canonical term at the zero of its
-    factor ``g`` (a simple pole).
-
-    With a = g's coefficient on ``var``, the root substituted into a
-    factor f with coefficient b gives (a*f - b*g)/a = (s/a)*h for the
-    primitive h and its signed content s, so each such factor multiplies
-    the coefficient by (a/s)^mult, and the dropped factor g divides it
-    by a.  h is positive on its highest-index variable, read after the
-    zero coefficients (``var`` among them) are dropped.
-    """
-    a = g.coeff(var)
-    g_items = g.items()
-    num, den = sign * term.coeff.numerator, a * term.coeff.denominator
-    denom: Dict[LinForm, int] = {}
-    vanished = 0
-    for f, mult in term.denom:
-        items = f.items()
-        for v, b in items:
-            if v == var:
-                break
-        else:
-            denom[f] = denom.get(f, 0) + mult
-            continue
-        if f == g:
-            vanished += mult
-            continue
-        acc = {v: a * c for v, c in items}
-        for v, c in g_items:
-            acc[v] = acc.get(v, 0) - b * c
-        pairs = sorted([vc for vc in acc.items() if vc[1]])
-        s = gcd(*[c for _, c in pairs])
-        if pairs[-1][1] < 0:
-            s = -s
-        f = LinForm.from_items(tuple([(v, c // s) for v, c in pairs]), primitive=True)
-        num *= a ** mult
-        den *= s ** mult
-        denom[f] = denom.get(f, 0) + mult
-    assert vanished == 1, "pole does not belong to this term as a simple factor"
-    exponent = _substitute_exponent(term.exponent, g, var, a)
-    return Term(Fraction(num, den), exponent, tuple(denom.items()))
-
-
-def _substitute_exponent(L: LinForm, g: LinForm, var: int, a: int) -> LinForm:
-    """L at the zero of g: L - r*g with r = alpha/a, alpha being L's
-    coefficient on ``var``; each coefficient is one Fraction of ints."""
-    alpha = L.coeff(var)
-    if alpha == 0:
-        return L
-    r = Fraction(alpha.numerator, alpha.denominator * a)
-    coeffs = {v: c for v, c in L.items() if v != var}
-    for v, c in g.items():
-        if v != var:
-            x = coeffs.get(v, 0)
-            coeffs[v] = Fraction(
-                x.numerator * r.denominator - r.numerator * c * x.denominator,
-                x.denominator * r.denominator,
-            )
-    return LinForm.from_items(tuple(sorted((v, c) for v, c in coeffs.items() if c)))
-
-
-def _collected(term: Term, term_sites: Sequence[PoleSite], var: int, rule: SideRule,
-               force_side: Optional[Side]) -> Tuple[int, List[PoleSite]]:
-    """The closure of the term's integral over ``var``: its sign (-1 for
-    a clockwise right closure) and the simple poles it collects."""
-    if any(s.side is Side.ON_PATH for s in term_sites):
-        raise RuntimeError(
-            f"pole on the integration path Re({var_name(var)}); "
-            "perturb_abscissa must run before integrate_var"
-        )
-    a = term.exponent.coeff(var)
+def _collected(term: Term, k: int, sides: Mapping[Factor, Side], rule: SideRule,
+               force_side: Optional[Side], slots: Sequence[int]):
+    """The closure of the term's integral over the variable in slot
+    ``k``: its sign (-1 for a clockwise right closure), the simple poles
+    it collects, and the term's pole count and left pole count."""
+    sites = [(f, mult, sides[f]) for f, mult in term[2] if f[k]]
+    n_left = sum([side is Side.LEFT for _, _, side in sites])
+    a = term[1][1][k]
     if rule is SideRule.FEWER_POLES:
         assert a == 0, "fewer-poles rule requires a pure-rational term"
     if rule is SideRule.BY_EXPONENT_SIGN and a != 0:
@@ -387,51 +254,74 @@ def _collected(term: Term, term_sites: Sequence[PoleSite], var: int, rule: SideR
     else:
         # no exponential decay: both closures are valid only when the
         # integrand dies off at least quadratically
-        degree = sum(s.order for s in term_sites)
+        degree = sum(mult for _, mult, _ in sites)
         if degree < 2:
             raise DivergentSlice(
-                f"term {term} has degree {degree} in "
-                f"{var_name(var)} and no exponential decay"
+                f"term {_term_str(term, slots)} has degree {degree} in "
+                f"{var_name(slots[k])} and no exponential decay"
             )
         if force_side is not None:
             side = force_side
         else:
-            n_left = sum(1 for s in term_sites if s.side is Side.LEFT)
-            n_right = len(term_sites) - n_left
-            side = Side.LEFT if n_left <= n_right else Side.RIGHT
-    poles = [site for site in term_sites if site.side is side]
-    for site in poles:
-        _require_simple(var, site)
-    return (1 if side is Side.LEFT else -1), poles
+            side = Side.LEFT if n_left <= len(sites) - n_left else Side.RIGHT
+    poles = []
+    for f, mult, s in sites:
+        if s is side:
+            if mult != 1:
+                var = slots[k]
+                raise DegenerateInstance(
+                    f"pole of order {mult} at {var_name(var)} = "
+                    f"{_linform(f, slots).solve_for(var)[1]}; "
+                    "coincident denominator factors before the final level. "
+                    "A tiny random perturbation of A removes the coincidence at the "
+                    "price of an approximate volume."
+                )
+            poles.append(f)
+    return (1 if side is Side.LEFT else -1), poles, len(sites), n_left
 
 
-def integrate_var(
-    terms: Sequence[Term],
-    var: int,
-    config: ContourConfig,
-    rule: SideRule,
-    force_side: Optional[Side] = None,
-    sites: Optional[Sequence[Sequence[PoleSite]]] = None,
-) -> List[Term]:
-    """Integrate every term over Re(var) = abscissa(var) by residues and
-    return the residues, one term each, unmerged.
+def _residue(term: Term, k: int, g: Factor, sign: int) -> Term:
+    """``sign`` times the residue of a canonical term at the zero of its
+    factor ``g`` (a simple pole), a canonical term with slot ``k`` zero.
 
-    Precondition: no pole sits on the path (repair first with
-    :func:`perturb_abscissa`).  ``force_side`` overrides the fewer-poles
-    choice for zero-exponent terms; it exists for the side-consistency
-    tests and must not be used when the exponent decides the side.
-    ``sites`` are the canonical terms' classified poles, one list per
-    term; without them the terms are canonicalized and classified here.
+    With a = g[k], the root substituted into a factor f with b = f[k]
+    gives (a*f - b*g)/a = (s/a)*h for the primitive h and its signed
+    content s, so each such factor multiplies the coefficient by
+    (a/s)^mult, and the dropped factor g divides it by a.  The exponent
+    becomes (a*L - L[k]*g) / (a*den), reduced.
     """
-    if sites is None:
-        terms = [canonical_term(t) for t in terms]
-        classify = _Classifier(var, config)
-        sites = [_sites(t, classify) for t in terms]
-    out: List[Term] = []
-    for term, term_sites in zip(terms, sites):
-        sign, poles = _collected(term, term_sites, var, rule, force_side)
-        out.extend(_residue(term, var, site.factor, sign) for site in poles)
-    return out
+    coeff, exponent, denom = term
+    a = g[k]
+    num, den = sign * coeff.numerator, a * coeff.denominator
+    out: Dict[Factor, int] = {}
+    for f, mult in denom:
+        b = f[k]
+        if b:
+            if f is g:
+                continue
+            # primitive(), inlined: this is the kernel's innermost loop
+            h = [a * x - b * y for x, y in zip(f, g)]
+            s = gcd(*h)
+            if next(filter(None, reversed(h))) < 0:
+                s = -s
+            f = tuple([x // s for x in h]) if s != 1 else tuple(h)
+            if mult == 1:
+                num *= a
+                den *= s
+            else:
+                num *= a ** mult
+                den *= s ** mult
+        out[f] = out.get(f, 0) + mult
+    e_den, L = exponent
+    c = L[k]
+    if c:
+        e_den *= a
+        L = [a * x - c * y for x, y in zip(L, g)]
+        t = gcd(e_den, *L)
+        if e_den < 0:
+            t = -t
+        exponent = e_den // t, tuple([x // t for x in L])
+    return Fraction(num, den), exponent, tuple(out.items())
 
 
 def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
@@ -442,19 +332,14 @@ def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     coefficients cancel are dropped."""
     merged: Dict[tuple, list] = {}
     for t in terms:
-        # the exponent as integer triples: hashing a Fraction is slow
-        exponent = tuple([(v, c.numerator, c.denominator) for v, c in t.exponent.items()])
-        key = (exponent, frozenset(t.denom))
+        key = (t[1], frozenset(t[2]))
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [t, t.coeff]
+            merged[key] = [t, t[0]]
         else:
-            entry[1] += t.coeff
-    return [
-        t if total == t.coeff else Term(total, t.exponent, t.denom)
-        for t, total in merged.values()
-        if total != 0
-    ]
+            entry[1] += t[0]
+    return [t if total == t[0] else (total, t[1], t[2])
+            for t, total in merged.values() if total != 0]
 
 
 # A sum of powers of one variable x: (alpha, q) -> K stands for the
@@ -473,42 +358,37 @@ def power_sum(powers: PowerSum) -> Fraction:
     return sum((v / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
 
 
-def power_terms(terms: Sequence[Term], last: int, implicit: Fraction = 0) -> PowerSum:
-    """The terms, every factor a multiple of ``last``, as a power sum in
-    ``last``: K divides the coefficient by the product of the factors'
-    leading coefficients.  ``implicit`` is a coefficient on ``last``
-    that the exponents leave out (transform's exp(p))."""
+def power_terms(terms: Sequence[Term], implicit: Fraction = 0) -> PowerSum:
+    """Terms over one slot as a power sum in its variable: K divides the
+    coefficient by the product of the factors' entries.  ``implicit`` is
+    a coefficient that the exponents leave out (transform's exp(p))."""
     powers: PowerSum = {}
-    for t in terms:
-        K, q = t.coeff, 0
-        for factor, mult in t.denom:
-            if not factor.is_multiple_of_var(last):
-                raise MalformedH(
-                    f"surviving denominator factor {factor} is not a power of {var_name(last)}"
-                )
-            K /= factor.coeff(last) ** mult
+    for coeff, (den, (L,)), denom in terms:
+        K, q = coeff, 0
+        for (c,), mult in denom:
+            K /= c ** mult
             q += mult
-        assert set(t.exponent.variables) <= {last}
-        key = (implicit + t.exponent.coeff(last), q)
+        key = (implicit + Fraction(L, den), q)
         powers[key] = powers.get(key, 0) + K
     return {key: K for key, K in powers.items() if K != 0}
 
 
-def final_level_value(term: Term, var: int) -> Fraction:
-    """Closed form of the last integral of one term whose factors are
-    all multiples of ``var``: :func:`power_sum` of :func:`power_terms`."""
-    return power_sum(power_terms([term], var))
+def final_level_value(term: Term) -> Fraction:
+    """Closed form of the last integral of one term over one slot:
+    :func:`power_sum` of :func:`power_terms`."""
+    return power_sum(power_terms([term]))
 
 
 def perturb_abscissa(
     config: ContourConfig,
     var: int,
-    level_sites: Sequence[PoleSite],
+    level_sites: Sequence[Factor],
     history: History,
 ) -> ContourConfig:
     """Move the path Re(var) off a colliding pole without disturbing any
     earlier classification.
 
+    ``level_sites`` are the level's distinct factors holding ``var``.
     The shift epsilon > 0 is halved from 1 until three exact conditions
     hold: (a) the method's strict domain constraint still holds, (b) no
     pole of this level sits on the new path, (c) every pole recorded at
@@ -518,19 +398,21 @@ def perturb_abscissa(
     small enough shifts; if 512 halvings find none, the engine is at
     fault and :class:`NoAdmissiblePerturbation` is raised.
     """
-    values = sorted({site.root.evaluate(config.abscissae) for site in level_sites})
+    slots, abscissae = config.slots, config.abscissae
+    values = sorted({_linform(g, slots).solve_for(var)[1].evaluate(abscissae)
+                     for g in level_sites})
     path = config.abscissa(var)
     if path not in values:
         return config  # nothing on the path; no repair needed
     eps = Fraction(1)
     for _ in range(512):
         candidate = path + eps
-        trial = dict(config.abscissae)
+        trial = dict(abscissae)
         trial[var] = candidate
         if (
             config.domain_ok(trial)
             and all(v != candidate for v in values)
-            and _sides_stable(history, trial)
+            and _sides_stable(history, slots, _int_point([trial[v] for v in slots]))
         ):
             delta = min(abs(v - candidate) for v in values)
             record = PerturbationRecord(var, delta, eps)
@@ -542,51 +424,14 @@ def perturb_abscissa(
     )
 
 
-def _sides_stable(history: History, trial: Mapping[int, Fraction]) -> bool:
+def _sides_stable(history: History, slots: Sequence[int], point: Factor) -> bool:
+    """Every recorded site keeps its side at the integer ``point``."""
     for lvl_var, sites in history:
-        path = trial[lvl_var]
-        for site in sites:
-            value = site.root.evaluate(trial)
-            if site.side is Side.LEFT and not value < path:
-                return False
-            if site.side is Side.RIGHT and not value > path:
+        k = slots.index(lvl_var)
+        for g, side in sites:
+            if _side(g, k, point) is not side:
                 return False
     return True
-
-
-def _classified(
-    terms: Sequence[Term], var: int, config: ContourConfig, history: History
-) -> Tuple[Sequence[Term], List[List[PoleSite]], ContourConfig, int]:
-    """Classify the poles of canonical terms in ``var``, repairing an
-    on-path collision first, and record the classification in
-    ``history``.  Returns the terms, their sites, the (possibly
-    perturbed) config and the number of repairs."""
-    classify = _Classifier(var, config)
-    sites = [_sites(t, classify) for t in terms]
-    repaired = 0
-    if any(s.side is Side.ON_PATH for s in classify.distinct()):
-        config = perturb_abscissa(config, var, classify.distinct(), history)
-        repaired = 1
-        classify = _Classifier(var, config)
-        sites = [_sites(t, classify) for t in terms]
-        assert not any(s.side is Side.ON_PATH for s in classify.distinct())
-    history.append((var, tuple(classify.distinct())))
-    return terms, sites, config, repaired
-
-
-def _level_stats(var: int, terms: Sequence[Term], sites: Sequence[Sequence[PoleSite]],
-                 repaired: int, residues: int, terms_out: int) -> LevelStats:
-    flat = [s for term_sites in sites for s in term_sites]
-    return LevelStats(
-        var=var,
-        terms_in=len(terms),
-        poles_found=len(flat),
-        left=sum(1 for s in flat if s.side is Side.LEFT),
-        right=sum(1 for s in flat if s.side is Side.RIGHT),
-        repaired=repaired,
-        residues=residues,
-        terms_out=terms_out,
-    )
 
 
 def integrate_level(
@@ -598,17 +443,29 @@ def integrate_level(
     force_side: Optional[Side] = None,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
     """One full level: classify poles, repair on-path collisions, record
-    the classification, integrate, then merge like terms.  Returns the
-    new term list, the (possibly perturbed) config and the level
-    diagnostics.
+    the classification, take the residues, then merge like terms.
+    Returns the new term list, the (possibly perturbed) config and the
+    level diagnostics.
 
-    The terms must be canonical (:func:`canonical_term`); the start
-    terms of both methods are, and so is every term this returns, so
-    they are not canonicalized again here."""
-    terms, sites, config, repaired = _classified(terms, var, config, history)
-    residues = integrate_var(terms, var, config, rule, force_side, sites)
+    The terms must be canonical, as the start terms of both methods and
+    every term this returns are.  ``force_side`` overrides the
+    fewer-poles choice for zero-exponent terms; it exists for the
+    side-consistency tests and must not be used when the exponent
+    decides the side.
+    """
+    k, sides, config, repaired = _classified(terms, var, config, history)
+    slots = config.slots
+    residues = []
+    poles_found = left = 0
+    for term in terms:
+        sign, poles, found, n_left = _collected(term, k, sides, rule, force_side, slots)
+        poles_found += found
+        left += n_left
+        for g in poles:
+            residues.append(_residue(term, k, g, sign))
     out = merge_like_terms(residues)
-    return out, config, _level_stats(var, terms, sites, repaired, len(residues), len(out))
+    return out, config, LevelStats(var, len(terms), poles_found, left, poles_found - left,
+                                   repaired, len(residues), len(out))
 
 
 def close_level(
@@ -638,74 +495,72 @@ def close_level(
     degrees q of the terms with collected poles, the config and the
     level's stats (``terms_out`` counts the alpha <= 0 shapes too).
     """
-    terms, sites, config, repaired = _classified(terms, var, config, history)
+    k, sides, config, repaired = _classified(terms, var, config, history)
+    slots = config.slots
+    j = slots.index(last)
+    rest = [i for i in range(len(slots)) if i != k and i != j]
+    checked = set()
     # alpha as a reduced integer pair (N, D > 0), keyed with q
     powers: Dict[Tuple[int, int, int], Fraction] = {}
     dead: Dict[Tuple[int, int, int], list] = {}
     degrees = set()
-    residues = 0
-    for term, term_sites in zip(terms, sites):
-        sign, poles = _collected(term, term_sites, var, rule, force_side)
+    poles_found = left = residues = 0
+    for term in terms:
+        sign, poles, found, n_left = _collected(term, k, sides, rule, force_side, slots)
+        poles_found += found
+        left += n_left
         if not poles:
             continue
-        # (b, c, mult) of every factor, read once per term
-        parts = []
-        for f, mult in term.denom:
-            b = c = 0
-            for v, x in f.items():
-                if v == var:
-                    b = x
-                elif v == last:
-                    c = x
-                else:
+        coeff, (den, L), denom = term
+        if not checked.issuperset(denom):
+            for f, _ in denom:
+                if any(f[i] for i in rest):
                     raise MalformedH(
-                        f"denominator factor {f} of the last residue level holds a "
-                        f"variable other than {var_name(var)} and {var_name(last)}"
+                        f"denominator factor {_linform(f, slots)} of the last residue level "
+                        f"holds a variable other than {var_name(var)} and {var_name(last)}"
                     )
-            parts.append((b, c, mult))
-        index = {f: j for j, (f, _) in enumerate(term.denom)}
-        q = term.total_multiplicity - 1
+            checked.update(denom)
+        # (b, c, mult) of every factor, read once per term
+        parts = [(f[k], f[j], mult) for f, mult in denom]
+        index = {f: i for i, (f, _) in enumerate(denom)}
+        q = sum([mult for _, mult in denom]) - 1
         degrees.add(q)
-        L = term.exponent
-        assert set(L.variables) <= {var, last}
-        L_var, L_last = L.coeff(var), L.coeff(last) + implicit
-        # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (z*a)
-        x = L_last.numerator * L_var.denominator
-        y = L_var.numerator * L_last.denominator
-        z = L_last.denominator * L_var.denominator
-        for site in poles:
-            jg = index[site.factor]
+        # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (den*a)
+        x, y = L[j] + implicit * den, L[k]
+        for g in poles:
+            jg = index[g]
             a, g_last, _ = parts[jg]
-            N, D = x * a - y * g_last, z * a
+            N, D = x * a - y * g_last, den * a
             if D < 0:
                 N, D = -N, -D
             h = gcd(N, D)
             key = (N // h, D // h, q)
             if N > 0:
-                powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
+                powers[key] = powers.get(key, 0) + _pole_power(sign, coeff, parts, jg, q)
             else:
-                dead.setdefault(key, []).append((sign, term, parts, jg, q))
+                dead.setdefault(key, []).append((sign, coeff, parts, jg, q))
         residues += len(poles)
     # one residue has K != 0 (coeff, a and every s are), so only a
     # repeated alpha <= 0 shape can cancel
     dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
                    for hits in dead.values())
     powers = {(Fraction(N, D), q): K for (N, D, q), K in powers.items() if K != 0}
-    stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
+    stats = LevelStats(var, len(terms), poles_found, left, poles_found - left, repaired,
+                       residues, len(powers) + dead_out)
     return powers, degrees, config, stats
 
 
-def _pole_power(sign: int, term: Term, parts: Sequence[Tuple[int, int, int]], jg: int,
+def _pole_power(sign: int, coeff: Fraction, parts: Sequence[Tuple[int, int, int]], jg: int,
                 q: int) -> Fraction:
     """K of :func:`close_level`'s residue at the zero of the term's
     factor ``jg``, from the (b, c, mult) ``parts`` of its factors."""
     a, g_last, _ = parts[jg]
-    den = term.coeff.denominator
-    for j, (b, c, mult) in enumerate(parts):
-        if j != jg:
+    den = coeff.denominator
+    for i, (b, c, mult) in enumerate(parts):
+        if i != jg:
             s = a * c - b * g_last
             den *= s if mult == 1 else s ** mult
-    return Fraction(sign * term.coeff.numerator * a ** (q - 1), den)
+    return Fraction(sign * coeff.numerator * a ** (q - 1), den)
 
 
 def require_degree(degrees, last: int, n: int) -> None:

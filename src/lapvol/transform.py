@@ -19,6 +19,7 @@ which returns the volume, and C is read back as volume * n!.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -32,12 +33,12 @@ from .terms import (
     LevelStats,
     SideRule,
     Term,
-    canonical_term,
     close_level,
     coincident_pair,
     integrate_level,
     power_sum,
     power_terms,
+    primitive,
     require_degree,
 )
 
@@ -62,28 +63,28 @@ def eliminated_var(columns) -> int:
 
 def substituted_term(norm: NormalizedInstance) -> Term:
     """The pure-rational integrand after eliminating l_r = p - sum(l_j)
-    (r from :func:`eliminated_var`), every factor in primitive form.
+    (r from :func:`eliminated_var`), every factor primitive, over the
+    slots of the l_j with j != r, then p.
 
     With the instance's integer column a (``norm.columns[j]``), the column
-    factor becomes a_r*p + sum over j != r of (a_j - a_r)*l_j, written
-    down as a primitive integer form; the scales go into the coefficient
-    once.  Exponent is identically zero: the exp(zp) factor lives
-    outside the inner integrals and is inverted analytically at the end.
+    factor becomes a_r*p + sum over j != r of (a_j - a_r)*l_j, made
+    primitive; the scales go into the coefficient once.  Exponent is
+    identically zero: the exp(zp) factor lives outside the inner
+    integrals and is inverted analytically at the end.
     """
     m, rows = norm.m, norm.rows
     r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
-    root = LinForm.from_items(tuple((j, -1) for j in others) + ((P_VAR, 1),), primitive=True)
-    factors = [root] + [LinForm.from_items(((j, 1),), primitive=True) for j in others]
+    # l_r = p - sum(l_j), then the l_j
+    factors = [(-1,) * (m - 1) + (1,)] + [
+        tuple([int(i == j) for j in range(m)]) for i in range(m - 1)]
     num = den = 1
     for scale, col in norm.columns:
         a_r = col[r - 1]
-        items = [(j, col[j - 1] - a_r) for j in others if col[j - 1] != a_r]
-        if a_r:
-            items.append((P_VAR, a_r))
-        assert items, "zero column factor"
-        s, form = LinForm.from_ints(items)
-        factors.append(form)
+        ints = [col[j - 1] - a_r for j in others] + [a_r]
+        assert any(ints), "zero column factor"
+        s, f = primitive(ints)
+        factors.append(f)
         num *= scale
         den *= s
     if m > 1:
@@ -100,7 +101,7 @@ def substituted_term(norm: NormalizedInstance) -> Term:
                 "slightly (approximate result) or use the known-volume "
                 "generators for such shapes."
             )
-    return canonical_term(Term(Fraction(num, den), LinForm.zero(), tuple((f, 1) for f in factors)))
+    return Fraction(num, den), (1, (0,) * m), tuple(Counter(factors).items())
 
 
 def _transform_domain(columns, r):
@@ -139,10 +140,10 @@ def run_transform(
     history: list = []
     levels: List[LevelStats] = []
     if m == 1:
-        powers = power_terms(terms, P_VAR, implicit=1)
+        powers = power_terms(terms, implicit=1)
         degrees = {q for _, q in powers}
     for level, k in enumerate(others, 1):
-        assert all(t.exponent.is_zero for t in terms), "transform terms grew an exponential"
+        assert not any(any(L) for _, (_, L), _ in terms), "transform terms grew an exponential"
         force = (force_sides or {}).get(k)
         if level < m - 1:
             terms, config, stats = integrate_level(

@@ -6,7 +6,7 @@ import pytest
 import lapvol as lv
 from lapvol import lp
 
-SKIPPABLE = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance, lv.DivergentSlice)
+SKIPPABLE = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
 
 
 def draw_valid_instance(rng: random.Random, m: int, n: int, signed: bool = False,
@@ -28,6 +28,41 @@ def draw_valid_instance(rng: random.Random, m: int, n: int, signed: bool = False
 
 def frac_vec(rng: random.Random, n: int, num_hi: int = 9, den_hi: int = 4):
     return [Fraction(rng.randint(1, num_hi), rng.randint(1, den_hi)) for _ in range(n)]
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except lv.VolumeEngineError as exc:
+        return type(exc), str(exc)
+
+
+def draws(signed, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m, n = rng.randint(2, 5), rng.randint(2, 6 if signed else 5)
+        try:
+            out.append(lv.normalize(lv.random_instance(rng, m, n, signed=signed)))
+        except (lv.NotCompact, lv.NotPointed):
+            continue
+    return out
+
+
+PRIMES = [p for p in range(1009, 2000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def prime_row_draws(count, seed):
+    """Instances of the benchmark's make-up: row 1 distinct primes, rows
+    2..m mixed-sign integers, b positive integers."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(2, 6), rng.randint(2, 5)
+        A = [rng.sample(PRIMES, n)] + [
+            [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
+        out.append(lv.normalize(lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])))
+    return out
 
 
 @pytest.fixture

@@ -15,12 +15,13 @@ import pytest
 
 import lapvol as lv
 from lapvol import cli
-from lapvol.direct import _direct_domain, initial_term, run_direct
+from lapvol.direct import _direct_domain, run_direct
 from lapvol.linforms import LinForm
-from lapvol.terms import ContourConfig, SideRule, Term, final_level_value, integrate_level, integrate_var
+from lapvol.terms import ContourConfig, SideRule
 from lapvol.transform import run_transform
 
 from conftest import SKIPPABLE, frac_vec
+from dense import Term, final_level_value, initial_term, integrate_level
 from test_residue import _random_simple_pole_case, _residue_value, numeric_vertical_line
 
 F = Fraction
@@ -221,7 +222,7 @@ def test_criterion_11_residue_micro_oracle():
             tuple((LinForm([(1, b), (2, g)]), 1) for b, g in zip(betas, gs)),
         )
         config = ContourConfig({1: c1, 2: F(1)})
-        out = integrate_var([term], 1, config, SideRule.BY_EXPONENT_SIGN)
+        out, _, _ = integrate_level([term], 1, config, SideRule.BY_EXPONENT_SIGN, [])
         sym = _residue_value(out)
         if abs(sym) < 1e-3:
             continue

@@ -8,33 +8,31 @@ for transform.  The start terms are checked against the Fraction-built
 forms they replace.  Both methods must give the same Fraction, the same
 LevelStats, the same perturbation ledger and the same refusal.
 """
-import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 import lapvol as lv
-from lapvol.direct import _direct_domain, initial_term, integration_order, run_direct
+from lapvol import terms as terms_module
+from lapvol.direct import _direct_domain, integration_order, run_direct
 from lapvol.linforms import LinForm, P_VAR
 from lapvol.polytope import contour_seed
-from lapvol import terms as terms_module
-from lapvol.terms import (
-    ContourConfig,
-    LevelStats,
-    Side,
-    SideRule,
+from lapvol.terms import ContourConfig, LevelStats, Side, SideRule, require_degree
+from lapvol.transform import _transform_domain, eliminated_var, run_transform
+
+import linform_engine as reference
+from conftest import draws, outcome, prime_row_draws
+from dense import (
     Term,
-    _classified,
     canonical_term,
     close_level,
     final_level_value,
+    initial_term,
     integrate_level,
-    integrate_var,
     power_terms,
-    require_degree,
+    substituted_term,
 )
-from lapvol.transform import _transform_domain, eliminated_var, run_transform, substituted_term
 
 
 def reference_direct(norm, abscissae=None):
@@ -75,19 +73,12 @@ def reference_transform(norm, abscissae=None, force_sides=None):
         assert t.exponent.is_zero
         leading, q = 1, 0
         for factor, mult in t.denom:
-            assert factor.is_multiple_of_var(P_VAR)
+            assert factor.variables == (P_VAR,)
             leading *= factor.coeff(P_VAR) ** mult
             q += mult
         assert q == n + 1
         C += t.coeff / leading
     return C / factorial(n), tuple(levels), config.ledger, C
-
-
-def outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except lv.VolumeEngineError as exc:
-        return type(exc), str(exc)
 
 
 def fused(run_fn, *args, **kwargs):
@@ -120,18 +111,6 @@ def assert_same(norm, **kwargs):
         assert initial_term(norm) == direct
     if not isinstance(outcome(substituted_term, norm), tuple):
         assert substituted_term(norm) == transform
-
-
-def draws(signed, count, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m, n = rng.randint(2, 5), rng.randint(2, 6 if signed else 5)
-        try:
-            out.append(lv.normalize(lv.random_instance(rng, m, n, signed=signed)))
-        except (lv.NotCompact, lv.NotPointed):
-            continue
-    return out
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -173,22 +152,6 @@ def test_m1_uses_the_same_finisher(A):
 # close_level builds K only for alpha > 0 residues and for alpha <= 0
 # shapes hit more than once (summed to see whether they cancel).
 
-PRIMES = [p for p in range(1009, 2000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-
-def prime_row_draws(count, seed):
-    """Instances of the benchmark's make-up: row 1 distinct primes, rows
-    2..m mixed-sign integers, b positive integers."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        m, n = rng.randint(2, 6), rng.randint(2, 5)
-        A = [rng.sample(PRIMES, n)] + [
-            [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
-        out.append(lv.normalize(lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])))
-    return out
-
-
 def closing_shapes(norm):
     """Direct's closing-level residues, built as Terms by the unfused
     path, grouped by shape: (alpha, q) -> [hits, sum of K].  Every factor
@@ -199,9 +162,10 @@ def closing_shapes(norm):
     terms, history = [initial_term(norm)], []
     for k in order[:-2]:
         terms, config, _ = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
-    terms, sites, config, _ = _classified(terms, order[-2], config, history)
+    terms, sites, config, _ = reference._classified(terms, order[-2], config, history)
     shapes = {}
-    for t in integrate_var(terms, order[-2], config, SideRule.BY_EXPONENT_SIGN, sites=sites):
+    for t in reference.integrate_var(terms, order[-2], config, SideRule.BY_EXPONENT_SIGN,
+                                     sites=sites):
         entry = shapes.setdefault((t.exponent.coeff(order[-1]), t.total_multiplicity), [0, 0])
         entry[0] += 1
         entry[1] += t.coeff

@@ -8,20 +8,16 @@ import pytest
 
 import lapvol as lv
 from lapvol.linforms import LinForm
-from lapvol.terms import (
-    ContourConfig,
+from lapvol.terms import ContourConfig, Side, SideRule
+
+from dense import (
     PoleSite,
-    Side,
-    SideRule,
     Term,
     canonical_term,
     final_level_value,
     integrate_level,
-    integrate_var,
     merge_like_terms,
     perturb_abscissa,
-    poles_of,
-    residue_simple,
 )
 
 
@@ -84,15 +80,35 @@ def branch_I3():
     )
 
 
-# -- poles_of -----------------------------------------------------------
+def level_sites(term, var, config, rule=SideRule.BY_EXPONENT_SIGN, **kwargs):
+    """The pole sites of one term's level in ``var`` as its history
+    records them, with the level's output and stats."""
+    history = []
+    out, _, stats = integrate_level([term], var, config, rule, history, **kwargs)
+    return history[-1][1], out, stats
+
+
+def residues_by_root(term, var, config, **kwargs):
+    """One term's residues in ``var``, none merged, by the root of their
+    pole: the collected sites come in the order of the residues."""
+    sites, out, stats = level_sites(term, var, config, **kwargs)
+    assert stats.residues == len(out)
+    side = kwargs.get("force_side") or (Side.LEFT if term.exponent.coeff(var) > 0 else Side.RIGHT)
+    roots = [s.root for s in sites if s.side is side]
+    assert len(roots) == len(out)
+    return dict(zip(roots, out))
+
+
+# -- pole sites ---------------------------------------------------------
 
 
 def test_poles_of_worked_level_one():
-    sites = poles_of(worked_initial_term(), 1, cfg(3, 2, 1))
+    sites, _, stats = level_sites(worked_initial_term(), 1, cfg(3, 2, 1))
     by_root = {s.root: s for s in sites}
     assert set(by_root) == {LinForm.zero(), lf([(2, 2), (3, -2)]), lf([(2, -2), (3, 1)])}
     assert all(s.side is Side.LEFT for s in sites)
-    assert all(s.order == 1 for s in sites)
+    # three simple poles, each collected once
+    assert stats.poles_found == stats.residues == 3
     # root evaluations: 0, 2, -3, all left of c1 = 3
     assert by_root[lf([(2, 2), (3, -2)])].root.evaluate({2: F(2), 3: F(1)}) == 2
     assert by_root[lf([(2, -2), (3, 1)])].root.evaluate({2: F(2), 3: F(1)}) == -3
@@ -100,14 +116,14 @@ def test_poles_of_worked_level_one():
 
 def test_poles_of_single_variable_factor():
     t = Term(F(1), lf([(2, 1)]), ((lf([(2, 1)]), 1),))
-    sites = poles_of(t, 2, cfg(c2=5))
+    sites, _, _ = level_sites(t, 2, cfg(c2=5))
     assert len(sites) == 1
     assert sites[0].root.is_zero and sites[0].side is Side.LEFT
 
 
 def test_poles_of_I2_in_l3():
     # classification works for any variable, here l3 while l2 is alive
-    sites = poles_of(branch_I2(), 3, cfg(c2=2, c3=1))
+    sites, _, _ = level_sites(branch_I2(), 3, cfg(c2=2, c3=1))
     sides = {str(s.root): s.side for s in sites}
     assert sides == {"l2": Side.RIGHT, "2*l2": Side.RIGHT, "0": Side.LEFT}
 
@@ -119,34 +135,37 @@ def test_poles_of_groups_scaled_factors_into_one_site():
         LinForm.zero(),
         ((lf([(2, 2), (3, -2)]), 1), (lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 1)),
     )
-    sites = poles_of(t, 3, cfg(c2=2, c3=1))
-    orders = {str(s.root): s.order for s in sites}
-    assert orders == {"l2": 2, "0": 1}
+    sites, _, stats = level_sites(t, 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES,
+                                  force_side=Side.LEFT)
+    assert [str(s.root) for s in sites] == ["l2", "0"] and stats.poles_found == 2
+    # the right closure collects the site of order 2
+    with pytest.raises(lv.DegenerateInstance, match="pole of order 2 at l3 = l2;"):
+        level_sites(t, 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES, force_side=Side.RIGHT)
 
 
 def test_poles_of_on_path_reported():
+    # the root l3 = l2 sits on the path Re(l3) = 1: the level repairs it
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 2)))
-    sites = poles_of(t, 3, cfg(c2=1, c3=1))
-    assert {s.side for s in sites} == {Side.ON_PATH, Side.LEFT}
+    history = []
+    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1), SideRule.FEWER_POLES,
+                                         history, force_side=Side.RIGHT)
+    assert stats.repaired == 1 and [rec.var for rec in config.ledger] == [3]
+    assert {s.side for s in history[0][1]} == {Side.LEFT}
+    assert out == [] and stats.poles_found == 2
 
 
-# -- residue_simple -----------------------------------------------------
+# -- residues -----------------------------------------------------------
 
 
 def test_residue_at_zero_gives_I2():
-    term = worked_initial_term()
-    site = next(s for s in poles_of(term, 1, cfg(3, 2, 1)) if s.root.is_zero)
-    out = residue_simple(term, 1, site)
+    out = residues_by_root(worked_initial_term(), 1, cfg(3, 2, 1))[LinForm.zero()]
     # the engine returns the primitive-factor form of I2, factor for factor
     assert out == canonical_term(branch_I2())
     assert out.coeff == F(-1, 2)
 
 
 def test_residue_at_2l2_minus_2l3_matches_I3():
-    term = worked_initial_term()
-    root = lf([(2, 2), (3, -2)])
-    site = next(s for s in poles_of(term, 1, cfg(3, 2, 1)) if s.root == root)
-    out = residue_simple(term, 1, site)
+    out = residues_by_root(worked_initial_term(), 1, cfg(3, 2, 1))[lf([(2, 2), (3, -2)])]
     assert out.exponent == lf([(2, 3), (3, -1)])
     # primitive factors: 2l2 - 2l3 = -2(-l2 + l3) and 4l2 - 3l3 = -(-4l2 + 3l3)
     assert out.coeff == F(1, 2)
@@ -179,11 +198,10 @@ def test_residue_general_two_constraint_shape():
             (lf([(1, a[1]), (2, b[1])]), 1),
         ),
     )
-    site = next(s for s in poles_of(term, 1, cfg(3, 1)) if s.root.is_zero)
-    out = residue_simple(term, 1, site)
+    out = residues_by_root(term, 1, cfg(3, 1))[LinForm.zero()]
     # 1 / (l2^{n+1} prod b_j) with the exponential reduced to e^{l2}
     assert out.exponent == lf([(2, 1)])
-    assert all(f.is_multiple_of_var(2) for f, _ in out.denom)
+    assert all(f.variables == (2,) for f, _ in out.denom)
     leadings = F(1)
     for f, m in out.denom:
         leadings *= f.coeff(2) ** m
@@ -194,33 +212,37 @@ def test_residue_general_two_constraint_shape():
 
 
 def test_residue_partial_fraction_shape():
-    # 1/[l1 (l1 - 2 l2)] at l1 = 2 l2 leaves 1/(2 l2)
+    # 1/[l1 (l1 - 2 l2)] at l1 = 2 l2 leaves 1/(2 l2); at c = (1, 1) that
+    # root alone lies right of the path, and a right closure enters with
+    # a minus sign
     term = Term(F(1), LinForm.zero(), ((lf([(1, 1)]), 1), (lf([(1, 1), (2, -2)]), 1)))
-    site = next(s for s in poles_of(term, 1, cfg(5, 1)) if not s.root.is_zero)
-    out = residue_simple(term, 1, site)
+    out = residues_by_root(term, 1, cfg(1, 1), force_side=Side.RIGHT)[lf([(2, 2)])]
     assert out.denom == ((lf([(2, 1)]), 1),)
-    assert out.coeff == F(1, 2)
+    assert -out.coeff == F(1, 2)
 
 
 def test_residue_rejects_higher_order():
-    site = PoleSite(lf([(1, 1)]), 1, Side.LEFT, 2)  # root l1 = 0, leading 1
+    # l1 and 2*l1 share the root l1 = 0: one site of order 2
     term = Term(F(1), LinForm.zero(), ((lf([(1, 1)]), 1), (lf([(1, 2)]), 1)))
     with pytest.raises(lv.DegenerateInstance):
-        residue_simple(term, 1, site)
+        level_sites(term, 1, cfg(c1=1), SideRule.FEWER_POLES, force_side=Side.LEFT)
 
 
 def test_factor_count_conservation():
     term = worked_initial_term()
-    for site in poles_of(term, 1, cfg(3, 2, 1)):
-        out = residue_simple(term, 1, site)
+    for out in residues_by_root(term, 1, cfg(3, 2, 1)).values():
         assert out.total_multiplicity == term.total_multiplicity - 1
 
 
-# -- integrate_var ------------------------------------------------------
+# -- integrate_level ----------------------------------------------------
+
+
+def integrate(terms, var, config, rule, **kwargs):
+    return integrate_level(terms, var, config, rule, [], **kwargs)[0]
 
 
 def test_integrate_I3_closes_right():
-    out = integrate_var([branch_I3()], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
+    out = integrate([branch_I3()], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
     # paper: -[-e^{2 l2}/2 + 3 e^{5 l2/3}/8] / l2^3
     assert len(out) == 2
     vals = {t.exponent.coeff(2): t for t in out}
@@ -241,13 +263,9 @@ def test_integrate_I3_closes_right():
 
 
 def test_integrate_I4_closes_left():
-    term = residue_simple(
-        worked_initial_term(), 1,
-        next(s for s in poles_of(worked_initial_term(), 1, cfg(3, 2, 1))
-             if s.root == lf([(2, -2), (3, 1)])),
-    )
+    term = residues_by_root(worked_initial_term(), 1, cfg(3, 2, 1))[lf([(2, -2), (3, 1)])]
     assert term.exponent == lf([(2, -1), (3, 2)])
-    out = integrate_var([term], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
+    out = integrate([term], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
     # only the pole l3 = 0 is on the left; result e^{-l2}/(8 l2^3)
     assert len(out) == 1
     t = out[0]
@@ -260,15 +278,18 @@ def test_integrate_I4_closes_left():
 
 
 def test_integrate_raises_on_unrepaired_path():
+    # the root l3 = l2 sits on the path, and a domain that admits no
+    # shift leaves it there: the level refuses instead of integrating
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 1)))
-    with pytest.raises(RuntimeError):
-        integrate_var([t], 3, cfg(c2=1, c3=1), SideRule.BY_EXPONENT_SIGN)
+    config = cfg(c2=1, c3=1, domain_ok=lambda _: False)
+    with pytest.raises(lv.errors.NoAdmissiblePerturbation):
+        integrate([t], 3, config, SideRule.BY_EXPONENT_SIGN)
 
 
 def test_divergent_slice_when_no_decay_and_degree_one():
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1),))
     with pytest.raises(lv.DivergentSlice):
-        integrate_var([t], 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES)
+        integrate([t], 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES)
 
 
 def test_exponent_sign_rule_falls_back_on_zero_coefficient():
@@ -277,20 +298,16 @@ def test_exponent_sign_rule_falls_back_on_zero_coefficient():
     # cancel, matching the empty right closure
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1)]), 1), (lf([(2, 1), (3, -1)]), 1)))
     config = cfg(c2=2, c3=1)
-    fewer = integrate_var([t], 2, config, SideRule.BY_EXPONENT_SIGN)
-    assert fewer == []  # right half-plane holds no poles
-    left = integrate_var([t], 2, config, SideRule.BY_EXPONENT_SIGN, force_side=Side.LEFT)
-    assert len(left) == 2
-    assert left[0].exponent == left[1].exponent == lf([(3, 1)])
-    at = {3: F(7, 2)}
-    assert sum(
-        term.coeff / math.prod(f.evaluate(at) ** m for f, m in term.denom)
-        for term in left
-    ) == 0
+    fewer, _, stats = integrate_level([t], 2, config, SideRule.BY_EXPONENT_SIGN, [])
+    assert fewer == [] and stats.residues == 0  # right half-plane holds no poles
+    left, _, stats = integrate_level([t], 2, config, SideRule.BY_EXPONENT_SIGN, [],
+                                     force_side=Side.LEFT)
+    # two residues of the same shape e^{l3}/l3, whose sum is zero
+    assert stats.residues == 2 and stats.terms_out == 0 and left == []
 
     shallow = Term(F(1), lf([(3, 1)]), ((lf([(2, 1)]), 1),))
     with pytest.raises(lv.DivergentSlice):
-        integrate_var([shallow], 2, config, SideRule.BY_EXPONENT_SIGN)
+        integrate([shallow], 2, config, SideRule.BY_EXPONENT_SIGN)
 
 
 def test_side_sum_consistency_on_random_rational_terms():
@@ -317,8 +334,8 @@ def test_side_sum_consistency_on_random_rational_terms():
             continue
         term = Term(F(1), LinForm.zero(), tuple((f, 1) for f in factors))
         config = cfg(c1, 1)
-        left = integrate_var([term], 1, config, SideRule.FEWER_POLES, force_side=Side.LEFT)
-        right = integrate_var([term], 1, config, SideRule.FEWER_POLES, force_side=Side.RIGHT)
+        left = integrate([term], 1, config, SideRule.FEWER_POLES, force_side=Side.LEFT)
+        right = integrate([term], 1, config, SideRule.FEWER_POLES, force_side=Side.RIGHT)
         at = {2: F(rng.randint(2, 9), rng.randint(1, 3))}
 
         def total(ts):
@@ -384,9 +401,12 @@ def test_perturb_repairs_worked_collision():
 
     config = cfg(1, 1, 1, domain_ok=_direct_domain(norm.columns))
     term = branch_I2()
-    history = [(1, tuple(poles_of(worked_initial_term(), 1, config)))]
-    sites = poles_of(term, 2, config)
-    assert any(s.side is Side.ON_PATH for s in sites)
+    history = []
+    integrate_level([worked_initial_term()], 1, config, SideRule.BY_EXPONENT_SIGN, history)
+    # l2, l3 - l2 (on the path) and 2*l2 - l3 hold l2
+    sites = [PoleSite(f, 2, Side.ON_PATH, 1) for f, _ in term.denom if f.coeff(2)]
+    assert integrate_level([term], 2, config, SideRule.BY_EXPONENT_SIGN,
+                           list(history))[2].repaired == 1
     repaired = perturb_abscissa(config, 2, sites, history)
     assert len(repaired.ledger) == 1
     rec = repaired.ledger[0]
@@ -398,9 +418,8 @@ def test_perturb_repairs_worked_collision():
             value = s.root.evaluate(repaired.abscissae)
             path = repaired.abscissa(lvl_var)
             assert (value < path) == (s.side is Side.LEFT)
-    assert not any(
-        s.side is Side.ON_PATH for s in poles_of(term, 2, repaired)
-    )
+    assert integrate_level([term], 2, repaired, SideRule.BY_EXPONENT_SIGN,
+                           list(history))[2].repaired == 0
 
 
 def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
@@ -548,7 +567,7 @@ def test_residue_sum_matches_quadrature(seed):
             LinForm.var(1, alpha),
             tuple((lf([(1, b), (2, g)]), 1) for b, g in zip(betas, gs)),
         )
-        out = integrate_var([term], 1, cfg(c1, 1), SideRule.BY_EXPONENT_SIGN)
+        out = integrate([term], 1, cfg(c1, 1), SideRule.BY_EXPONENT_SIGN)
         sym = _residue_value(out)
         if abs(sym) < 1e-3:
             continue

@@ -1,178 +1,37 @@
-"""The residue kernel against the kernel it replaced.
+"""The dense residue kernel against the LinForm engine it replaced.
 
-The reference below is the per-level kernel as it was before the integer
-contour point, the one-pass pole classification and the inline
-elimination: the contour point rebuilt from Fraction products at every
-level, the coefficient on the variable and the value at the point read
-in two passes, every input term canonicalized again, each elimination
-through ``LinForm.from_ints``, and the closing level's alpha built as a
-Fraction for every residue.  ``integrate_level`` and ``close_level`` must
-return exactly what it returns: equal terms with their factors in the
-same order, equal pole sites in the history, equal LevelStats and equal
-ledgers, or the same refusal.
+The reference is the LinForm engine of :mod:`linform_engine`: terms of
+LinForm exponents and primitive LinForm factors, classified by a
+per-level classifier into PoleSites, each elimination written as a
+LinForm, each exponent coefficient a Fraction.  ``integrate_level`` and
+``close_level`` of ``lapvol.terms``, on the dense forms of the same
+inputs and converted back (:mod:`dense`), must return exactly what it
+returns: equal terms with their factors in the same order, equal pole
+sites in the history, equal LevelStats and equal ledgers, or the same
+refusal.
 """
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
-from math import lcm
 
 import lapvol as lv
-from lapvol.direct import _direct_domain, initial_term, integration_order
-from lapvol.linforms import LinForm, P_VAR, var_name
+from lapvol.direct import _direct_domain, integration_order
+from lapvol.linforms import LinForm, P_VAR
 from lapvol.polytope import contour_seed
-from lapvol.terms import (
-    ContourConfig,
-    PoleSite,
-    Side,
-    SideRule,
+from lapvol.terms import ContourConfig, Side, SideRule
+from lapvol.transform import _transform_domain, eliminated_var
+
+import linform_engine as reference
+from conftest import draws, outcome, prime_row_draws
+from dense import (
     Term,
-    _collected,
-    _level_stats,
-    _pole_power,
-    _substitute_exponent,
     canonical_term,
     close_level,
+    direct_slots,
+    initial_term,
     integrate_level,
-    merge_like_terms,
-    perturb_abscissa,
+    substituted_term,
+    transform_slots,
 )
-from lapvol.transform import _transform_domain, eliminated_var, substituted_term
-
-from test_closing_level import draws, outcome, prime_row_draws
-
-
-class ReferenceClassifier:
-    def __init__(self, var, config):
-        self.var = var
-        den = lcm(*(x.denominator for x in config.abscissae.values()))
-        self.point = {v: int(x * den) for v, x in config.abscissae.items()}
-        self.sites = {}
-
-    def site(self, factor):
-        try:
-            return self.sites[factor]
-        except KeyError:
-            pass
-        a = factor.coeff(self.var)
-        site = None
-        if a != 0:
-            at_path = sum(c * self.point[v] for v, c in factor.items())
-            if at_path == 0:
-                side = Side.ON_PATH
-            elif (at_path > 0) == (a > 0):
-                side = Side.LEFT
-            else:
-                side = Side.RIGHT
-            site = PoleSite(factor, self.var, side, 1)
-        self.sites[factor] = site
-        return site
-
-    def distinct(self):
-        return [s for s in self.sites.values() if s is not None]
-
-
-def reference_sites(term, classify):
-    sites = []
-    for f, mult in term.denom:
-        site = classify.site(f)
-        if site is not None:
-            sites.append(site if mult == 1 else replace(site, order=mult))
-    return sites
-
-
-def reference_eliminate(f, g, var, a, b):
-    acc = {v: a * c for v, c in f.items()}
-    for v, c in g.items():
-        acc[v] = acc.get(v, 0) - b * c
-    s, h = LinForm.from_ints(sorted(vc for vc in acc.items() if vc[1]))
-    return h, s
-
-
-def reference_residue(term, var, g, sign):
-    a = g.coeff(var)
-    num, den = sign * term.coeff.numerator, a * term.coeff.denominator
-    denom = {}
-    vanished = 0
-    for f, mult in term.denom:
-        b = f.coeff(var)
-        if b != 0:
-            if f == g:
-                vanished += mult
-                continue
-            f, s = reference_eliminate(f, g, var, a, b)
-            num *= a ** mult
-            den *= s ** mult
-        denom[f] = denom.get(f, 0) + mult
-    assert vanished == 1
-    exponent = _substitute_exponent(term.exponent, g, var, a)
-    return Term(Fraction(num, den), exponent, tuple(denom.items()))
-
-
-def reference_classified(terms, var, config, history):
-    terms = [canonical_term(t) for t in terms]
-    classify = ReferenceClassifier(var, config)
-    sites = [reference_sites(t, classify) for t in terms]
-    repaired = 0
-    if any(s.side is Side.ON_PATH for s in classify.distinct()):
-        config = perturb_abscissa(config, var, classify.distinct(), history)
-        repaired = 1
-        classify = ReferenceClassifier(var, config)
-        sites = [reference_sites(t, classify) for t in terms]
-    history.append((var, tuple(classify.distinct())))
-    return terms, sites, config, repaired
-
-
-def reference_integrate_level(terms, var, config, rule, history, force_side=None):
-    terms, sites, config, repaired = reference_classified(terms, var, config, history)
-    residues = []
-    for term, term_sites in zip(terms, sites):
-        sign, poles = _collected(term, term_sites, var, rule, force_side)
-        residues.extend(reference_residue(term, var, site.factor, sign) for site in poles)
-    out = merge_like_terms(residues)
-    return out, config, _level_stats(var, terms, sites, repaired, len(residues), len(out))
-
-
-def reference_close_level(terms, var, last, config, rule, history, force_side=None, implicit=0):
-    terms, sites, config, repaired = reference_classified(terms, var, config, history)
-    powers, dead, degrees, residues = {}, {}, set(), 0
-    for term, term_sites in zip(terms, sites):
-        sign, poles = _collected(term, term_sites, var, rule, force_side)
-        if not poles:
-            continue
-        parts = []
-        for f, mult in term.denom:
-            b = c = 0
-            for v, x in f.items():
-                if v == var:
-                    b = x
-                elif v == last:
-                    c = x
-                else:
-                    raise lv.MalformedH(
-                        f"denominator factor {f} of the last residue level holds a "
-                        f"variable other than {var_name(var)} and {var_name(last)}"
-                    )
-            parts.append((b, c, mult))
-        index = {f: j for j, (f, _) in enumerate(term.denom)}
-        q = term.total_multiplicity - 1
-        degrees.add(q)
-        L = term.exponent
-        L_var, L_last = L.coeff(var), L.coeff(last) + implicit
-        for site in poles:
-            jg = index[site.factor]
-            a, g_last, _ = parts[jg]
-            alpha = L_last - L_var * Fraction(g_last, a) if L_var else L_last
-            key = (alpha, q)
-            if alpha > 0:
-                powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
-            else:
-                dead.setdefault(key, []).append((sign, term, parts, jg, q))
-        residues += len(poles)
-    dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
-                   for hits in dead.values())
-    powers = {key: K for key, K in powers.items() if K != 0}
-    stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
-    return powers, degrees, config, stats
 
 
 def in_order(value):
@@ -210,13 +69,13 @@ def check_run(seen, start, order, last, config, rule, force_side, implicit=0):
     integrate_level, the last one through close_level."""
     terms, history = [start], []
     for k in order[:-1]:
-        result = checked_level(seen, integrate_level, reference_integrate_level, terms, k,
+        result = checked_level(seen, integrate_level, reference.integrate_level, terms, k,
                                config, rule, history, force_side=force_side)
         if result is None:
             return
         terms, config, _ = result
-        assert all(canonical_term(t) is t for t in terms)
-    checked_level(seen, close_level, reference_close_level, terms, order[-1], last, config,
+        assert all(canonical_term(t) == t for t in terms)
+    checked_level(seen, close_level, reference.close_level, terms, order[-1], last, config,
                   rule, history, force_side=force_side, implicit=implicit)
 
 
@@ -229,11 +88,13 @@ def check_instances(norms):
         order = integration_order(norm.columns)
         direct = ContourConfig({i + 1: c[i] for i in range(norm.m)},
                                domain_ok=_direct_domain(norm.columns))
+        assert direct.slots == direct_slots(norm)
         r = eliminated_var(norm.columns)
         others = [j for j in range(1, norm.m + 1) if j != r]
         points = {j: c[j - 1] for j in others}
         points[P_VAR] = sum(c, Fraction(0))
         transform = ContourConfig(points, domain_ok=_transform_domain(norm.columns, r))
+        assert transform.slots == transform_slots(norm)
         starts = outcome(initial_term, norm), outcome(substituted_term, norm)
         for side in (None, Side.LEFT, Side.RIGHT):
             if isinstance(starts[0], Term):
@@ -260,3 +121,17 @@ def test_kernel_matches_reference_on_the_repaired_paper_example():
     # the default contour repairs l3 at the last residue level
     assert check_instances([norm])["repairs"] == 3
 
+
+def test_close_level_matches_reference_with_implicit_on_a_fractional_exponent():
+    # the drivers pass implicit = 1 only with a zero exponent; here the
+    # exponent l1/2 - l2/3 has a common denominator of 6
+    l1, l2 = LinForm.var(1), LinForm.var(2)
+    exponent = LinForm([(1, Fraction(1, 2)), (2, Fraction(-1, 3))])
+    factors = (l1, l1 + l2, l1 + 2 * l2, l1 - 5 * l2, l2)
+    term = canonical_term(Term(Fraction(3, 2), exponent, tuple((f, 1) for f in factors)))
+    config = ContourConfig({1: Fraction(3), 2: Fraction(1)})
+    for implicit in (0, 1):
+        powers, *_ = checked_level(Counter(), close_level, reference.close_level, [term], 1, 2,
+                                   config, SideRule.BY_EXPONENT_SIGN, [], implicit=implicit)
+        # at the root of l1, alpha = -1/3 + implicit
+        assert bool(powers) == (implicit == 1)

@@ -1,9 +1,13 @@
 """Smoke tests of the scripts under scripts/: each runs to its summary
 on tiny arguments against the package in src/."""
+import dataclasses
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import lapvol as lv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,6 +30,25 @@ def test_cross_check_runs_unsigned():
     assert re.search(r"^3 instances agreed exactly, \d+ draws skipped, ", out, re.M), out
     # a nonnegative draw of the same seed is another instance
     assert out.splitlines()[0] != run_script("cross_check.py", "--count", "1").splitlines()[0]
+
+
+def test_cross_check_exits_1_on_disagreement(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("cross_check", SCRIPTS / "cross_check.py")
+    cross_check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cross_check)
+    real = lv.run_transform
+
+    def off_by_one(norm):
+        run = real(norm)
+        return dataclasses.replace(run, result=run.result + 1)
+
+    monkeypatch.setattr(cross_check.lv, "run_transform", off_by_one)
+    monkeypatch.setattr(sys, "argv", ["cross_check.py", "--count", "3"])
+    assert cross_check.main() == 1
+    out, err = capsys.readouterr()
+    assert "agreed exactly" not in out
+    assert re.match(r"METHOD DISAGREEMENT on A=\[\[.*\]\] b=\[.*\]: direct \S+, transform \S+$",
+                    err), err
 
 
 def test_node_census_runs():
