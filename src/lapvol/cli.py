@@ -8,6 +8,12 @@
 Exit codes: 0 ok, 2 invalid file/usage, 3 nonpositive b, 4 unbounded,
 5 not pointed, 6 degenerate instance, 7 internal (divergent slice,
 malformed transform or disagreeing methods).
+
+The parse keeps a JSON int as an int and makes a "p/q" string (or, under
+--tolerate-floats, a decimal literal) an exact Fraction; both
+``normalize`` and ``--check-only`` then clean and scale the rows in one
+integer pass, :func:`lapvol.polytope.scale_and_dedupe`.  ``--verify-mc``
+alone solves one bounding LP per coordinate for its sampling box.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import __version__
+from . import __version__, polytope
 from .errors import (
     DegenerateInstance,
     DivergentSlice,
@@ -35,14 +41,7 @@ from .errors import (
 from .direct import run_direct
 from .linforms import var_name
 from .oracle import known_instance, mc_volume
-from .polytope import (
-    PolytopeInstance,
-    certify,
-    integer_columns,
-    make_instance,
-    normalize,
-    scale_and_dedupe,
-)
+from .polytope import PolytopeInstance, certify, make_instance, normalize
 from .transform import run_transform
 
 EXIT_OK = 0
@@ -113,11 +112,14 @@ def _exact_decimal(text: str) -> Fraction:
         raise InstanceFormatError(f"not a decimal literal: {shown}")
 
 
-def _parse_rational(value, tolerate_floats: bool) -> Fraction:
+def _parse_rational(value, tolerate_floats: bool):
+    """A JSON int as it is, a "p/q" string (or, under --tolerate-floats,
+    a decimal literal) as an exact Fraction; InstanceFormatError for
+    anything else."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise InstanceFormatError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, Fraction):  # produced by the tolerant float hook
         return value
     if isinstance(value, float):
@@ -145,7 +147,8 @@ def _parse_rational(value, tolerate_floats: bool) -> Fraction:
 
 def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
     """Read the JSON instance document {"A": [[...]], "b": [...]} with
-    entries given as integer or "p/q" strings."""
+    entries given as integers (kept as ints) or "p/q" strings (read as
+    Fractions)."""
     if tolerate_floats:
         def hook(text):
             # the json hook receives the raw literal text, so the decimal
@@ -195,11 +198,11 @@ def _fmt_vec(values) -> str:
 
 
 def _cmd_check_only(inst: PolytopeInstance) -> int:
-    rows, dropped, merged = scale_and_dedupe(inst)
-    print(f"normalize: m={len(rows)} n={len(rows[0])} "
+    columns, dropped, merged = polytope.scale_and_dedupe(inst)
+    print(f"normalize: m={len(columns[0][1])} n={len(columns)} "
           f"(dropped {dropped} vacuous, merged {merged} duplicate rows)")
     try:
-        c, u = certify(integer_columns(rows))
+        c, u = certify(columns)
     except NotCompact:
         # for b > 0 both gates fail together (the conditions are
         # equivalent); the report exits with the deepest failed

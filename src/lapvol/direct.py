@@ -64,7 +64,7 @@ def initial_term(norm: NormalizedInstance) -> Term:
     a hint; axis-parallel constraint rows (boxes) are the typical
     trigger.
     """
-    m, rows = norm.m, norm.rows
+    m = norm.m
     factors = [tuple([int(i == j) for j in range(m)]) for i in range(m)]
     num = den = 1
     for scale, col in norm.columns:
@@ -75,6 +75,7 @@ def initial_term(norm: NormalizedInstance) -> Term:
     if m > 1:
         pair = coincident_pair(factors)
         if pair is not None:
+            rows = norm.rows
             unscaled = [LinForm.var(i) for i in range(1, m + 1)] + [
                 LinForm([(i + 1, rows[i][j]) for i in range(m)]) for j in range(norm.n)
             ]

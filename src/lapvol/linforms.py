@@ -41,6 +41,12 @@ def rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def exact(value):
+    """An int as it is, anything else as an exact rational by
+    :func:`rat` (a float is refused)."""
+    return value if type(value) is int else rat(value)
+
+
 def var_name(var: int) -> str:
     return "p" if var == P_VAR else f"l{var}"
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Tuple
 
-from .linforms import rat
+from .linforms import exact
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -38,9 +38,9 @@ def maximize(
     optimal vertex verified by substitution, or ``(UNBOUNDED, None,
     None)``.  Raises ValueError for malformed data or a negative b entry.
     """
-    cost = [_exact(v) for v in objective]
-    rows = [[_exact(v) for v in row] for row in A]
-    rhs = [_exact(v) for v in b]
+    cost = [exact(v) for v in objective]
+    rows = [[exact(v) for v in row] for row in A]
+    rhs = [exact(v) for v in b]
     n, m = len(cost), len(rows)
     if n < 1:
         raise ValueError("need at least one variable")
@@ -90,10 +90,4 @@ def maximize(
     assert sum(a * v for a, v in zip(start[m][1:], X)) == -tab[m][0], \
         "simplex value disagrees with its witness"
     return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m])
-
-
-def _exact(value):
-    """An int as it is, anything else as an exact rational (a float is
-    refused)."""
-    return value if type(value) is int else rat(value)
 

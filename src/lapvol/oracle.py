@@ -1,6 +1,6 @@
 """Independent ground truth: the two-constraint closed form and its
 companion identity, known-volume generators, and a seeded hit-or-miss
-Monte Carlo estimator with a certified bounding box.
+Monte Carlo estimator over the body's exact bounding box.
 """
 from __future__ import annotations
 
@@ -10,15 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import lp
 from .errors import GenericityViolated
 from .linforms import rat
-from .polytope import (
-    NormalizedInstance,
-    PolytopeInstance,
-    integer_sums,
-    make_instance,
-    normalize,
-)
+from .polytope import NormalizedInstance, PolytopeInstance, make_instance, normalize
 
 
 def _genericity(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
@@ -164,19 +159,35 @@ class McEstimate:
 _MC_BATCH = 1 << 16  # fixed batch size keeps the PCG64 stream reproducible
 
 
+def bounding_box(norm: NormalizedInstance) -> Tuple[Fraction, ...]:
+    """The exact max x_j over the body {x >= 0, Ax <= 1}, one LP per
+    coordinate j.  On the integer columns, x_j = D_j y_j turns the rows
+    into sum_j col_j[i] y_j <= 1, so each LP has integer data and
+    max x_j = D_j max y_j."""
+    A = [list(row) for row in zip(*(col for _, col in norm.columns))]
+    ones = [1] * norm.m
+    box = []
+    for j, (den, _) in enumerate(norm.columns):
+        status, _, top = lp.maximize([int(k == j) for k in range(norm.n)], A, ones)
+        assert status == lp.OPTIMAL  # the body is compact
+        box.append(den * top)
+    return tuple(box)
+
+
 def mc_volume(
     inst: PolytopeInstance, samples: int, seed: int, norm: Optional[NormalizedInstance] = None
 ) -> McEstimate:
-    """Hit-or-miss estimate over the certified box, the product of
-    [0, sum(c)/(A'c)_j] over the coordinates j.
+    """Hit-or-miss estimate over the body's bounding box, the product of
+    [0, max x_j] over the coordinates j (:func:`bounding_box`).
 
-    The sides come from the contour seed c > 0 with A'c > 0 of the
-    normalized rows (``norm.interior``, where ``norm`` defaults to
-    ``normalize(inst)``; pass it when already at hand to skip the LP):
-    every x in the body has (A'c)_j x_j <= c'Ax <= sum(c).  The largest
-    side is sum(u) for the compactness witness u = c / min_j (A'c)_j.
-    Raises like ``normalize`` on an invalid instance, and raises
-    ValueError before sampling when an entry of A or b or a box side is
+    ``norm`` defaults to ``normalize(inst)``; pass it when already at
+    hand to skip the margin LP.  A sample u of the unit cube is a hit
+    when every normalized row, scaled by the box sides and divided by
+    its largest magnitude, holds at u; a row whose positive part sums to
+    at most 1 holds on the whole box and is not tested.  These rows are
+    computed exactly, so every float entry lies in [-1, 1] and every
+    right-hand side in (0, n].  Raises like ``normalize`` on an invalid
+    instance, and raises ValueError before sampling when a box side is
     too large for a float or the box volume is not a finite positive
     float.  Sampling uses numpy's PCG64 generator, so a seed pins the
     estimate bit for bit across platforms.
@@ -185,19 +196,22 @@ def mc_volume(
 
     if norm is None:
         norm = normalize(inst)
-    # c is integral, so (A'c)_j = s_j / D_j and the side is sum(c) D_j / s_j
-    ci, sums = integer_sums(norm.columns, norm.interior)
-    box = tuple(Fraction(sum(ci) * den, s) for s, (den, _) in zip(sums, norm.columns))
-    n = inst.n
-    rows = [_floats(row, "an entry of A") for row in inst.rows]
-    b = np.array(_floats(inst.rhs, "an entry of b"))
+    box = bounding_box(norm)
+    n = norm.n
     sides = np.array(_floats(box, "a side of the sampling box"))
     with np.errstate(over="ignore"):
         scale = float(np.prod(sides))
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"the sampling box has volume {scale}, not a finite positive float")
-    # the columns of A scaled by the sides take unit-cube samples
-    A = np.array(rows) * sides
+    rows, rhs = [], []
+    for row in norm.rows:
+        scaled = [a * s for a, s in zip(row, box)]
+        if sum(v for v in scaled if v > 0) > 1:
+            top = max(abs(v) for v in scaled)
+            rows.append([float(v / top) for v in scaled])
+            rhs.append(float(1 / top))
+    A = np.array(rows).reshape(len(rows), n)
+    b = np.array(rhs)
     gen = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     done = 0

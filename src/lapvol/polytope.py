@@ -12,28 +12,35 @@ c > 0 has A'c > 0) are the same condition: both say the recession cone
 margin t over {c, t >= 0, c >= t, A'c >= t, sum(c) <= 1} and accept iff
 the optimum is strictly positive.  Its witness c, scaled to integers,
 seeds the integration abscissae and is all that :func:`normalize` keeps.
-The compactness witness u = c / min_j (A'c)_j, with u >= 0 and A'u >= 1
-(which bounds the body), is derived from c by :func:`certify` only where
-it is asked for (``--check-only``).
+Where A'1 >= 1 the LP's unique optimum is known in closed form and the
+LP is not solved (:func:`find_strict_interior`).  The compactness
+witness u = c / min_j (A'c)_j, with u >= 0 and A'u >= 1 (which bounds
+the body), is derived from c by :func:`certify` only where it is asked
+for (``--check-only``).
 
-Integer columns.  After cleanup each column j is held once as an
-integer column with its scale D_j (:func:`integer_columns`), and the
-normalized instance carries them.  The margin LP, the seed check
+Integer front end.  Instance entries stay ints where the input gives
+ints.  :func:`scale_and_dedupe` is the one pass from the raw rows to the
+normalized instance's integer columns: each row and its b_i are scaled
+to integers, and rows are dropped and merged on their reduced integer
+form.  Each column j is held as an integer column with its scale D_j,
+so no rational row is built on the way.  The margin LP, the seed check
 c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to integers
 too), the margin min_j (A'c)_j, the start terms of both methods and
-their sign-read variable choices all read these ints; the rational rows
-stay for the refusal messages and the Monte Carlo sampler.
+their sign-read variable choices all read these ints.  The rational
+rows (``NormalizedInstance.rows``) are derived from the columns on first
+use, by the refusal messages and the Monte Carlo sampler.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
 from .errors import EmptyAfterCleanup, NonpositiveB, NotCompact, NotPointed
-from .linforms import rat
+from .linforms import exact, rat
 
 Row = Tuple[Fraction, ...]
 Matrix = Tuple[Row, ...]
@@ -42,7 +49,8 @@ Column = Tuple[int, Tuple[int, ...]]  # (D_j, the ints D_j * A[i][j] over rows i
 
 @dataclass(frozen=True)
 class PolytopeInstance:
-    """Raw half-space data: rows of A and the right-hand side b."""
+    """Raw half-space data: rows of A and the right-hand side b, each
+    entry an int or a Fraction."""
 
     rows: Matrix
     rhs: Tuple[Fraction, ...]
@@ -57,8 +65,8 @@ class PolytopeInstance:
 
 
 def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
-    rows = tuple(tuple(rat(v) for v in row) for row in A)
-    rhs = tuple(rat(v) for v in b)
+    rows = tuple(tuple(exact(v) for v in row) for row in A)
+    rhs = tuple(exact(v) for v in b)
     if not rows or not rows[0]:
         raise ValueError("need m >= 1 constraint rows and n >= 1 columns")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -70,73 +78,126 @@ def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Validated instance with implied right-hand side all-ones, its
-    integer columns, and the contour seed c of the margin LP (only a
+    """Validated instance with implied right-hand side all-ones, held as
+    its integer columns, and the contour seed c of the margin LP (only a
     certified instance is constructed; the witness u is
     ``certify(columns)[1]``)."""
 
-    rows: Matrix
     columns: Tuple[Column, ...]          # integer_columns(rows)
     interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
     dropped_vacuous: int
     merged_duplicates: int
 
+    @cached_property
+    def rows(self) -> Matrix:
+        """The normalized rows in Fractions, built on first use."""
+        return column_rows(self.columns)
+
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0][1])
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self.columns)
 
 
-def scale_and_dedupe(inst: PolytopeInstance) -> Tuple[Matrix, int, int]:
+def scale_and_dedupe(inst: PolytopeInstance) -> Tuple[Tuple[Column, ...], int, int]:
     """Divide each row by its b entry, drop vacuous all-zero rows and
-    merge duplicates.  Returns (rows, dropped, merged)."""
+    merge duplicates, in integers.  Returns (columns, dropped, merged),
+    ``columns`` being the :func:`integer_columns` of the cleaned rows.
+
+    Row i and b_i are scaled to integers by the lcm of their
+    denominators and the pair is reduced by its gcd: because b_i > 0,
+    two rows are equal after division by their b entries exactly when
+    their reduced pairs (b_i/g, A_i/g) are equal.
+    """
     bad = [i for i, bi in enumerate(inst.rhs) if bi <= 0]
     if bad:
         raise NonpositiveB(f"b must be strictly positive; offending rows: {bad}")
-    seen = []
+    seen = {}  # reduced (b_i, A_i) -> None, in first-seen order
     dropped = merged = 0
     for row, bi in zip(inst.rows, inst.rhs):
-        scaled = tuple(v / bi for v in row)
-        if all(v == 0 for v in scaled):
+        if not any(row):
             dropped += 1
             continue
-        if scaled in seen:
+        _, (d, *ints) = _integer_row((bi, *row))
+        g = gcd(d, *ints)
+        key = (d, tuple(ints)) if g == 1 else (d // g, tuple(v // g for v in ints))
+        if key in seen:
             merged += 1
             continue
-        seen.append(scaled)
+        seen[key] = None
     if not seen:
         raise EmptyAfterCleanup("no nontrivial constraint row survived cleanup")
-    return tuple(seen), dropped, merged
+    return _columns(seen), dropped, merged
 
 
 def integer_columns(rows) -> Tuple[Column, ...]:
     """Each column j of the rows as (D, (D*A[i][j] for each row i)), D
     being the lcm of the column's denominators, so every entry is an
     int and the column is the integer one divided by D."""
+    return _columns(_integer_row(row) for row in rows)
+
+
+def _integer_row(values) -> Tuple[int, List[int]]:
+    """(k, ints) with the values equal to ints / k, k the lcm of their
+    denominators."""
+    k = lcm(*(v.denominator for v in values))
+    return k, [v.numerator * (k // v.denominator) for v in values]
+
+
+def _columns(rows: Iterable[Tuple[int, Sequence[int]]]) -> Tuple[Column, ...]:
+    """The integer columns of the rows given as (d_i, ints_i), row i
+    being ints_i / d_i with d_i > 0.  Over the common denominator L, the
+    lcm of the d_i, column j is s / L with integer s; its scale D_j, the
+    lcm of its entries' reduced denominators, is L / gcd(L, *s), and its
+    ints are s divided by that gcd."""
+    dens, ints = zip(*rows)
+    common = lcm(*dens)
     columns = []
-    for col in zip(*rows):
-        den = lcm(*[x.denominator for x in col])
-        columns.append((den, tuple(x.numerator * (den // x.denominator) for x in col)))
+    for s in zip(*([a * (common // d) for a in row] for d, row in zip(dens, ints))):
+        g = gcd(common, *s)
+        columns.append((common, s) if g == 1 else (common // g, tuple([v // g for v in s])))
     return tuple(columns)
+
+
+def column_rows(columns: Sequence[Column]) -> Matrix:
+    """The rational rows whose :func:`integer_columns` are ``columns``."""
+    return tuple(zip(*(tuple(Fraction(a, den) for a in col) for den, col in columns)))
+
+
+def margin_lp(columns: Sequence[Column]) -> Tuple[list, list, list]:
+    """The (objective, A, b) of the margin LP over the rows whose
+    :func:`integer_columns` are ``columns``, as :func:`lp.maximize`
+    takes them: variables c_1..c_m, t >= 0, maximize the margin t."""
+    m = len(columns[0][1])
+    A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]   # t - c_i <= 0
+    A += [[-a for a in col] + [den] for den, col in columns]         # D_j (t - (A'c)_j) <= 0
+    A.append([1] * m + [0])                                          # sum(c) <= 1
+    return [0] * m + [1], A, [0] * (m + len(columns)) + [1]
 
 
 def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     """A strictly feasible c > 0 with A'c > 0, scaled to integers, for
-    the rows whose :func:`integer_columns` are ``columns``.
+    the rows whose :func:`integer_columns` are ``columns``: the
+    integer-scaled optimal c of :func:`margin_lp`.
+
+    Where every column has sum(col) >= D_j, that is A'1 >= 1, the
+    optimum is all ones and the LP is not solved.  This is the LP's
+    exact, unique optimum: t <= c_i for every i and sum(c) <= 1 give
+    t <= 1/m; c = t = 1/m is feasible because A'1 >= 1; and at t = 1/m
+    the same constraints c_i >= t and sum(c) <= 1 force every
+    c_i = 1/m, so the optimal (c, t) is unique, the simplex returns that
+    vertex, and it scales to all ones.  Every other instance is solved by the LP.
 
     Raises NotPointed when {x >= 0, Ax <= 0} has a nonzero solution, in
     which case no such c exists and the inversion integral is undefined.
     """
-    m, n = len(columns[0][1]), len(columns)
-    # variables c_1..c_m, t >= 0; maximize the margin t
-    A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]   # t - c_i <= 0
-    A += [[-a for a in col] + [den] for den, col in columns]         # D_j (t - (A'c)_j) <= 0
-    A.append([1] * m + [0])                                          # sum(c) <= 1
-    b = [0] * (m + n) + [1]
-    status, x, t_star = lp.maximize([0] * m + [1], A, b)
+    m = len(columns[0][1])
+    if all(sum(col) >= den for den, col in columns):
+        return (Fraction(1),) * m
+    status, x, t_star = lp.maximize(*margin_lp(columns))
     assert status == lp.OPTIMAL  # bounded by t <= c_1 <= sum(c) <= 1
     if t_star <= 0:
         raise NotPointed(
@@ -183,10 +244,8 @@ def normalize(inst: PolytopeInstance) -> NormalizedInstance:
     """Full ingestion pipeline: scale b to ones, clean rows, certify
     compactness and pointedness by the contour seed c alone (the witness
     u of :func:`certify` is not derived).  Raises on any failed gate."""
-    rows, dropped, merged = scale_and_dedupe(inst)
-    columns = integer_columns(rows)
+    columns, dropped, merged = scale_and_dedupe(inst)
     return NormalizedInstance(
-        rows=rows,
         columns=columns,
         interior=_seed(columns),
         dropped_vacuous=dropped,

@@ -72,7 +72,7 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     identically zero: the exp(zp) factor lives outside the inner
     integrals and is inverted analytically at the end.
     """
-    m, rows = norm.m, norm.rows
+    m = norm.m
     r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
     # l_r = p - sum(l_j), then the l_j
@@ -90,6 +90,7 @@ def substituted_term(norm: NormalizedInstance) -> Term:
     if m > 1:
         pair = coincident_pair(factors)
         if pair is not None:
+            rows = norm.rows
             p_root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
             unscaled = [p_root] + [LinForm.var(j) for j in others] + [
                 LinForm([(i + 1, rows[i][j]) for i in range(m)]).substitute(r, p_root)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
-from lapvol import lp
+from lapvol import lp, polytope
 
 SKIPPABLE = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
 
@@ -72,3 +72,20 @@ def lp_calls(monkeypatch):
     real = lp.maximize
     monkeypatch.setattr(lp, "maximize", lambda *a: calls.append(a) or real(*a))
     return calls
+
+
+@pytest.fixture
+def seed_calls(monkeypatch):
+    """The columns of every polytope.find_strict_interior call made
+    during the test."""
+    calls = []
+    real = polytope.find_strict_interior
+    monkeypatch.setattr(polytope, "find_strict_interior",
+                        lambda columns: calls.append(columns) or real(columns))
+    return calls
+
+
+# A'1 >= 1 holds on the paper example (column 1 sums to exactly 1), so its
+# contour seed is the margin LP's closed-form optimum; on these rows
+# column 1 sums to 0 and the LP is solved.
+LP_SOLVED_ROWS = [[1, 1], [-2, 2], [1, -2]]

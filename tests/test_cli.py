@@ -17,6 +17,8 @@ from lapvol import cli, direct, polytope
 from lapvol.oracle import mc_volume
 from lapvol.polytope import normalize
 
+from conftest import LP_SOLVED_ROWS
+
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
 
@@ -370,21 +372,34 @@ def test_check_only_valid_instance(capsys):
     assert all(sum(rows[i][j] * u[i] for i in range(3)) >= 1 for j in range(2))
 
 
-def test_check_only_solves_one_lp(lp_calls, capsys):
-    code, _, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--check-only")
-    assert code == 0 and len(lp_calls) == 1
+def paths_with_lp_counts(tmp_path):
+    """The paper example, whose seed is the margin LP's closed form (no
+    LP solved), and an instance whose seed the LP solves."""
+    return [(str(INSTANCES / "paper-example.json"), 0),
+            (write(tmp_path, "lp.json", {"A": LP_SOLVED_ROWS, "b": [1, 1, 1]}), 1)]
 
 
-def test_verify_mc_solves_one_lp(lp_calls, capsys):
-    # the Monte Carlo box comes from the certificate normalize already has
-    path = INSTANCES / "paper-example.json"
-    code, out, _ = run(capsys, "volume", str(path), "--verify-mc", "--samples", "1000")
-    assert code == 0 and len(lp_calls) == 1
-    inst = cli.load_instance(str(path))
-    est = mc_volume(inst, 1000, 0)
-    assert mc_volume(inst, 1000, 0, normalize(inst)) == est  # bit for bit
-    mc_line = next(l for l in out.splitlines() if l.startswith("mc:"))
-    assert mc_line.startswith(f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} ")
+def test_check_only_solves_one_lp(seed_calls, lp_calls, capsys, tmp_path):
+    for path, lp_solved in paths_with_lp_counts(tmp_path):
+        seed_calls.clear()
+        lp_calls.clear()
+        code, _, _ = run(capsys, "volume", path, "--check-only")
+        assert code == 0 and len(seed_calls) == 1 and len(lp_calls) == lp_solved
+
+
+def test_verify_mc_solves_one_lp(seed_calls, lp_calls, capsys, tmp_path):
+    # the Monte Carlo box takes the seed normalize already has, and one
+    # bounding LP per coordinate
+    for path, lp_solved in paths_with_lp_counts(tmp_path):
+        seed_calls.clear()
+        lp_calls.clear()
+        code, out, _ = run(capsys, "volume", path, "--verify-mc", "--samples", "1000")
+        assert code == 0 and len(seed_calls) == 1 and len(lp_calls) == lp_solved + 2
+        inst = cli.load_instance(path)
+        est = mc_volume(inst, 1000, 0)
+        assert mc_volume(inst, 1000, 0, normalize(inst)) == est  # bit for bit
+        mc_line = next(l for l in out.splitlines() if l.startswith("mc:"))
+        assert mc_line.startswith(f"mc: estimate={est.estimate:.6f} stderr={est.stderr:.6f} ")
 
 
 @pytest.mark.parametrize("doc,extra", [
@@ -398,13 +413,34 @@ def test_verify_mc_refuses_a_body_beyond_the_float_range(tmp_path, capsys, doc, 
     assert len(err.splitlines()) == 1 and err.startswith("error: --verify-mc: "), err
 
 
-def test_integer_columns_computed_once(monkeypatch, capsys):
+def test_verify_mc_samples_a_body_whose_extent_fits_a_float(tmp_path, capsys):
+    # x1 <= x2 + 10^-300 and x1 + x2 <= 10^10: the margin-LP seed bounds x2
+    # by a side of 311 digits, the exact bounding box by 10^10
+    big = 10 ** 300
+    path = write(tmp_path, "steep.json", {"A": [[str(big), str(-big)], [1, 1]], "b": [1, 10 ** 10]})
+    code, out, err = run(capsys, "volume", path, "--verify-mc", "--samples", "20000", "--seed", "1")
+    assert code == 0 and err == ""
+    volume = Fraction(out.split()[0])
+    assert abs(volume - Fraction(10 ** 20, 4)) < 1
+    mc = re.search(r"^mc: estimate=(\S+) stderr=(\S+) z=(\S+) samples=20000 seed=1$", out, re.M)
+    estimate, stderr, z = map(float, mc.groups())
+    assert 0 < stderr < 1e-2 * estimate and abs(z) <= 3
+    assert abs(estimate - float(volume)) <= 3 * stderr
+
+
+def test_integer_columns_computed_once(monkeypatch, seed_calls, lp_calls, capsys, tmp_path):
+    # the columns are built by one pass of the column step, and the seed
+    # is found once
     calls = []
-    real = polytope.integer_columns
-    monkeypatch.setattr(polytope, "integer_columns", lambda rows: calls.append(rows) or real(rows))
-    code, _, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--stats",
-                     "--verify-mc", "--samples", "100")
-    assert code == 0 and len(calls) == 1
+    real = polytope._columns
+    monkeypatch.setattr(polytope, "_columns", lambda rows: calls.append(rows) or real(rows))
+    for path, lp_solved in paths_with_lp_counts(tmp_path):
+        calls.clear()
+        seed_calls.clear()
+        lp_calls.clear()
+        code, _, _ = run(capsys, "volume", path, "--stats", "--verify-mc", "--samples", "100")
+        assert code == 0 and len(calls) == 1 and len(seed_calls) == 1
+        assert len(lp_calls) == lp_solved + 2  # and one bounding LP per coordinate
 
 
 def test_exit_7_method_disagreement(monkeypatch, capsys):

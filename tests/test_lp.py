@@ -1,6 +1,7 @@
 """Exact simplex tests, including randomized maximization against scipy."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.optimize import linprog
 
 import lapvol as lv
 from lapvol import lp, polytope
+
+from conftest import PRIMES
 
 
 def test_trivially_feasible():
@@ -164,13 +167,10 @@ def scipy_test_lps(seed):
         yield obj, A, b
 
 
-def margin_lp(rows, lp_calls):
-    """The arguments of the margin LP polytope.find_strict_interior solves."""
-    try:
-        polytope.find_strict_interior(polytope.integer_columns(rows))
-    except lv.NotPointed:
-        pass
-    return lp_calls[-1]
+def margin_lp(rows):
+    """The arguments of the margin LP over the rows, from the function
+    that builds them for polytope.find_strict_interior."""
+    return polytope.margin_lp(polytope.integer_columns(rows))
 
 
 def test_matches_dense_reference_on_scipy_test_lps():
@@ -194,7 +194,7 @@ def test_matches_dense_reference_on_cycling_case():
 
 @pytest.mark.parametrize("m,n", [(2, 24), (2, 40), (3, 32), (4, 17), (5, 7), (5, 12),
                                  (6, 4), (7, 30), (8, 3), (8, 40)])
-def test_margin_lps_of_generic_rows_match_dense_reference(lp_calls, m, n):
+def test_margin_lps_of_generic_rows_match_dense_reference(m, n):
     # a positive first row and mixed-sign others, each divided by its own b
     # entry as normalize does, so the rows have non-unit denominators and
     # the per-row lcm scaling of the tableau is exercised
@@ -202,32 +202,33 @@ def test_margin_lps_of_generic_rows_match_dense_reference(lp_calls, m, n):
     A = [[rng.randint(1, 999) for _ in range(n)]]
     A += [[rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
     inst = lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])
-    rows = polytope.scale_and_dedupe(inst)[0]
+    rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
     assert any(v.denominator > 1 for row in rows for v in row)
-    args = margin_lp(rows, lp_calls)
+    args = margin_lp(rows)
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] > 0
     assert result == dense_maximize(*args)
 
 
 @pytest.mark.parametrize("block", range(6))
-def test_margin_lps_of_signed_draws_match_dense_reference(lp_calls, block):
+def test_margin_lps_of_signed_draws_match_dense_reference(block):
     # small signed entries over denominators 1..3 give ratio-test ties and
     # optima at several vertices: on draws 75, 118 and 135 an entering rule
     # by column position, not variable id, returns another optimal vertex
     for seed in range(25 * block, 25 * block + 25):
         rng = random.Random(seed)
         inst = lv.random_instance(rng, rng.randint(2, 8), rng.randint(2, 12), signed=True)
-        args = margin_lp(polytope.scale_and_dedupe(inst)[0], lp_calls)
+        args = margin_lp(polytope.column_rows(polytope.scale_and_dedupe(inst)[0]))
         assert lp.maximize(*args) == dense_maximize(*args), seed
 
 
 def test_gate_failing_margin_lp_matches_dense_reference(lp_calls):
     inst = lv.random_instance(random.Random(1), 2, 3, signed=True)
-    rows = polytope.scale_and_dedupe(inst)[0]
+    rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
     with pytest.raises(lv.NotPointed):
         polytope.find_strict_interior(polytope.integer_columns(rows))
     (args,) = lp_calls
+    assert args == margin_lp(rows)
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] == 0
     assert result == dense_maximize(*args)
@@ -272,17 +273,63 @@ def test_float_entry_refused(args):
 
 
 @pytest.mark.parametrize("block", range(2))
-def test_margin_lp_on_integer_columns_matches_fraction_rows(lp_calls, block):
+def test_margin_lp_on_integer_columns_matches_fraction_rows(block):
     # find_strict_interior writes column j as [-D_j A_1j .. -D_j A_mj, D_j]:
     # the integer row lp.maximize derived from [-A_1j .. -A_mj, 1]
     for seed in range(300 + 25 * block, 325 + 25 * block):
         rng = random.Random(seed)
         inst = lv.random_instance(rng, rng.randint(1, 6), rng.randint(1, 12), signed=True)
-        rows = polytope.scale_and_dedupe(inst)[0]
-        args = margin_lp(rows, lp_calls)
+        rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
+        args = margin_lp(rows)
         m, n = len(rows), len(rows[0])
         A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]
         A += [[-rows[i][j] for i in range(m)] + [1] for j in range(n)]
         A.append([1] * m + [0])
         as_rows = ([0] * m + [1], A, [0] * (m + n) + [1])
         assert lp.maximize(*args) == lp.maximize(*as_rows) == dense_maximize(*as_rows), seed
+
+
+# -- the closed-form seed where A'1 >= 1 --------------------------------------
+
+
+def closed_form_cases():
+    """Instances of the benchmark's make-up (m 2-8, n 3-40), signed draws
+    and the paper example, whose column 1 sums to exactly 1."""
+    rng = random.Random("closed-form seed")
+    cases = [lv.paper_example()[0]]
+    for _ in range(40):
+        m, n = rng.randint(2, 8), rng.randint(3, 40)
+        A = [rng.sample(PRIMES, n)] + [
+            [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
+        cases.append(lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)]))
+    for _ in range(80):
+        cases.append(lv.random_instance(rng, rng.randint(1, 6), rng.randint(1, 8), signed=True))
+    return cases
+
+
+def test_closed_form_seed_is_the_margin_lps_unique_optimum(lp_calls):
+    closed = solved = ties = 0
+    for inst in closed_form_cases():
+        columns = polytope.scale_and_dedupe(inst)[0]
+        m = len(columns[0][1])
+        status, x, t_star = dense_maximize(*polytope.margin_lp(columns))
+        assert status == lp.OPTIMAL
+        lp_calls.clear()
+        try:
+            c = polytope.find_strict_interior(columns)
+        except lv.NotPointed:
+            assert t_star == 0 and len(lp_calls) == 1
+            continue
+        if all(sum(col) >= den for den, col in columns):
+            # the reference's optimum is the uniform c at t* = 1/m, and the
+            # seed is all ones without an LP
+            assert t_star == Fraction(1, m) and x[:m] == (Fraction(1, m),) * m
+            assert c == (1,) * m and all(type(v) is Fraction for v in c)
+            assert not lp_calls
+            closed += 1
+            ties += any(sum(col) == den for den, col in columns)
+        else:
+            scale = lcm(*(v.denominator for v in x[:m]))
+            assert len(lp_calls) == 1 and c == tuple(v * scale for v in x[:m])
+            solved += 1
+    assert closed and solved and ties

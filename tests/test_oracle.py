@@ -169,21 +169,22 @@ def test_mc_box_bound_is_certified():
 def test_mc_box_holds_the_body(make):
     inst = make()
     est = mc_volume(inst, 1000, seed=0)
-    # every side is at least max x_j over the body, found by an exact LP
+    # every side is max x_j over the body, found by an exact LP on the raw rows
     for j, side in enumerate(est.box):
         unit = [int(k == j) for k in range(inst.n)]
         status, _, top = lp.maximize(unit, inst.rows, inst.rhs)
-        assert status == lp.OPTIMAL and top <= side
-    # the largest side is the cube side sum(u) of the compactness witness
-    assert max(est.box) == sum(certify(lv.normalize(inst).columns)[1])
+        assert status == lp.OPTIMAL and top == side
+    # so the box lies in the cube [0, sum(u)]^n of the compactness witness
+    assert max(est.box) <= sum(certify(lv.normalize(inst).columns)[1])
 
 
 def test_mc_box_beats_the_cube_on_paper_example():
-    # sampling the cube [0, sum(u)]^2 gave stderr 0.003903 at this seed
-    # and sample count; the box [0, 3] x [0, 3/2] halves the sampled area
+    # sampling the cube [0, sum(u)]^2 = [0, 3]^2 gave stderr 0.003903 at
+    # this seed and sample count; the bounding box [0, 2/3] x [0, 3/4]
+    # samples 1/18 of its area
     est = mc_volume(paper_example()[0], 200_000, seed=1)
-    assert est.box == (3, Fraction(3, 2))
-    assert est.stderr < 0.003903
+    assert est.box == (Fraction(2, 3), Fraction(3, 4))
+    assert est.stderr < 0.003903 / 4
 
 
 def test_mc_rejects_unbounded():

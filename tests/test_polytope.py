@@ -9,6 +9,7 @@ from lapvol import lp
 from lapvol.polytope import (
     compact_witness,
     certify,
+    column_rows,
     find_strict_interior,
     integer_columns,
     is_strict_interior,
@@ -17,7 +18,7 @@ from lapvol.polytope import (
     scale_and_dedupe,
 )
 
-from conftest import draw_valid_instance
+from conftest import LP_SOLVED_ROWS, draw_valid_instance
 
 
 def F(v):
@@ -33,26 +34,26 @@ def rows_of(*rows):
 
 def test_scale_noop_on_unit_rhs():
     inst = make_instance([[1, 1], [-2, 2], [2, -1]], [1, 1, 1])
-    rows, dropped, merged = scale_and_dedupe(inst)
-    assert rows == inst.rows and dropped == 0 and merged == 0
+    columns, dropped, merged = scale_and_dedupe(inst)
+    assert column_rows(columns) == inst.rows and dropped == 0 and merged == 0
 
 
 def test_scale_divides_rows():
     inst = make_instance([[2, 2]], [2])
-    rows, _, _ = scale_and_dedupe(inst)
-    assert rows == rows_of((1, 1))
+    columns, _, _ = scale_and_dedupe(inst)
+    assert column_rows(columns) == rows_of((1, 1))
 
 
 def test_scale_merges_duplicates():
     inst = make_instance([[1, 1], [2, 2]], [1, 2])
-    rows, dropped, merged = scale_and_dedupe(inst)
-    assert rows == rows_of((1, 1)) and merged == 1
+    columns, dropped, merged = scale_and_dedupe(inst)
+    assert column_rows(columns) == rows_of((1, 1)) and merged == 1
 
 
 def test_vacuous_rows_dropped():
     inst = make_instance([[0, 0], [1, 1]], [1, 1])
-    rows, dropped, _ = scale_and_dedupe(inst)
-    assert rows == rows_of((1, 1)) and dropped == 1
+    columns, dropped, _ = scale_and_dedupe(inst)
+    assert column_rows(columns) == rows_of((1, 1)) and dropped == 1
 
 
 def test_nonpositive_b_rejected():
@@ -128,14 +129,19 @@ def test_normalize_full_pipeline():
     assert all(v >= 1 for v in reference_column_sums(norm.rows, u))
 
 
-def test_normalize_solves_one_lp(lp_calls):
-    norm = normalize(lv.paper_example()[0])
-    assert len(lp_calls) == 1
-    # the compactness witness of certify is exact: u >= 0 and A'u >= 1
-    u = certify(norm.columns)[1]
-    assert all(v >= 0 for v in u)
-    for j in range(norm.n):
-        assert sum(norm.rows[i][j] * u[i] for i in range(norm.m)) >= 1
+def test_normalize_solves_one_lp(seed_calls, lp_calls):
+    # the seed is found once per instance, by the LP where A'1 >= 1 fails
+    for inst, lp_solved in ((lv.paper_example()[0], 0),
+                            (make_instance(LP_SOLVED_ROWS, [1, 1, 1]), 1)):
+        seed_calls.clear()
+        lp_calls.clear()
+        norm = normalize(inst)
+        assert len(seed_calls) == 1 and len(lp_calls) == lp_solved
+        # the compactness witness of certify is exact: u >= 0 and A'u >= 1
+        u = certify(norm.columns)[1]
+        assert all(v >= 0 for v in u)
+        for j in range(norm.n):
+            assert sum(norm.rows[i][j] * u[i] for i in range(norm.m)) >= 1
 
 
 def test_normalize_rejects_unbounded():
@@ -197,7 +203,7 @@ def test_certificate_matches_fraction_reference(seed):
     checked = 0
     for _ in range(40):
         inst = lv.random_instance(rng, rng.randint(1, 5), rng.randint(1, 8), signed=True)
-        rows = scale_and_dedupe(inst)[0]
+        rows = column_rows(scale_and_dedupe(inst)[0])
         try:
             c, u = certify(integer_columns(rows))
         except lv.NotCompact:
@@ -229,7 +235,7 @@ def test_noncompact_has_recession_direction(seed):
     found = 0
     for _ in range(60):
         inst = lv.random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), signed=True)
-        rows, _, _ = scale_and_dedupe(inst)
+        rows = column_rows(scale_and_dedupe(inst)[0])
         if compact_witness(rows) is not None:
             continue
         d = _recession_direction(rows)
@@ -260,7 +266,7 @@ def test_gates_match_boundedness_oracle(seed):
     rng = random.Random(100 + seed)
     for _ in range(25):
         inst = lv.random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), signed=True)
-        rows, _, _ = scale_and_dedupe(inst)
+        rows = column_rows(scale_and_dedupe(inst)[0])
         bounded = _bounded_by_coordinate_lps(rows)
         assert (compact_witness(rows) is not None) == bounded
         pointed = True

@@ -1,7 +1,9 @@
 """Smoke tests of the scripts under scripts/: each runs to its summary
 on tiny arguments against the package in src/."""
 import dataclasses
+import hashlib
 import importlib.util
+import os
 import re
 import subprocess
 import sys
@@ -60,3 +62,22 @@ def test_node_census_runs():
     # one level for m = 2, two for m = 3, each within its (n+1)^k bound
     assert "L1:" in lines[1] and "L2:" not in lines[1]
     assert re.search(r"L2:\d+/16 ", lines[4]), out
+
+
+def test_output_digest_runs():
+    out = run_script("output_digest.py", "--limit", "2")
+    lines = out.splitlines()
+    # two inputs of each set (benchmark draws, signed draws, fixtures), four calls each
+    assert len(lines) == 2 * 3 * 4, out
+    pattern = (r"\S+ (--stats|--stats --method (direct|transform)|--check-only) "
+               r"exit=\d+ sha256=[0-9a-f]{64}")
+    assert all(re.fullmatch(pattern, line) for line in lines), out
+    assert [line.split()[0] for line in lines[::4]] == [
+        "wide1-r0-m2n24", "wide1-r0-m2n28", "signed-0", "signed-1", "nonpointed", "paper-example"]
+    # the digest is that of stdout followed by stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "lapvol.cli", "volume", "instances/paper-example.json", "--check-only"],
+        capture_output=True, text=True, cwd=SCRIPTS.parent,
+        env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+    digest = hashlib.sha256((proc.stdout + proc.stderr).encode()).hexdigest()
+    assert lines[-1] == f"paper-example --check-only exit={proc.returncode} sha256={digest}"
