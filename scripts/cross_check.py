@@ -21,11 +21,23 @@ import lapvol as lv
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
 
 
+def at_least(least: int):
+    """An argparse type accepting integers >= ``least`` (usage error,
+    exit 2, otherwise)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=50, help="valid instances to collect")
-    ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--n-max", type=int, default=8)
+    ap.add_argument("--m", type=at_least(1), nargs="+", default=[2, 3, 4])
+    ap.add_argument("--n-max", type=at_least(2), default=8,
+                    help="largest n drawn; n is drawn from 2..N-MAX")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--signed", action=argparse.BooleanOptionalAction, default=True,
                     help="draw mixed-sign instances (--no-signed: nonnegative ones)")
@@ -53,7 +65,7 @@ def main() -> int:
             print(f"METHOD DISAGREEMENT on A={A} b={b}: direct {dr.result}, "
                   f"transform {tr.result}", file=sys.stderr)
             return 1
-        leaves = dr.levels[-1].terms_in
+        leaves = dr.leaves
         line = (f"m={m} n={n:2d} vol={str(dr.result):>20s} leaves={leaves:4d} "
                 f"perturbations={len(dr.config.ledger)}")
         if args.mc_samples > 0:

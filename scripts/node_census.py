@@ -36,7 +36,7 @@ def census_cell(rng, m, n, trials):
             elapsed += time.perf_counter() - t0
         except SKIP:
             continue
-        for k, lvl in enumerate(run.levels[:-1]):
+        for k, lvl in enumerate(run.levels):
             worst[k] = max(worst[k], lvl.residues)
             merged[k] = max(merged[k], lvl.residues - lvl.terms_out)
         done += 1

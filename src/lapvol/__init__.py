@@ -21,7 +21,7 @@ from .errors import (
     NotPointed,
     VolumeEngineError,
 )
-from .linforms import LinForm, P_VAR, Rat, rat
+from .linforms import LinForm, P_VAR, rat
 from .polytope import (
     NormalizedInstance,
     PolytopeInstance,
@@ -31,8 +31,9 @@ from .polytope import (
     normalize,
     scale_and_dedupe,
 )
-from .direct import DirectRun, initial_term, run_direct, volume_direct
-from .transform import TransformRun, run_transform, substituted_term, volume_transform
+from .engine import Run
+from .direct import run_direct, volume_direct
+from .transform import run_transform, volume_transform
 from .oracle import (
     McEstimate,
     box_instance,
@@ -61,7 +62,6 @@ __all__ = [
     "VolumeEngineError",
     "LinForm",
     "P_VAR",
-    "Rat",
     "rat",
     "NormalizedInstance",
     "PolytopeInstance",
@@ -70,13 +70,10 @@ __all__ = [
     "make_instance",
     "normalize",
     "scale_and_dedupe",
-    "DirectRun",
-    "initial_term",
+    "Run",
     "run_direct",
     "volume_direct",
-    "TransformRun",
     "run_transform",
-    "substituted_term",
     "volume_transform",
     "McEstimate",
     "box_instance",

@@ -42,6 +42,7 @@ from .direct import run_direct
 from .linforms import var_name
 from .oracle import known_instance, mc_volume
 from .polytope import PolytopeInstance, certify, make_instance, normalize
+from .terms import LevelStats
 from .transform import run_transform
 
 EXIT_OK = 0
@@ -237,9 +238,13 @@ def _uncapped_int_str():
 
 
 def _print_stats(kind: str, run) -> None:
+    levels = run.levels
     if kind == "direct":
-        print(f"stats: method=direct order={','.join(var_name(lvl.var) for lvl in run.levels)}")
-    for i, lvl in enumerate(run.levels, start=1):
+        order = [lvl.var for lvl in levels] + [run.last]
+        print(f"stats: method=direct order={','.join(map(var_name, order))}")
+        # the closed-form last variable, as a level without poles
+        levels += (LevelStats(run.last, run.leaves, 0, 0, 0, 0, run.leaves, run.leaves),)
+    for i, lvl in enumerate(levels, start=1):
         print(
             f"stats: method={kind} level={i} terms_in={lvl.terms_in} "
             f"poles={lvl.poles_found} left={lvl.left} right={lvl.right} "
@@ -294,18 +299,13 @@ def _cmd_volume(args) -> int:
 
 def _cmd_gen(spec: str) -> int:
     kind, _, arg = spec.partition(":")
-    try:
-        if kind == "simplex":
-            inst, _vol = known_instance("simplex", int(arg))
-        elif kind == "box":
-            inst, _vol = known_instance("box", int(arg))
-        elif kind == "paper-example":
-            inst, _vol = known_instance("paper-example")
-        else:
-            raise ValueError(f"unknown generator {spec!r} "
-                             "(expected simplex:N, box:N, or paper-example)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if kind in ("simplex", "box") and re.fullmatch("[0-9]+", arg) and int(arg) >= 1:
+        inst, _vol = known_instance(kind, int(arg))
+    elif spec == "paper-example":
+        inst, _vol = known_instance("paper-example")
+    else:
+        print(f"error: invalid generator {spec!r} (expected simplex:N or box:N with "
+              "an integer N >= 1, or paper-example)", file=sys.stderr)
         return EXIT_BAD_FILE
     print(instance_json(inst))
     return EXIT_OK

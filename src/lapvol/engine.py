@@ -1,0 +1,165 @@
+"""One residue driver for both inversion methods.
+
+Both methods integrate exp(l1+..+lm) over the m variable factors l_i and
+the n column factors (A'l)_j by iterated residues, in the coordinates a
+:class:`Method` gives for one instance.  :func:`start_term` writes the
+integrand through the method's map ``through``: the variable factors are
+through(e_i), the column factors primitive(through(column)) and the
+exponent through((1,)*m), which is p for the transform.  :func:`run`
+integrates the method's ``levels`` by residues, the last of them fused
+with the closed form in ``last`` (:func:`lapvol.terms.close_level`), and
+asserts the level-k residue bound (n+1)^k on every run.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+from operator import mul
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+from .errors import DegenerateInstance
+from .linforms import LinForm, P_VAR
+from .polytope import NormalizedInstance, contour_seed, is_strict_interior
+from .terms import (
+    ContourConfig,
+    LevelStats,
+    Term,
+    close_level,
+    coincident_pair,
+    integrate_level,
+    power_sum,
+    power_terms,
+    primitive,
+    require_degree,
+)
+
+
+class Method(NamedTuple):
+    slots: Tuple[int, ...]                # the variables in ascending id: the slot layout
+    through: Callable[[Sequence], Tuple]  # a form over l1..lm as a form over the slots
+    variables: Tuple[int, ...]            # the order of the variable factors l_i
+    levels: Tuple[int, ...]               # the variables integrated by residues, in order
+    last: int                             # the variable left for the closed form
+    refusal: str                          # the tail of the coincident-factor message
+
+
+@dataclass(frozen=True)
+class Run:
+    instance: NormalizedInstance
+    config: ContourConfig
+    levels: Tuple[LevelStats, ...]  # the residue levels, in order
+    last: int                       # the closed-form variable
+    leaves: int                     # the shapes (alpha, q) entering the closed form
+    result: Fraction
+
+    @property
+    def H_coefficient(self) -> Fraction:
+        """The C of H(p) = C / p^(n+1): the volume times n!."""
+        return self.result * factorial(self.instance.n)
+
+
+def positives(columns) -> List[int]:
+    """The number of positive entries in each row of the integer
+    ``columns`` (:func:`lapvol.polytope.integer_columns`), whose signs
+    are those of the normalized rows."""
+    return [sum(a > 0 for a in row) for row in zip(*(col for _, col in columns))]
+
+
+def _unit(i: int, m: int) -> List[int]:
+    return [int(i == j) for j in range(1, m + 1)]
+
+
+def start_term(norm: NormalizedInstance, method: Method) -> Term:
+    """exp(l1+..+lm) over all m+n simple factors, written over the
+    method's slots, each factor primitive and the column scales D/s
+    folded into the coefficient.  Two proportional factors would make a
+    repeated pole at level one already, so they are refused here with a
+    hint; axis-parallel constraint rows (boxes) are the typical trigger.
+    """
+    m, through = norm.m, method.through
+    factors = [through(_unit(i, m)) for i in method.variables]
+    num = den = 1
+    for scale, col in norm.columns:
+        s, f = primitive(through(col))
+        factors.append(f)
+        num *= scale
+        den *= s
+    if m > 1:
+        pair = coincident_pair(factors)
+        if pair is not None:
+            a, b = (_unscaled(norm, method, i) for i in pair)
+            raise DegenerateInstance(
+                f"coincident denominator factors ({a}) and ({b}){method.refusal} Perturb A "
+                "slightly (approximate result) or use the known-volume generators for such "
+                "shapes."
+            )
+    # m = 1: every factor is the one variable (the row is positive by
+    # compactness), so they add up into its (n+1)-th power
+    return Fraction(num, den), (1, through((1,) * m)), tuple(Counter(factors).items())
+
+
+def _unscaled(norm: NormalizedInstance, method: Method, i: int) -> LinForm:
+    """The start term's factor ``i`` before it was made primitive, for
+    the refusal message."""
+    m = norm.m
+    form = (_unit(method.variables[i], m) if i < m
+            else [row[i - m] for row in norm.rows])
+    return LinForm(zip(method.slots, method.through(form)))
+
+
+def _domain(columns, method: Method):
+    """Strict feasibility of slot abscissae z: y = (the slot forms of
+    l1..lm)·z must stay in {y > 0, A'y > 0}, checked on the integer
+    columns.  The forms are built on the first call, which only a
+    repair makes."""
+    m = len(columns[0][1])
+    forms: list = []
+
+    def ok(abscissae) -> bool:
+        if not forms:
+            forms.extend(method.through(_unit(i, m)) for i in range(1, m + 1))
+        z = [abscissae[v] for v in method.slots]
+        return is_strict_interior(columns, [sum(map(mul, f, z)) for f in forms])
+
+    return ok
+
+
+def contour(norm: NormalizedInstance, method: Method,
+            abscissae: Optional[Sequence] = None) -> ContourConfig:
+    """The paths of the seed c (``abscissae`` overrides the LP-found one):
+    c_j on l_j, and d = sum(c) on p."""
+    c = contour_seed(norm, abscissae)
+    points = {v: c[v - 1] for v in method.slots if v != P_VAR}
+    if method.last == P_VAR:
+        points[P_VAR] = sum(c, Fraction(0))
+    return ContourConfig(points, domain_ok=_domain(norm.columns, method))
+
+
+def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
+        force_sides: Optional[dict] = None) -> Run:
+    """Full run of one method.  ``abscissae`` overrides the contour seed
+    c (length m; it must still satisfy c > 0 and A'c > 0);
+    ``force_sides`` maps an integrated variable to the Side its level
+    closes on where the exponent leaves the side free, and exists for
+    the side-independence tests."""
+    n, last = norm.n, method.last
+    config = contour(norm, method, abscissae)
+    terms: List[Term] = [start_term(norm, method)]
+    history: list = []
+    levels: List[LevelStats] = []
+    if not method.levels:
+        powers = power_terms(terms)
+        degrees = {q for _, q in powers}
+    for level, k in enumerate(method.levels, 1):
+        force = (force_sides or {}).get(k)
+        if level < len(method.levels):
+            terms, config, stats = integrate_level(terms, k, config, history, force)
+        else:
+            powers, degrees, config, stats = close_level(terms, k, last, config, history, force)
+        levels.append(stats)
+        assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
+    require_degree(degrees, last, n)
+    leaves = levels[-1].terms_out if levels else len(powers)
+    return Run(norm, config, tuple(levels), last, leaves, power_sum(powers))

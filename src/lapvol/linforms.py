@@ -1,9 +1,9 @@
 """Exact scalars and homogeneous linear forms.
 
-Every number in the engine is exact: a :class:`fractions.Fraction`
-(aliased ``Rat``) or an ``int``.  Variables are small integer ids:
-``1..m`` for the lambda block, plus the distinguished id :data:`P_VAR`
-for the transform variable p, which orders after every lambda.  A
+Every number in the engine is exact: a :class:`fractions.Fraction` or
+an ``int``.  Variables are small integer ids: ``1..m`` for the lambda
+block, plus the distinguished id :data:`P_VAR` for the transform
+variable p, which orders after every lambda.  A
 :class:`LinForm` is a canonical sparse map from variable id to
 coefficient; there is no constant part anywhere in the algebra, so
 structural equality equals mathematical equality.  Forms built from
@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import NotAPoleInVar
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 # p must compare greater than any realistic lambda index.

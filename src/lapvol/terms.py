@@ -44,19 +44,25 @@ coefficients of such terms once per level, keeps the first term of each
 shape in insertion order, and drops the shapes whose coefficients
 cancel to zero.
 
-Integer ends.  The start terms of both methods are written down from
-the integer columns that the normalized instance carries
-(:func:`lapvol.polytope.integer_columns`, computed once per instance),
-each column factor made primitive and its scale folded into the
-coefficient once.  The last residue level is fused with the closed form
-(:func:`close_level`): with only ``var`` and ``last`` left, every factor
-b*var + c*last maps at the zero of a*var + g*last to (a*c - b*g)/a times
-``last``, so each residue is one pair (alpha, K) standing for
-K * exp(alpha*last) / last^q, computed from integer products without
-building a term.  :func:`power_sum` is the one closed form for such
-powers of one variable; it keeps only alpha > 0, so alpha is read first
-and K built only where it is kept or where an alpha <= 0 shape repeats
-(to count the level's shapes exactly).
+Closure side.  A level closes on the decay side of exp(a*var) where the
+exponent's coefficient a is nonzero, else on the side with fewer poles
+(both closures agree up to sign); this holds for any term, so both
+methods run the same levels.
+
+Integer ends.  One builder, :func:`lapvol.engine.start_term`, writes
+the start term of either method down from the integer columns that the
+normalized instance carries (:func:`lapvol.polytope.integer_columns`,
+computed once per instance), each column factor made primitive and its
+scale folded into the coefficient once.  The last residue level is
+fused with the closed form (:func:`close_level`): with only ``var``
+and ``last`` left, every factor b*var + c*last maps at the zero of
+a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one
+pair (alpha, K) standing for K * exp(alpha*last) / last^q, computed
+from integer products without building a term.  :func:`power_sum` is
+the one closed form for such powers of one variable; it keeps only
+alpha > 0, so alpha is read first and K built only where it is kept or
+where an alpha <= 0 shape repeats (to count the level's shapes
+exactly).
 
 Integer kernel.  A level classifies each distinct factor holding the
 variable once: its entry on the variable's slot and its dot product
@@ -92,19 +98,6 @@ class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
     ON_PATH = "on-path"
-
-
-class SideRule(enum.Enum):
-    """How a level picks the closure half-plane.
-
-    BY_EXPONENT_SIGN: decay side of exp(a*var) (a > 0 left, a < 0
-    right); terms with a = 0 fall back to the fewer-poles choice, which
-    needs denominator degree >= 2.  FEWER_POLES: pure-rational terms
-    only; both closures agree up to sign, so take the cheaper one.
-    """
-
-    BY_EXPONENT_SIGN = "by-exponent-sign"
-    FEWER_POLES = "fewer-poles"
 
 
 def _linform(ints: Sequence[int], slots: Sequence[int], den: int = 1) -> LinForm:
@@ -239,17 +232,19 @@ def _classified(terms: Sequence[Term], var: int, config: ContourConfig, history:
     return k, sides, config, repaired
 
 
-def _collected(term: Term, k: int, sides: Mapping[Factor, Side], rule: SideRule,
-               force_side: Optional[Side], slots: Sequence[int]):
+def _collected(term: Term, k: int, sides: Mapping[Factor, Side], force_side: Optional[Side],
+               slots: Sequence[int]):
     """The closure of the term's integral over the variable in slot
     ``k``: its sign (-1 for a clockwise right closure), the simple poles
-    it collects, and the term's pole count and left pole count."""
+    it collects, and the term's pole count and left pole count.
+
+    The closure is on the decay side of exp(a*var) when the exponent's
+    coefficient a is nonzero (a > 0 left, a < 0 right), else on the side
+    with fewer poles, or on ``force_side``."""
     sites = [(f, mult, sides[f]) for f, mult in term[2] if f[k]]
     n_left = sum([side is Side.LEFT for _, _, side in sites])
     a = term[1][1][k]
-    if rule is SideRule.FEWER_POLES:
-        assert a == 0, "fewer-poles rule requires a pure-rational term"
-    if rule is SideRule.BY_EXPONENT_SIGN and a != 0:
+    if a:
         side = Side.LEFT if a > 0 else Side.RIGHT
     else:
         # no exponential decay: both closures are valid only when the
@@ -358,17 +353,16 @@ def power_sum(powers: PowerSum) -> Fraction:
     return sum((v / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
 
 
-def power_terms(terms: Sequence[Term], implicit: Fraction = 0) -> PowerSum:
+def power_terms(terms: Sequence[Term]) -> PowerSum:
     """Terms over one slot as a power sum in its variable: K divides the
-    coefficient by the product of the factors' entries.  ``implicit`` is
-    a coefficient that the exponents leave out (transform's exp(p))."""
+    coefficient by the product of the factors' entries."""
     powers: PowerSum = {}
     for coeff, (den, (L,)), denom in terms:
         K, q = coeff, 0
         for (c,), mult in denom:
             K /= c ** mult
             q += mult
-        key = (implicit + Fraction(L, den), q)
+        key = (Fraction(L, den), q)
         powers[key] = powers.get(key, 0) + K
     return {key: K for key, K in powers.items() if K != 0}
 
@@ -438,7 +432,6 @@ def integrate_level(
     terms: Sequence[Term],
     var: int,
     config: ContourConfig,
-    rule: SideRule,
     history: History,
     force_side: Optional[Side] = None,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
@@ -449,16 +442,15 @@ def integrate_level(
 
     The terms must be canonical, as the start terms of both methods and
     every term this returns are.  ``force_side`` overrides the
-    fewer-poles choice for zero-exponent terms; it exists for the
-    side-consistency tests and must not be used when the exponent
-    decides the side.
+    fewer-poles choice for the terms whose exponent does not hold
+    ``var``; it exists for the side-consistency tests.
     """
     k, sides, config, repaired = _classified(terms, var, config, history)
     slots = config.slots
     residues = []
     poles_found = left = 0
     for term in terms:
-        sign, poles, found, n_left = _collected(term, k, sides, rule, force_side, slots)
+        sign, poles, found, n_left = _collected(term, k, sides, force_side, slots)
         poles_found += found
         left += n_left
         for g in poles:
@@ -473,10 +465,8 @@ def close_level(
     var: int,
     last: int,
     config: ContourConfig,
-    rule: SideRule,
     history: History,
     force_side: Optional[Side] = None,
-    implicit: Fraction = 0,
 ) -> Tuple[PowerSum, set, ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
@@ -487,8 +477,7 @@ def close_level(
     (s/a)*last with the integer s = a*c - b*g_last, so a residue is
     K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
     prod(s^mult) and alpha the exponent's coefficient on ``last`` at the
-    zero (plus ``implicit``, as in :func:`power_terms`), read as a
-    reduced integer pair.  K is built only where
+    zero, read as a reduced integer pair.  K is built only where
     :func:`power_sum` reads it (alpha > 0) and for alpha <= 0 shapes hit
     twice or more, to see whether they cancel.  Returns the alpha > 0
     powers in ``last`` (equal (alpha, q) added, zero sums dropped), the
@@ -506,7 +495,7 @@ def close_level(
     degrees = set()
     poles_found = left = residues = 0
     for term in terms:
-        sign, poles, found, n_left = _collected(term, k, sides, rule, force_side, slots)
+        sign, poles, found, n_left = _collected(term, k, sides, force_side, slots)
         poles_found += found
         left += n_left
         if not poles:
@@ -526,7 +515,7 @@ def close_level(
         q = sum([mult for _, mult in denom]) - 1
         degrees.add(q)
         # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (den*a)
-        x, y = L[j] + implicit * den, L[k]
+        x, y = L[j], L[k]
         for g in poles:
             jg = index[g]
             a, g_last, _ = parts[jg]

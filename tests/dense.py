@@ -10,8 +10,8 @@ it returns back, so a test reads and asserts LinForm terms.
 from fractions import Fraction
 from math import lcm
 
-from lapvol import direct, terms, transform
-from lapvol.linforms import LinForm, P_VAR
+from lapvol import direct, engine, terms, transform
+from lapvol.linforms import LinForm
 from linform_engine import PoleSite, Term, canonical_term
 
 
@@ -59,20 +59,23 @@ def slots_of(lin_terms):
 
 
 def direct_slots(norm):
-    return tuple(range(1, norm.m + 1))
+    return direct.method(norm.columns).slots
 
 
 def transform_slots(norm):
-    r = transform.eliminated_var(norm.columns)
-    return tuple(j for j in range(1, norm.m + 1) if j != r) + (P_VAR,)
+    return transform.method(norm.columns).slots
+
+
+def _start_term(norm, method):
+    return lin_term(engine.start_term(norm, method), method.slots)
 
 
 def initial_term(norm):
-    return lin_term(direct.initial_term(norm), direct_slots(norm))
+    return _start_term(norm, direct.method(norm.columns))
 
 
 def substituted_term(norm):
-    return lin_term(transform.substituted_term(norm), transform_slots(norm))
+    return _start_term(norm, transform.method(norm.columns))
 
 
 def _run_level(level_fn, lin_terms, config, history, *args, **kwargs):
@@ -86,15 +89,15 @@ def _run_level(level_fn, lin_terms, config, history, *args, **kwargs):
         history[:] = lin_history(dense, slots)
 
 
-def integrate_level(lin_terms, var, config, rule, history, force_side=None):
+def integrate_level(lin_terms, var, config, history, force_side=None):
     slots, (out, config, stats) = _run_level(terms.integrate_level, lin_terms, config, history,
-                                             var, config, rule, force_side=force_side)
+                                             var, config, force_side=force_side)
     return [lin_term(t, slots) for t in out], config, stats
 
 
-def close_level(lin_terms, var, last, config, rule, history, force_side=None, implicit=0):
-    return _run_level(terms.close_level, lin_terms, config, history, var, last, config, rule,
-                      force_side=force_side, implicit=implicit)[1]
+def close_level(lin_terms, var, last, config, history, force_side=None):
+    return _run_level(terms.close_level, lin_terms, config, history, var, last, config,
+                      force_side=force_side)[1]
 
 
 def merge_like_terms(lin_terms):
@@ -103,8 +106,8 @@ def merge_like_terms(lin_terms):
         [dense_term(t, slots) for t in lin_terms])]
 
 
-def power_terms(lin_terms, last, implicit=0):
-    return terms.power_terms([dense_term(t, (last,)) for t in lin_terms], implicit)
+def power_terms(lin_terms, last):
+    return terms.power_terms([dense_term(t, (last,)) for t in lin_terms])
 
 
 def final_level_value(term, var):

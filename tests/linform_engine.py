@@ -7,10 +7,11 @@ factors, pole sites are :class:`PoleSite` values, and the history holds
 PoleSites.  ``dense.py`` converts between the two; the kernel tests
 require the dense engine, converted back, to return exactly what this
 one returns.  The contour, side and stats types are shared with
-``lapvol.terms``.
+``lapvol.terms``; the side rule is this engine's own.
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -24,9 +25,21 @@ from lapvol.terms import (
     PerturbationRecord,
     PowerSum,
     Side,
-    SideRule,
     power_sum,
 )
+
+
+class SideRule(enum.Enum):
+    """How a level picks the closure half-plane.
+
+    BY_EXPONENT_SIGN: decay side of exp(a*var) (a > 0 left, a < 0
+    right); terms with a = 0 fall back to the fewer-poles choice, which
+    needs denominator degree >= 2.  FEWER_POLES: pure-rational terms
+    only; both closures agree up to sign, so take the cheaper one.
+    """
+
+    BY_EXPONENT_SIGN = "by-exponent-sign"
+    FEWER_POLES = "fewer-poles"
 
 
 @dataclass(frozen=True)

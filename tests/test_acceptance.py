@@ -15,9 +15,10 @@ import pytest
 
 import lapvol as lv
 from lapvol import cli
-from lapvol.direct import _direct_domain, run_direct
+from lapvol.direct import method, run_direct
+from lapvol.engine import _domain
 from lapvol.linforms import LinForm
-from lapvol.terms import ContourConfig, SideRule
+from lapvol.terms import ContourConfig
 from lapvol.transform import run_transform
 
 from conftest import SKIPPABLE, frac_vec
@@ -42,14 +43,15 @@ def test_criterion_01_direct_worked_example(worked):
     norm, vol = worked
     t0 = time.perf_counter()
     run = run_direct(norm, abscissae=(3, 2, 1))
-    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.columns))
+    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)},
+                           domain_ok=_domain(norm.columns, method(norm.columns)))
     history = []
     branches, config, _ = integrate_level(
-        [initial_term(norm)], 1, config, SideRule.BY_EXPONENT_SIGN, history
+        [initial_term(norm)], 1, config, history
     )
     partials = []
     for branch in branches:
-        out, _, _ = integrate_level([branch], 2, config, SideRule.BY_EXPONENT_SIGN, list(history))
+        out, _, _ = integrate_level([branch], 2, config, list(history))
         partials.append(sum((final_level_value(t, 3) for t in out), F(0)))
     elapsed = time.perf_counter() - t0
     ok = (
@@ -152,7 +154,7 @@ def test_criterion_07_node_count_bound():
     assert _CRITERION6_RUNS, "criterion 6 must run first"
     ok = True
     for n, dr, tr in _CRITERION6_RUNS:
-        for k, lvl in enumerate(dr.levels[:-1], start=1):
+        for k, lvl in enumerate(dr.levels, start=1):
             ok &= lvl.terms_out <= (n + 1) ** k
         for k, lvl in enumerate(tr.levels, start=1):
             ok &= lvl.terms_out <= (n + 1) ** k
@@ -222,7 +224,7 @@ def test_criterion_11_residue_micro_oracle():
             tuple((LinForm([(1, b), (2, g)]), 1) for b, g in zip(betas, gs)),
         )
         config = ContourConfig({1: c1, 2: F(1)})
-        out, _, _ = integrate_level([term], 1, config, SideRule.BY_EXPONENT_SIGN, [])
+        out, _, _ = integrate_level([term], 1, config, [])
         sym = _residue_value(out)
         if abs(sym) < 1e-3:
             continue

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapvol import cli, direct, polytope
+from lapvol import cli, engine, polytope
 from lapvol.oracle import mc_volume
 from lapvol.polytope import normalize
 
@@ -108,6 +108,37 @@ def test_stats_direct_order_and_levels(capsys):
         "stats: method=direct level=3 terms_in=3 poles=0 left=0 right=0 terms_out=3 merged=0",
         "stats: perturbation var=l3 epsilon=1 delta=1",
     ]
+
+
+# The full --stats report of both methods: at m = 1, where no level runs
+# and direct's closed-form line counts the power shapes, and at m = 2,
+# where the closing level is the only residue level.
+STATS_REPORTS = [
+    ("simplex3.json", [
+        "1/6 (0.166666666667)",
+        "methods agree: direct == transform (exact)",
+        "stats: method=direct order=l1",
+        "stats: method=direct level=1 terms_in=1 poles=0 left=0 right=0 terms_out=1 merged=0",
+        "stats: transform C=1",
+    ]),
+    ({"A": [[1, 2], [3, 1]], "b": [1, 1]}, [
+        "7/60 (0.116666666667)",
+        "methods agree: direct == transform (exact)",
+        "stats: method=direct order=l1,l2",
+        "stats: method=direct level=1 terms_in=1 poles=3 left=3 right=0 terms_out=3 merged=0",
+        "stats: method=direct level=2 terms_in=3 poles=0 left=0 right=0 terms_out=3 merged=0",
+        "stats: method=transform level=1 terms_in=1 poles=4 left=2 right=2 terms_out=1 merged=1",
+        "stats: transform C=7/30",
+    ]),
+]
+
+
+@pytest.mark.parametrize("instance,lines", STATS_REPORTS, ids=["m1", "m2"])
+def test_stats_report_of_both_methods(tmp_path, capsys, instance, lines):
+    path = (str(INSTANCES / instance) if isinstance(instance, str)
+            else write(tmp_path, "m2.json", instance))
+    code, out, err = run(capsys, "volume", path, "--method", "both", "--stats")
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
 
 
 def test_verify_mc_line(capsys):
@@ -358,6 +389,24 @@ def test_exit_6_degenerate_box(tmp_path, capsys):
     assert "coincident" in err
 
 
+_PERTURB_HINT = ("Perturb A slightly (approximate result) or use the known-volume "
+                 "generators for such shapes.\n")
+
+
+@pytest.mark.parametrize("method,message", [
+    ("direct", "error: coincident denominator factors (l1 + 2*l2) and (l1 + 2*l2): a "
+               "constraint row is proportional to a coordinate axis or to another column "
+               "factor. "),
+    ("transform", "error: coincident denominator factors (l2 + p) and (l2 + p) after the "
+                  "p-substitution. "),
+])
+def test_exit_6_coincident_columns_message(tmp_path, capsys, method, message):
+    # the first two columns are equal, so both methods refuse at the start term
+    path = write(tmp_path, "dup.json", {"A": [[1, 1, 2], [2, 2, -1]], "b": [1, 1]})
+    code, out, err = run(capsys, "volume", path, "--method", method)
+    assert (code, out, err) == (6, "", message + _PERTURB_HINT)
+
+
 def test_check_only_valid_instance(capsys):
     code, out, _ = run(capsys, "volume", str(INSTANCES / "paper-example.json"), "--check-only")
     assert code == 0
@@ -459,7 +508,7 @@ def test_exit_7_method_disagreement(monkeypatch, capsys):
 def test_exit_7_no_admissible_perturbation(monkeypatch, capsys):
     # the default contour of the paper example needs one repair; with a
     # domain that holds nowhere, no shift of the path is admissible
-    monkeypatch.setattr(direct, "_direct_domain", lambda columns: (lambda abscissae: False))
+    monkeypatch.setattr(engine, "_domain", lambda columns, method: (lambda abscissae: False))
     code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"),
                          "--method", "direct")
     assert code == 7 and out == ""
@@ -505,9 +554,13 @@ def test_gen_box(capsys):
     assert json.loads(out)["A"] == [["1", "0"], ["0", "1"]]
 
 
-def test_gen_unknown_kind(capsys):
-    code, _, err = run(capsys, "--gen", "dodecahedron:3")
-    assert code == 2
+@pytest.mark.parametrize("spec", ["dodecahedron:3", "simplex:abc", "box:", "simplex:0",
+                                  "box:-2", "simplex: 3", "paper-example:junk"])
+def test_gen_unknown_kind(capsys, spec):
+    code, out, err = run(capsys, "--gen", spec)
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid generator {spec!r} (expected simplex:N or box:N "
+                   "with an integer N >= 1, or paper-example)\n")
 
 
 def test_no_command_prints_usage(capsys):

@@ -6,7 +6,8 @@ residue level was fused with the closed form: every level through
 then ``final_level_value`` per surviving term for direct and the C loop
 for transform.  The start terms are checked against the Fraction-built
 forms they replace.  Both methods must give the same Fraction, the same
-LevelStats, the same perturbation ledger and the same refusal.
+LevelStats, the same closed-form variable and count of terms reaching
+it, the same perturbation ledger, the same C and the same refusal.
 """
 from fractions import Fraction
 from math import factorial
@@ -14,12 +15,12 @@ from math import factorial
 import pytest
 
 import lapvol as lv
-from lapvol import terms as terms_module
-from lapvol.direct import _direct_domain, integration_order, run_direct
+from lapvol import direct, terms as terms_module, transform
+from lapvol.direct import integration_order, run_direct
+from lapvol.engine import contour
 from lapvol.linforms import LinForm, P_VAR
-from lapvol.polytope import contour_seed
-from lapvol.terms import ContourConfig, LevelStats, Side, SideRule, require_degree
-from lapvol.transform import _transform_domain, eliminated_var, run_transform
+from lapvol.terms import ContourConfig, Side, require_degree
+from lapvol.transform import eliminated_var, run_transform
 
 import linform_engine as reference
 from conftest import draws, outcome, prime_row_draws
@@ -36,41 +37,34 @@ from dense import (
 
 
 def reference_direct(norm, abscissae=None):
-    m, n = norm.m, norm.n
-    c = contour_seed(norm, abscissae)
-    config = ContourConfig({i + 1: c[i] for i in range(m)}, domain_ok=_direct_domain(norm.columns))
+    n = norm.n
+    config = contour(norm, direct.method(norm.columns), abscissae)
     order = integration_order(norm.columns)
     terms, history, levels = [initial_term(norm)], [], []
     for level, k in enumerate(order[:-1], 1):
-        terms, config, stats = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
+        terms, config, stats = integrate_level(terms, k, config, history)
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level
     assert all(t.total_multiplicity == n + 1 for t in terms)
     last = order[-1]
     result = sum((final_level_value(t, last) for t in terms), Fraction(0))
-    levels.append(LevelStats(var=last, terms_in=len(terms), poles_found=0, left=0, right=0,
-                             repaired=0, residues=len(terms), terms_out=len(terms)))
-    return result, tuple(levels), config.ledger, None
+    return result, tuple(levels), (last, len(terms)), config.ledger, result * factorial(n)
 
 
 def reference_transform(norm, abscissae=None, force_sides=None):
     m, n = norm.m, norm.n
-    c = contour_seed(norm, abscissae)
+    config = contour(norm, transform.method(norm.columns), abscissae)
     r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
-    points = {j: c[j - 1] for j in others}
-    points[P_VAR] = sum(c, Fraction(0))
-    config = ContourConfig(points, domain_ok=_transform_domain(norm.columns, r))
     terms, history, levels = [substituted_term(norm)], [], []
     for level, k in enumerate(others, 1):
         force = (force_sides or {}).get(k)
-        terms, config, stats = integrate_level(
-            terms, k, config, SideRule.FEWER_POLES, history, force_side=force)
+        terms, config, stats = integrate_level(terms, k, config, history, force_side=force)
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level
     C = Fraction(0)
     for t in terms:
-        assert t.exponent.is_zero
+        assert t.exponent == LinForm.var(P_VAR)
         leading, q = 1, 0
         for factor, mult in t.denom:
             assert factor.variables == (P_VAR,)
@@ -78,13 +72,13 @@ def reference_transform(norm, abscissae=None, force_sides=None):
             q += mult
         assert q == n + 1
         C += t.coeff / leading
-    return C / factorial(n), tuple(levels), config.ledger, C
+    return C / factorial(n), tuple(levels), (P_VAR, len(terms)), config.ledger, C
 
 
 def fused(run_fn, *args, **kwargs):
     def call():
         run = run_fn(*args, **kwargs)
-        return run.result, run.levels, run.config.ledger, getattr(run, "H_coefficient", None)
+        return run.result, run.levels, (run.last, run.leaves), run.config.ledger, run.H_coefficient
     return outcome(call)
 
 
@@ -99,7 +93,7 @@ def fraction_start_terms(norm):
     others = [j for j in range(1, m + 1) if j != r]
     root = LinForm([(P_VAR, 1)] + [(j, -1) for j in others])
     factors = [root] + [LinForm.var(j) for j in others] + [f.substitute(r, root) for f in columns]
-    transform = canonical_term(Term(Fraction(1), LinForm.zero(), tuple((f, 1) for f in factors)))
+    transform = canonical_term(Term(Fraction(1), LinForm.var(P_VAR), tuple((f, 1) for f in factors)))
     return direct, transform
 
 
@@ -156,16 +150,15 @@ def closing_shapes(norm):
     """Direct's closing-level residues, built as Terms by the unfused
     path, grouped by shape: (alpha, q) -> [hits, sum of K].  Every factor
     left is the primitive last variable, so a residue's coefficient is K."""
-    c = norm.interior
-    config = ContourConfig({i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.columns))
+    config = contour(norm, direct.method(norm.columns))
     order = integration_order(norm.columns)
     terms, history = [initial_term(norm)], []
     for k in order[:-2]:
-        terms, config, _ = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
+        terms, config, _ = integrate_level(terms, k, config, history)
     terms, sites, config, _ = reference._classified(terms, order[-2], config, history)
     shapes = {}
-    for t in reference.integrate_var(terms, order[-2], config, SideRule.BY_EXPONENT_SIGN,
-                                     sites=sites):
+    for t in reference.integrate_var(terms, order[-2], config,
+                                     reference.SideRule.BY_EXPONENT_SIGN, sites=sites):
         entry = shapes.setdefault((t.exponent.coeff(order[-1]), t.total_multiplicity), [0, 0])
         entry[0] += 1
         entry[1] += t.coeff
@@ -221,10 +214,8 @@ def config_31():
 def test_close_level_keeps_the_alpha_positive_powers(k_builds):
     for terms in (two_variable_terms()[:1], two_variable_terms()):
         k_builds.clear()
-        powers, degrees, _, stats = close_level(
-            terms, 1, 2, config_31(), SideRule.BY_EXPONENT_SIGN, [])
-        merged, _, reference = integrate_level(
-            terms, 1, config_31(), SideRule.BY_EXPONENT_SIGN, [])
+        powers, degrees, _, stats = close_level(terms, 1, 2, config_31(), [])
+        merged, _, reference = integrate_level(terms, 1, config_31(), [])
         every = power_terms(merged, 2)
         assert powers == {key: K for key, K in every.items() if key[0] > 0}
         assert powers and set(every) - set(powers)  # both kinds occur
@@ -242,9 +233,9 @@ def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
     config = ContourConfig({1: Fraction(3), 2: Fraction(1), 3: Fraction(1)})
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2 + l3,))))
     with pytest.raises(lv.MalformedH, match="other than l1 and l2"):
-        close_level([term], 1, 2, config, SideRule.BY_EXPONENT_SIGN, [])
+        close_level([term], 1, 2, config, [])
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2,))))
-    powers, degrees, _, stats = close_level([term], 1, 2, config, SideRule.BY_EXPONENT_SIGN, [])
+    powers, degrees, _, stats = close_level([term], 1, 2, config, [])
     assert powers == {} and stats.terms_out == 2 and degrees == {3}
     require_degree(degrees, 2, 2)
     with pytest.raises(lv.MalformedH, match="l2-multiplicity 3, expected 4"):

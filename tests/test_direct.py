@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
-from lapvol.direct import _direct_domain, run_direct, volume_direct
+from lapvol.direct import method, run_direct, volume_direct
+from lapvol.engine import _domain
 from lapvol.linforms import LinForm
 from lapvol.polytope import contour_seed
-from lapvol.terms import ContourConfig, SideRule
+from lapvol.terms import ContourConfig
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 from dense import final_level_value, initial_term, integrate_level
@@ -66,16 +67,16 @@ def test_worked_example_volume(worked):
 def test_worked_example_branch_partials(worked):
     norm, _ = worked
     config = ContourConfig(
-        {1: F(3), 2: F(2), 3: F(1)}, domain_ok=_direct_domain(norm.columns)
+        {1: F(3), 2: F(2), 3: F(1)}, domain_ok=_domain(norm.columns, method(norm.columns))
     )
     history = []
     branches, config, _ = integrate_level(
-        [initial_term(norm)], 1, config, SideRule.BY_EXPONENT_SIGN, history
+        [initial_term(norm)], 1, config, history
     )
     partials = []
     for branch in branches:
         h = list(history)
-        out, _, _ = integrate_level([branch], 2, config, SideRule.BY_EXPONENT_SIGN, h)
+        out, _, _ = integrate_level([branch], 2, config, h)
         partials.append(sum((final_level_value(t, 3) for t in out), F(0)))
     assert partials == [F(-1, 8), F(23, 48), F(0)]
     assert sum(partials) == F(17, 48)
@@ -85,7 +86,7 @@ def test_node_counts_within_bound(worked):
     norm, _ = worked
     run = run_direct(norm, abscissae=(3, 2, 1))
     n = norm.n
-    for k, lvl in enumerate(run.levels[:-1], start=1):
+    for k, lvl in enumerate(run.levels, start=1):
         assert lvl.terms_out <= (n + 1) ** k
 
 
@@ -192,7 +193,7 @@ def test_generic_m5_n6_merges_like_terms():
     norm = lv.normalize(lv.make_instance(A, b))
     n = norm.n
     run = run_direct(norm)  # asserts its node bound on every level
-    for k, lvl in enumerate(run.levels[:-1], start=1):
+    for k, lvl in enumerate(run.levels, start=1):
         assert lvl.terms_out <= lvl.residues <= (n + 1) ** k
     assert any(lvl.residues > lvl.terms_out for lvl in run.levels)
     tr = lv.run_transform(norm)
@@ -219,11 +220,12 @@ def volume_in_order(norm, order):
     one in closed form, on the engine-chosen contour."""
     c = contour_seed(norm, None)
     config = ContourConfig(
-        {i + 1: c[i] for i in range(norm.m)}, domain_ok=_direct_domain(norm.columns)
+        {i + 1: c[i] for i in range(norm.m)},
+        domain_ok=_domain(norm.columns, method(norm.columns)),
     )
     terms, history = [initial_term(norm)], []
     for k in order[:-1]:
-        terms, config, _ = integrate_level(terms, k, config, SideRule.BY_EXPONENT_SIGN, history)
+        terms, config, _ = integrate_level(terms, k, config, history)
     return sum((final_level_value(t, order[-1]) for t in terms), F(0))
 
 
@@ -241,7 +243,7 @@ def test_sign_order_and_first_level_residues(A, b):
     norm = lv.normalize(lv.make_instance(A, b))
     run = run_direct(norm)
     positives = [sum(1 for a in row if a > 0) for row in norm.rows]
-    order = [lvl.var for lvl in run.levels]
+    order = [lvl.var for lvl in run.levels] + [run.last]
     assert sorted(order) == list(range(1, norm.m + 1))
     # fewest positive entries first, most last, ties to the lower index
     assert order == sorted(order, key=lambda k: (positives[k - 1], k))
@@ -264,5 +266,5 @@ def test_refused_deep_draw_returns_its_volume():
     b = [81, 679, 199, 32, 316]
     norm = lv.normalize(lv.make_instance(A, b))
     run = run_direct(norm)
-    assert [lvl.var for lvl in run.levels] == [2, 4, 3, 5, 1]
+    assert [lvl.var for lvl in run.levels] + [run.last] == [2, 4, 3, 5, 1]
     assert run.result == lv.volume_transform(norm) == F(31381059609, 286041585816420767146640)

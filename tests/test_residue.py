@@ -8,7 +8,7 @@ import pytest
 
 import lapvol as lv
 from lapvol.linforms import LinForm
-from lapvol.terms import ContourConfig, Side, SideRule
+from lapvol.terms import ContourConfig, Side
 
 from dense import (
     PoleSite,
@@ -80,11 +80,11 @@ def branch_I3():
     )
 
 
-def level_sites(term, var, config, rule=SideRule.BY_EXPONENT_SIGN, **kwargs):
+def level_sites(term, var, config, **kwargs):
     """The pole sites of one term's level in ``var`` as its history
     records them, with the level's output and stats."""
     history = []
-    out, _, stats = integrate_level([term], var, config, rule, history, **kwargs)
+    out, _, stats = integrate_level([term], var, config, history, **kwargs)
     return history[-1][1], out, stats
 
 
@@ -135,19 +135,19 @@ def test_poles_of_groups_scaled_factors_into_one_site():
         LinForm.zero(),
         ((lf([(2, 2), (3, -2)]), 1), (lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 1)),
     )
-    sites, _, stats = level_sites(t, 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES,
+    sites, _, stats = level_sites(t, 3, cfg(c2=2, c3=1),
                                   force_side=Side.LEFT)
     assert [str(s.root) for s in sites] == ["l2", "0"] and stats.poles_found == 2
     # the right closure collects the site of order 2
     with pytest.raises(lv.DegenerateInstance, match="pole of order 2 at l3 = l2;"):
-        level_sites(t, 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES, force_side=Side.RIGHT)
+        level_sites(t, 3, cfg(c2=2, c3=1), force_side=Side.RIGHT)
 
 
 def test_poles_of_on_path_reported():
     # the root l3 = l2 sits on the path Re(l3) = 1: the level repairs it
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 2)))
     history = []
-    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1), SideRule.FEWER_POLES,
+    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1),
                                          history, force_side=Side.RIGHT)
     assert stats.repaired == 1 and [rec.var for rec in config.ledger] == [3]
     assert {s.side for s in history[0][1]} == {Side.LEFT}
@@ -225,7 +225,7 @@ def test_residue_rejects_higher_order():
     # l1 and 2*l1 share the root l1 = 0: one site of order 2
     term = Term(F(1), LinForm.zero(), ((lf([(1, 1)]), 1), (lf([(1, 2)]), 1)))
     with pytest.raises(lv.DegenerateInstance):
-        level_sites(term, 1, cfg(c1=1), SideRule.FEWER_POLES, force_side=Side.LEFT)
+        level_sites(term, 1, cfg(c1=1), force_side=Side.LEFT)
 
 
 def test_factor_count_conservation():
@@ -237,12 +237,12 @@ def test_factor_count_conservation():
 # -- integrate_level ----------------------------------------------------
 
 
-def integrate(terms, var, config, rule, **kwargs):
-    return integrate_level(terms, var, config, rule, [], **kwargs)[0]
+def integrate(terms, var, config, **kwargs):
+    return integrate_level(terms, var, config, [], **kwargs)[0]
 
 
 def test_integrate_I3_closes_right():
-    out = integrate([branch_I3()], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
+    out = integrate([branch_I3()], 3, cfg(c2=2, c3=1))
     # paper: -[-e^{2 l2}/2 + 3 e^{5 l2/3}/8] / l2^3
     assert len(out) == 2
     vals = {t.exponent.coeff(2): t for t in out}
@@ -265,7 +265,7 @@ def test_integrate_I3_closes_right():
 def test_integrate_I4_closes_left():
     term = residues_by_root(worked_initial_term(), 1, cfg(3, 2, 1))[lf([(2, -2), (3, 1)])]
     assert term.exponent == lf([(2, -1), (3, 2)])
-    out = integrate([term], 3, cfg(c2=2, c3=1), SideRule.BY_EXPONENT_SIGN)
+    out = integrate([term], 3, cfg(c2=2, c3=1))
     # only the pole l3 = 0 is on the left; result e^{-l2}/(8 l2^3)
     assert len(out) == 1
     t = out[0]
@@ -283,13 +283,13 @@ def test_integrate_raises_on_unrepaired_path():
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 1)))
     config = cfg(c2=1, c3=1, domain_ok=lambda _: False)
     with pytest.raises(lv.errors.NoAdmissiblePerturbation):
-        integrate([t], 3, config, SideRule.BY_EXPONENT_SIGN)
+        integrate([t], 3, config)
 
 
 def test_divergent_slice_when_no_decay_and_degree_one():
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1),))
     with pytest.raises(lv.DivergentSlice):
-        integrate([t], 3, cfg(c2=2, c3=1), SideRule.FEWER_POLES)
+        integrate([t], 3, cfg(c2=2, c3=1))
 
 
 def test_exponent_sign_rule_falls_back_on_zero_coefficient():
@@ -298,16 +298,16 @@ def test_exponent_sign_rule_falls_back_on_zero_coefficient():
     # cancel, matching the empty right closure
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1)]), 1), (lf([(2, 1), (3, -1)]), 1)))
     config = cfg(c2=2, c3=1)
-    fewer, _, stats = integrate_level([t], 2, config, SideRule.BY_EXPONENT_SIGN, [])
+    fewer, _, stats = integrate_level([t], 2, config, [])
     assert fewer == [] and stats.residues == 0  # right half-plane holds no poles
-    left, _, stats = integrate_level([t], 2, config, SideRule.BY_EXPONENT_SIGN, [],
+    left, _, stats = integrate_level([t], 2, config, [],
                                      force_side=Side.LEFT)
     # two residues of the same shape e^{l3}/l3, whose sum is zero
     assert stats.residues == 2 and stats.terms_out == 0 and left == []
 
     shallow = Term(F(1), lf([(3, 1)]), ((lf([(2, 1)]), 1),))
     with pytest.raises(lv.DivergentSlice):
-        integrate([shallow], 2, config, SideRule.BY_EXPONENT_SIGN)
+        integrate([shallow], 2, config)
 
 
 def test_side_sum_consistency_on_random_rational_terms():
@@ -334,8 +334,8 @@ def test_side_sum_consistency_on_random_rational_terms():
             continue
         term = Term(F(1), LinForm.zero(), tuple((f, 1) for f in factors))
         config = cfg(c1, 1)
-        left = integrate([term], 1, config, SideRule.FEWER_POLES, force_side=Side.LEFT)
-        right = integrate([term], 1, config, SideRule.FEWER_POLES, force_side=Side.RIGHT)
+        left = integrate([term], 1, config, force_side=Side.LEFT)
+        right = integrate([term], 1, config, force_side=Side.RIGHT)
         at = {2: F(rng.randint(2, 9), rng.randint(1, 3))}
 
         def total(ts):
@@ -397,15 +397,15 @@ def test_perturb_repairs_worked_collision():
     # c = (1,1,1) puts the pole l2 = l3 exactly on Re(l2) = 1
     inst, _ = lv.paper_example()
     norm = lv.normalize(inst)
-    from lapvol.direct import _direct_domain
+    from lapvol import direct, engine
 
-    config = cfg(1, 1, 1, domain_ok=_direct_domain(norm.columns))
+    config = cfg(1, 1, 1, domain_ok=engine._domain(norm.columns, direct.method(norm.columns)))
     term = branch_I2()
     history = []
-    integrate_level([worked_initial_term()], 1, config, SideRule.BY_EXPONENT_SIGN, history)
+    integrate_level([worked_initial_term()], 1, config, history)
     # l2, l3 - l2 (on the path) and 2*l2 - l3 hold l2
     sites = [PoleSite(f, 2, Side.ON_PATH, 1) for f, _ in term.denom if f.coeff(2)]
-    assert integrate_level([term], 2, config, SideRule.BY_EXPONENT_SIGN,
+    assert integrate_level([term], 2, config,
                            list(history))[2].repaired == 1
     repaired = perturb_abscissa(config, 2, sites, history)
     assert len(repaired.ledger) == 1
@@ -418,7 +418,7 @@ def test_perturb_repairs_worked_collision():
             value = s.root.evaluate(repaired.abscissae)
             path = repaired.abscissa(lvl_var)
             assert (value < path) == (s.side is Side.LEFT)
-    assert integrate_level([term], 2, repaired, SideRule.BY_EXPONENT_SIGN,
+    assert integrate_level([term], 2, repaired,
                            list(history))[2].repaired == 0
 
 
@@ -430,7 +430,7 @@ def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
     term = canonical_term(
         Term(F(1), lf([(1, 1), (2, 1), (3, 1)]), ((g, 1), (f, 1), (lf([(2, 1), (3, 2)]), 1)))
     )
-    out, _, stats = integrate_level([term], 1, cfg(3, 2, 1), SideRule.BY_EXPONENT_SIGN, [])
+    out, _, stats = integrate_level([term], 1, cfg(3, 2, 1), [])
     assert stats.residues == len(out) == 2
     for t in out:
         assert [h for h, _ in t.denom] == [lf([(2, 1)]), lf([(2, 1), (3, 2)])]
@@ -444,7 +444,7 @@ def test_integrate_level_records_history_and_stats():
     config = cfg(3, 2, 1)
     history = []
     out, config2, stats = integrate_level(
-        [canonical_term(worked_initial_term())], 1, config, SideRule.BY_EXPONENT_SIGN, history
+        [canonical_term(worked_initial_term())], 1, config, history
     )
     assert stats.terms_in == 1 and stats.poles_found == 3
     assert stats.left == 3 and stats.right == 0 and stats.repaired == 0
@@ -567,7 +567,7 @@ def test_residue_sum_matches_quadrature(seed):
             LinForm.var(1, alpha),
             tuple((lf([(1, b), (2, g)]), 1) for b, g in zip(betas, gs)),
         )
-        out = integrate([term], 1, cfg(c1, 1), SideRule.BY_EXPONENT_SIGN)
+        out = integrate([term], 1, cfg(c1, 1))
         sym = _residue_value(out)
         if abs(sym) < 1e-3:
             continue

@@ -14,11 +14,10 @@ from collections import Counter
 from fractions import Fraction
 
 import lapvol as lv
-from lapvol.direct import _direct_domain, integration_order
-from lapvol.linforms import LinForm, P_VAR
-from lapvol.polytope import contour_seed
-from lapvol.terms import ContourConfig, Side, SideRule
-from lapvol.transform import _transform_domain, eliminated_var
+from lapvol import direct, transform
+from lapvol.engine import contour
+from lapvol.linforms import LinForm
+from lapvol.terms import ContourConfig, Side
 
 import linform_engine as reference
 from conftest import draws, outcome, prime_row_draws
@@ -42,15 +41,15 @@ def in_order(value):
     return value
 
 
-def checked_level(seen, level_fn, reference_fn, terms, *args, **kwargs):
+def checked_level(seen, level_fn, reference_fn, terms, args, rule, history, **kwargs):
     """Run one level through the kernel and the reference on equal
-    inputs and require equal results, histories and ledgers; returns the
-    reference's result, or None after an equal refusal.  ``seen`` counts
-    the levels, refusals and repairs compared."""
-    history = args[-1]
+    inputs (the reference also takes its side ``rule``) and require
+    equal results, histories and ledgers; returns the reference's
+    result, or None after an equal refusal.  ``seen`` counts the levels,
+    refusals and repairs compared."""
     mine, theirs = list(history), list(history)
-    got = outcome(level_fn, terms, *args[:-1], mine, **kwargs)
-    want = outcome(reference_fn, terms, *args[:-1], theirs, **kwargs)
+    got = outcome(level_fn, terms, *args, mine, **kwargs)
+    want = outcome(reference_fn, terms, *args, rule, theirs, **kwargs)
     if isinstance(want[0], type):
         assert got == want
         seen["refusals"] += 1
@@ -64,45 +63,36 @@ def checked_level(seen, level_fn, reference_fn, terms, *args, **kwargs):
     return want
 
 
-def check_run(seen, start, order, last, config, rule, force_side, implicit=0):
+def check_run(seen, start, order, last, config, rule, force_side):
     """Every level of one run: the intermediate levels through
     integrate_level, the last one through close_level."""
     terms, history = [start], []
     for k in order[:-1]:
-        result = checked_level(seen, integrate_level, reference.integrate_level, terms, k,
-                               config, rule, history, force_side=force_side)
+        result = checked_level(seen, integrate_level, reference.integrate_level, terms,
+                               (k, config), rule, history, force_side=force_side)
         if result is None:
             return
         terms, config, _ = result
         assert all(canonical_term(t) == t for t in terms)
-    checked_level(seen, close_level, reference.close_level, terms, order[-1], last, config,
-                  rule, history, force_side=force_side, implicit=implicit)
+    checked_level(seen, close_level, reference.close_level, terms, (order[-1], last, config),
+                  rule, history, force_side=force_side)
 
 
 def check_instances(norms):
     """Both methods' runs on each instance under every forced side (None
     is the engine's own choice)."""
     seen = Counter()
+    rules = reference.SideRule
     for norm in norms:
-        c = contour_seed(norm, None)
-        order = integration_order(norm.columns)
-        direct = ContourConfig({i + 1: c[i] for i in range(norm.m)},
-                               domain_ok=_direct_domain(norm.columns))
-        assert direct.slots == direct_slots(norm)
-        r = eliminated_var(norm.columns)
-        others = [j for j in range(1, norm.m + 1) if j != r]
-        points = {j: c[j - 1] for j in others}
-        points[P_VAR] = sum(c, Fraction(0))
-        transform = ContourConfig(points, domain_ok=_transform_domain(norm.columns, r))
-        assert transform.slots == transform_slots(norm)
+        methods = direct.method(norm.columns), transform.method(norm.columns)
+        configs = [contour(norm, method) for method in methods]
+        assert [config.slots for config in configs] == [direct_slots(norm), transform_slots(norm)]
         starts = outcome(initial_term, norm), outcome(substituted_term, norm)
         for side in (None, Side.LEFT, Side.RIGHT):
-            if isinstance(starts[0], Term):
-                check_run(seen, starts[0], order[:-1], order[-1], direct,
-                          SideRule.BY_EXPONENT_SIGN, side)
-            if isinstance(starts[1], Term):
-                check_run(seen, starts[1], others, P_VAR, transform, SideRule.FEWER_POLES,
-                          side, implicit=1)
+            for start, method, config, rule in zip(
+                    starts, methods, configs, (rules.BY_EXPONENT_SIGN, rules.FEWER_POLES)):
+                if isinstance(start, Term):
+                    check_run(seen, start, method.levels, method.last, config, rule, side)
     return seen
 
 
@@ -123,15 +113,19 @@ def test_kernel_matches_reference_on_the_repaired_paper_example():
 
 
 def test_close_level_matches_reference_with_implicit_on_a_fractional_exponent():
-    # the drivers pass implicit = 1 only with a zero exponent; here the
-    # exponent l1/2 - l2/3 has a common denominator of 6
+    # the kernel carries the reference's implicit coefficient on l2 in the
+    # exponent itself; here the exponent l1/2 - l2/3 has a common
+    # denominator of 6
     l1, l2 = LinForm.var(1), LinForm.var(2)
     exponent = LinForm([(1, Fraction(1, 2)), (2, Fraction(-1, 3))])
-    factors = (l1, l1 + l2, l1 + 2 * l2, l1 - 5 * l2, l2)
-    term = canonical_term(Term(Fraction(3, 2), exponent, tuple((f, 1) for f in factors)))
+    factors = tuple((f, 1) for f in (l1, l1 + l2, l1 + 2 * l2, l1 - 5 * l2, l2))
+    term = canonical_term(Term(Fraction(3, 2), exponent, factors))
     config = ContourConfig({1: Fraction(3), 2: Fraction(1)})
     for implicit in (0, 1):
-        powers, *_ = checked_level(Counter(), close_level, reference.close_level, [term], 1, 2,
-                                   config, SideRule.BY_EXPONENT_SIGN, [], implicit=implicit)
+        lifted = canonical_term(Term(Fraction(3, 2), exponent + implicit * l2, factors))
+        got = close_level([lifted], 1, 2, config, [])
+        want = reference.close_level([term], 1, 2, config, reference.SideRule.BY_EXPONENT_SIGN,
+                                     [], implicit=implicit)
+        assert [in_order(x) for x in got] == [in_order(x) for x in want]
         # at the root of l1, alpha = -1/3 + implicit
-        assert bool(powers) == (implicit == 1)
+        assert bool(want[0]) == (implicit == 1)

@@ -53,6 +53,15 @@ def test_cross_check_exits_1_on_disagreement(monkeypatch, capsys):
                     err), err
 
 
+def test_cross_check_refuses_bad_arguments():
+    for args, message in ((["--n-max", "1"], "argument --n-max: must be at least 2, got 1"),
+                          (["--m", "2", "0"], "argument --m: must be at least 1, got 0")):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "cross_check.py"), *args],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == "", proc
+        assert proc.stderr.startswith("usage: ") and message in proc.stderr, proc.stderr
+
+
 def test_node_census_runs():
     out = run_script("node_census.py", "--m", "2", "3", "--n", "2", "3", "--trials", "1")
     lines = out.splitlines()
