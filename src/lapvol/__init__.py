@@ -16,12 +16,11 @@ from .errors import (
     InstanceFormatError,
     MalformedH,
     NonpositiveB,
-    NotAPoleInVar,
     NotCompact,
     NotPointed,
     VolumeEngineError,
 )
-from .linforms import LinForm, P_VAR, rat
+from .linforms import P_VAR, rat
 from .polytope import (
     NormalizedInstance,
     PolytopeInstance,
@@ -56,11 +55,9 @@ __all__ = [
     "InstanceFormatError",
     "MalformedH",
     "NonpositiveB",
-    "NotAPoleInVar",
     "NotCompact",
     "NotPointed",
     "VolumeEngineError",
-    "LinForm",
     "P_VAR",
     "rat",
     "NormalizedInstance",

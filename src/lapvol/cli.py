@@ -226,7 +226,7 @@ _int_str_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
 @contextlib.contextmanager
 def _uncapped_int_str():
     """Lift the int-to-str cap for the block, restoring it afterwards: an
-    exact volume is printed whatever its size."""
+    exact volume, witness or message is printed whatever its size."""
     cap = _int_str_cap()
     if cap:
         sys.set_int_max_str_digits(0)
@@ -257,9 +257,17 @@ def _print_stats(kind: str, run) -> None:
 
 
 def _cmd_volume(args) -> int:
+    # the cap holds while the file is parsed, so an over-long number in
+    # it is refused (exit 2); every line and message after that is
+    # written uncapped, including those formatted when an error is raised
     inst = load_instance(args.file, args.tolerate_floats)
-    if args.check_only:
-        return _cmd_check_only(inst)
+    with _uncapped_int_str():
+        if args.check_only:
+            return _cmd_check_only(inst)
+        return _volume_report(inst, args)
+
+
+def _volume_report(inst: PolytopeInstance, args) -> int:
     norm = normalize(inst)
     runs = {}
     if args.method in ("direct", "both"):
@@ -281,13 +289,12 @@ def _cmd_volume(args) -> int:
         except ValueError as exc:
             print(f"error: --verify-mc: {exc}", file=sys.stderr)
             return EXIT_BAD_FILE
-    with _uncapped_int_str():
-        print(f"{volume} ({decimal_string(volume, args.digits)})")
-        if args.method == "both":
-            print("methods agree: direct == transform (exact)")
-        if args.stats:
-            for kind, run in runs.items():
-                _print_stats(kind, run)
+    print(f"{volume} ({decimal_string(volume, args.digits)})")
+    if args.method == "both":
+        print("methods agree: direct == transform (exact)")
+    if args.stats:
+        for kind, run in runs.items():
+            _print_stats(kind, run)
     if args.verify_mc:
         z = est.z_score(volume)
         print(

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance
-from .linforms import LinForm, P_VAR
+from .linforms import P_VAR, form_str
 from .polytope import NormalizedInstance, contour_seed, is_strict_interior
 from .terms import (
     ContourConfig,
@@ -100,13 +100,13 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
     return Fraction(num, den), (1, through((1,) * m)), tuple(Counter(factors).items())
 
 
-def _unscaled(norm: NormalizedInstance, method: Method, i: int) -> LinForm:
-    """The start term's factor ``i`` before it was made primitive, for
-    the refusal message."""
+def _unscaled(norm: NormalizedInstance, method: Method, i: int) -> str:
+    """The start term's factor ``i`` before it was made primitive, as
+    the refusal message writes it."""
     m = norm.m
     form = (_unit(method.variables[i], m) if i < m
             else [row[i - m] for row in norm.rows])
-    return LinForm(zip(method.slots, method.through(form)))
+    return form_str(zip(method.slots, method.through(form)))
 
 
 def _domain(columns, method: Method):

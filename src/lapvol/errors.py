@@ -63,7 +63,3 @@ class GenericityViolated(VolumeEngineError):
     """Closed-form oracle preconditions (nonzero entries, distinct
     ratios, ...) do not hold for the supplied data."""
 
-
-class NotAPoleInVar(VolumeEngineError):
-    """Asked to solve a linear factor for a variable it does not
-    contain."""

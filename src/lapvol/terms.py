@@ -25,17 +25,17 @@ plain tuple ``(coeff, exponent, denom)``: ``coeff`` a Fraction,
 of ints, one per slot.
 
 Canonical factors.  A factor is primitive: coprime ints with a positive
-entry on its last nonzero slot, the highest-index variable, as in
-:meth:`LinForm.primitive`; the scale is folded into ``coeff``.
+entry on its last nonzero slot, the highest-index variable
+(:func:`primitive`); the scale is folded into ``coeff``.
 Proportional factors are then equal tuples, so a pole is named by its
 factor, and the residue at the zero of g (entry a on the variable's
 slot) maps a factor f with entry b to the integer form a*f - b*g divided
 by its content.  An exponent is a pair ``(den, ints)`` standing for
 ints/den, with den > 0 and gcd(den, *ints) == 1, so equal exponents are
 equal pairs; at the zero of g it becomes (a*L - L_k*g) / (a*den),
-reduced, the same elimination as a factor's.  Each term maps one to one
-onto the canonical LinForm term of the same summand; a LinForm is built
-only for the messages of refusals and errors.
+reduced, the same elimination as a factor's.  Forms stay int tuples
+from the start term to the messages of refusals and errors, which
+:func:`lapvol.linforms.form_str` writes from the tuples and their slots.
 
 Like-term merging.  Residues of distinct pole sequences often share
 their exponent and denominator (Brion & Vergne, JAMS 1997, sum iterated
@@ -87,7 +87,7 @@ from operator import mul
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
-from .linforms import LinForm, var_name
+from .linforms import form_str, var_name
 
 Factor = Tuple[int, ...]
 Exponent = Tuple[int, Factor]
@@ -100,16 +100,12 @@ class Side(enum.Enum):
     ON_PATH = "on-path"
 
 
-def _linform(ints: Sequence[int], slots: Sequence[int], den: int = 1) -> LinForm:
-    """The form ints/den over the variables ``slots``, for messages."""
-    return LinForm([(v, Fraction(c, den)) for v, c in zip(slots, ints) if c])
-
-
 def _term_str(term: Term, slots: Sequence[int]) -> str:
     coeff, (den, L), denom = term
-    factors = " * ".join(f"({_linform(f, slots)})" + (f"^{mult}" if mult > 1 else "")
+    factors = " * ".join(f"({form_str(zip(slots, f))})" + (f"^{mult}" if mult > 1 else "")
                          for f, mult in denom)
-    return f"{coeff} * e^({_linform(L, slots, den)}) / [{factors}]"
+    exponent = form_str([(v, Fraction(c, den)) for v, c in zip(slots, L)])
+    return f"{coeff} * e^({exponent}) / [{factors}]"
 
 
 def primitive(ints: Sequence[int]) -> Tuple[int, Factor]:
@@ -263,10 +259,10 @@ def _collected(term: Term, k: int, sides: Mapping[Factor, Side], force_side: Opt
     for f, mult, s in sites:
         if s is side:
             if mult != 1:
-                var = slots[k]
+                root = form_str([(v, Fraction(-c, f[k])) for i, (v, c) in enumerate(zip(slots, f))
+                                 if i != k])
                 raise DegenerateInstance(
-                    f"pole of order {mult} at {var_name(var)} = "
-                    f"{_linform(f, slots).solve_for(var)[1]}; "
+                    f"pole of order {mult} at {var_name(slots[k])} = {root}; "
                     "coincident denominator factors before the final level. "
                     "A tiny random perturbation of A removes the coincidence at the "
                     "price of an approximate volume."
@@ -393,8 +389,9 @@ def perturb_abscissa(
     fault and :class:`NoAdmissiblePerturbation` is raised.
     """
     slots, abscissae = config.slots, config.abscissae
-    values = sorted({_linform(g, slots).solve_for(var)[1].evaluate(abscissae)
-                     for g in level_sites})
+    k = slots.index(var)
+    z = [abscissae[v] for v in slots]
+    values = sorted({_root_value(g, k, z) for g in level_sites})
     path = config.abscissa(var)
     if path not in values:
         return config  # nothing on the path; no repair needed
@@ -416,6 +413,12 @@ def perturb_abscissa(
         f"no admissible perturbation of the path Re({var_name(var)}) within "
         "512 halvings of the shift"
     )
+
+
+def _root_value(g: Factor, k: int, z: Sequence[Fraction]) -> Fraction:
+    """The root of g in the variable of slot ``k``, the other slots at
+    ``z``: -(sum of g_i*z_i over i != k) / g_k."""
+    return Fraction(-sum([c * x for i, (c, x) in enumerate(zip(g, z)) if i != k]), g[k])
 
 
 def _sides_stable(history: History, slots: Sequence[int], point: Factor) -> bool:
@@ -505,7 +508,7 @@ def close_level(
             for f, _ in denom:
                 if any(f[i] for i in rest):
                     raise MalformedH(
-                        f"denominator factor {_linform(f, slots)} of the last residue level "
+                        f"denominator factor {form_str(zip(slots, f))} of the last residue level "
                         f"holds a variable other than {var_name(var)} and {var_name(last)}"
                     )
             checked.update(denom)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from lapvol import direct, engine, terms, transform
-from lapvol.linforms import LinForm
+from linform import LinForm
 from linform_engine import PoleSite, Term, canonical_term
 
 

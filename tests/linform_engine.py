@@ -2,7 +2,7 @@
 
 This is the residue engine as it was before ``lapvol.terms`` moved onto
 int tuples over one slot layout: terms are :class:`Term` dataclasses of
-:class:`lapvol.linforms.LinForm` exponents and primitive LinForm
+:class:`linform.LinForm` exponents and primitive LinForm
 factors, pole sites are :class:`PoleSite` values, and the history holds
 PoleSites.  ``dense.py`` converts between the two; the kernel tests
 require the dense engine, converted back, to return exactly what this
@@ -18,7 +18,7 @@ from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from lapvol.errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
-from lapvol.linforms import LinForm, var_name
+from lapvol.linforms import var_name
 from lapvol.terms import (
     ContourConfig,
     LevelStats,
@@ -27,6 +27,8 @@ from lapvol.terms import (
     Side,
     power_sum,
 )
+
+from linform import LinForm
 
 
 class SideRule(enum.Enum):

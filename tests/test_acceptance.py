@@ -17,12 +17,12 @@ import lapvol as lv
 from lapvol import cli
 from lapvol.direct import method, run_direct
 from lapvol.engine import _domain
-from lapvol.linforms import LinForm
 from lapvol.terms import ContourConfig
 from lapvol.transform import run_transform
 
 from conftest import SKIPPABLE, frac_vec
 from dense import Term, final_level_value, initial_term, integrate_level
+from linform import LinForm
 from test_residue import _random_simple_pole_case, _residue_value, numeric_vertical_line
 
 F = Fraction

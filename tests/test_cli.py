@@ -250,6 +250,43 @@ def test_volume_beyond_int_str_limit_renders_exactly(tmp_path, capsys, int_str_l
     assert lines[-1] == f"stats: transform C={volume * 120}"
 
 
+def test_coincident_message_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300):
+    # the second row over its b is 7..7 * 3..3 times l2, a numerator of
+    # 6000 digits in the refusal message
+    path = write(tmp_path, "wide.json",
+                 {"A": [["7" * 3000, 0], [0, 1]], "b": ["1/" + "3" * 3000, 1]})
+    for method in ("direct", "transform", "both"):
+        code, out, err = run(capsys, "volume", path, "--method", method)
+        assert code == 6 and out == ""
+        assert err.startswith("error: coincident denominator factors (")
+        assert re.search(r"\d{4301}", err)
+    assert sys.get_int_max_str_digits() == 4300  # the cap is back
+
+
+def test_check_only_witness_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300):
+    A, b = [["1/" + "7" * 3000, 1], [1, 2]], ["3" * 3000, 1]
+    path = write(tmp_path, "wide.json", {"A": A, "b": b})
+    code, out, err = run(capsys, "volume", path, "--check-only")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == 4300
+    sys.set_int_max_str_digits(0)
+    c, u = polytope.certify(polytope.scale_and_dedupe(cli.make_instance(A, b))[0])
+    assert out.splitlines()[1:] == [f"compact: true witness={cli._fmt_vec(u)}",
+                                    f"pointed: true witness={cli._fmt_vec(c)}",
+                                    "valid: true"]
+    assert re.search(r"\d{4301}", out)
+
+
+@pytest.mark.parametrize("entry", ["9" * 4301, '"1/' + "3" * 4301 + '"'])
+def test_exit_2_number_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300, entry):
+    # the parse keeps the cap: an over-long JSON int or "p/q" string is refused
+    path = tmp_path / "long.json"
+    path.write_text('{"A": [[' + entry + ', 1]], "b": [1]}')
+    code, out, err = run(capsys, "volume", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def readme_exit_codes():
     table = (REPO / "README.md").read_text().split("### Exit codes", 1)[1].split("\n\n")[1]
     return {int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)}

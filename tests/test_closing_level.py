@@ -18,7 +18,7 @@ import lapvol as lv
 from lapvol import direct, terms as terms_module, transform
 from lapvol.direct import integration_order, run_direct
 from lapvol.engine import contour
-from lapvol.linforms import LinForm, P_VAR
+from lapvol.linforms import P_VAR
 from lapvol.terms import ContourConfig, Side, require_degree
 from lapvol.transform import eliminated_var, run_transform
 
@@ -34,6 +34,7 @@ from dense import (
     power_terms,
     substituted_term,
 )
+from linform import LinForm
 
 
 def reference_direct(norm, abscissae=None):
@@ -240,3 +241,15 @@ def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
     require_degree(degrees, 2, 2)
     with pytest.raises(lv.MalformedH, match="l2-multiplicity 3, expected 4"):
         require_degree(degrees, 2, 3)
+
+
+def test_close_level_message_names_the_stray_factor():
+    # dense term over the slots (l1, l2, p), closing l2 with p last: the
+    # exponent (l1 + l2 + p)/2 closes left, where l2 + p has its root,
+    # and the squared factor 3*l1 - 2*l2 + p still holds l1
+    term = (Fraction(5, 7), (2, (1, 1, 1)), (((0, 1, 1), 1), ((3, -2, 1), 2)))
+    config = ContourConfig({1: Fraction(1), 2: Fraction(1), P_VAR: Fraction(3)})
+    with pytest.raises(lv.MalformedH) as exc:
+        terms_module.close_level([term], 2, P_VAR, config, [])
+    assert str(exc.value) == ("denominator factor 3*l1 - 2*l2 + p of the last residue level "
+                              "holds a variable other than l2 and p")

@@ -8,12 +8,12 @@ import pytest
 import lapvol as lv
 from lapvol.direct import method, run_direct, volume_direct
 from lapvol.engine import _domain
-from lapvol.linforms import LinForm
 from lapvol.polytope import contour_seed
 from lapvol.terms import ContourConfig
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 from dense import final_level_value, initial_term, integrate_level
+from linform import LinForm
 
 
 def F(a, b=1):

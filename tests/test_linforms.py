@@ -1,12 +1,14 @@
-"""Exact scalar / linear-form algebra tests."""
+"""Exact scalars, the text of a form, and the tests' LinForm algebra."""
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lapvol.errors import NotAPoleInVar
-from lapvol.linforms import LinForm, P_VAR, rat, var_name
+from lapvol.linforms import P_VAR, form_str, rat, var_name
+from lapvol.terms import _root_value
+
+from linform import LinForm
 
 
 def lf(pairs):
@@ -87,7 +89,7 @@ def test_solve_for_examples():
 
 
 def test_solve_for_absent_variable():
-    with pytest.raises(NotAPoleInVar):
+    with pytest.raises(ValueError):
         lf([(2, 1)]).solve_for(1)
 
 
@@ -164,10 +166,43 @@ def test_primitive_is_canonical(f, s):
         assert (f * s).primitive()[1] == form
 
 
+coeffs = st.one_of(st.integers(-3, 3), small_rats, st.sampled_from([Fraction(1), Fraction(-1)]))
+pairs = st.dictionaries(st.sampled_from([1, 2, 3, P_VAR]), coeffs, max_size=4).map(
+    lambda d: sorted(d.items()))
+
+
+@given(pairs)
+def test_form_str_writes_what_linform_writes(items):
+    assert form_str(items) == str(LinForm(items))
+
+
+def test_form_str_examples():
+    assert form_str([]) == "0" == form_str([(1, 0)])
+    assert form_str([(1, -1), (P_VAR, 1)]) == "-l1 + p"
+    assert form_str([(2, Fraction(-2, 3)), (3, 1), (P_VAR, -5)]) == "-2/3*l2 + l3 - 5*p"
+
+
+int_forms = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+slot_points = st.lists(small_rats, min_size=4, max_size=4)
+
+
+@given(int_forms, st.integers(0, 3), slot_points)
+def test_root_value_on_ints_is_the_linform_root(g, k, z):
+    slots = (1, 2, 3, P_VAR)
+    if g[k] == 0:
+        g[k] = 1
+    root = LinForm(zip(slots, g)).solve_for(slots[k])[1]
+    value = _root_value(tuple(g), k, z)
+    assert type(value) is Fraction
+    assert value == root.evaluate(dict(zip(slots, z)))
+
+
 def test_module_doctests():
     import doctest
 
-    import lapvol.linforms as mod
+    import lapvol.linforms
+    import linform
 
-    failures, _ = doctest.testmod(mod)
-    assert failures == 0
+    for mod in (lapvol.linforms, linform):
+        failures, attempted = doctest.testmod(mod)
+        assert failures == 0 and attempted

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import lapvol as lv
-from lapvol.linforms import LinForm
+from lapvol import terms as kernel
+from lapvol.linforms import P_VAR
 from lapvol.terms import ContourConfig, Side
 
 from dense import (
@@ -19,6 +20,7 @@ from dense import (
     merge_like_terms,
     perturb_abscissa,
 )
+from linform import LinForm
 
 
 def lf(pairs):
@@ -290,6 +292,32 @@ def test_divergent_slice_when_no_decay_and_degree_one():
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1),))
     with pytest.raises(lv.DivergentSlice):
         integrate([t], 3, cfg(c2=2, c3=1))
+
+
+def test_divergent_slice_message_names_the_whole_term():
+    # dense term over the slots (l2, l3, p): the exponent (2*l2 - 3*p)/6
+    # is free of l3, the squared factor -l2 + 2*p too, and the one
+    # factor holding l3 has degree 1 there
+    term = (F(-3, 4), (6, (2, 0, -3)), (((-1, 0, 2), 2), ((0, -1, 1), 1)))
+    config = ContourConfig({2: F(1), 3: F(2), P_VAR: F(5)})
+    with pytest.raises(lv.DivergentSlice) as exc:
+        kernel.integrate_level([term], 3, config, [])
+    assert str(exc.value) == (
+        "term -3/4 * e^(1/3*l2 - 1/2*p) / [(-l2 + 2*p)^2 * (-l3 + p)] has degree 1 in l3 "
+        "and no exponential decay")
+
+
+def test_pole_of_order_message_gives_the_root():
+    # the squared factor -l2 + 2*l3 + 3*p has its root left of the
+    # path, on the closure side of e^(l3)
+    term = (F(2, 3), (1, (0, 1, 0)), (((-1, 2, 3), 2), ((0, 1, 0), 1)))
+    config = ContourConfig({2: F(1), 3: F(2), P_VAR: F(5)})
+    with pytest.raises(lv.DegenerateInstance) as exc:
+        kernel.integrate_level([term], 3, config, [])
+    assert str(exc.value) == (
+        "pole of order 2 at l3 = 1/2*l2 - 3/2*p; coincident denominator factors before the "
+        "final level. A tiny random perturbation of A removes the coincidence at the price "
+        "of an approximate volume.")
 
 
 def test_exponent_sign_rule_falls_back_on_zero_coefficient():

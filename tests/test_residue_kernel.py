@@ -16,7 +16,6 @@ from fractions import Fraction
 import lapvol as lv
 from lapvol import direct, transform
 from lapvol.engine import contour
-from lapvol.linforms import LinForm
 from lapvol.terms import ContourConfig, Side
 
 import linform_engine as reference
@@ -31,6 +30,7 @@ from dense import (
     substituted_term,
     transform_slots,
 )
+from linform import LinForm
 
 
 def in_order(value):

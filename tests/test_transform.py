@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
-from lapvol.linforms import LinForm, P_VAR
+from lapvol.linforms import P_VAR
 from lapvol.polytope import integer_columns
 from lapvol.terms import Side
 from lapvol.transform import eliminated_var, run_transform, volume_transform
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 from dense import substituted_term
+from linform import LinForm
 
 
 def F(a, b=1):
