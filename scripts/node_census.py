@@ -1,13 +1,31 @@
 #!/usr/bin/env python3
 """Node-count census: how full does the residue tree actually get?
 
-For each (m, n) cell, draws seeded random instances and reports the
-observed worst per-level node count (residues, before like-term
-merging) next to the (n+1)^k ceiling, the worst number of those
-residues that merging removed, and the time per volume.  The
-O(n^m)-flavored growth is visible directly.
+For each (m, n) cell, draws seeded random instances and reports each
+method's mean time per run (normalize excluded), the largest bit length
+of a volume's numerator or denominator in the cell, and the direct
+method's observed worst per-level node count (residues, before like-term
+merging) next to the (n+1)^k ceiling, with the worst number of those
+residues that merging removed.  The O(n^m)-flavored growth is visible
+directly.
+
+Two make-ups:
+
+* ``signed`` (the default): ``random_instance(rng, m, n, signed=True)``
+  from one ``random.Random(--seed)`` shared by the cells, small
+  rationals, often degenerate; a draw that either method or the gates
+  refuse is skipped and another one drawn.
+* ``shuffled``: one row uniform in [1, 999], the other rows nonzero
+  integers in [-999, 999] with random signs, the rows shuffled, and b
+  uniform in [1, 999]; each cell draws from its own
+  ``random.Random(f"shuffled:{m}:{n}")``, so a cell's draws do not depend
+  on the other cells.  No draw is skipped: a refused one is counted in
+  ``refused=K``.
+
+Exits 1 if the two methods give different volumes on a draw.
 
     python scripts/node_census.py --m 2 3 4 --n 2 4 6 8 --trials 5
+    python scripts/node_census.py --make-up shuffled --m 3 --n 64 --trials 3
 """
 import argparse
 import random
@@ -20,27 +38,56 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import lapvol as lv
 
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
+ENTRY_MAX = 999
 
 
-def census_cell(rng, m, n, trials):
+def shuffled_instance(rng, m, n):
+    """An instance of the shuffled make-up (see the module docstring)."""
+    A = [[rng.randint(1, ENTRY_MAX) for _ in range(n)]]
+    for _ in range(m - 1):
+        A.append([rng.choice((-1, 1)) * rng.randint(1, ENTRY_MAX) for _ in range(n)])
+    rng.shuffle(A)
+    return lv.make_instance(A, [rng.randint(1, ENTRY_MAX) for _ in range(m)])
+
+
+def timed(fn, norm):
+    t0 = time.perf_counter()
+    run = fn(norm)
+    return run, time.perf_counter() - t0
+
+
+def census_cell(rng, m, n, trials, shuffled):
     worst = [0] * (m - 1)
     merged = [0] * (m - 1)
-    elapsed = 0.0
-    done = 0
+    elapsed = [0.0, 0.0]
+    bits = done = refused = 0
     while done < trials:
-        inst = lv.random_instance(rng, m, n, signed=True)
+        if shuffled:
+            inst = shuffled_instance(rng, m, n)
+        else:
+            inst = lv.random_instance(rng, m, n, signed=True)
         try:
-            t0 = time.perf_counter()
             norm = lv.normalize(inst)
-            run = lv.run_direct(norm)
-            elapsed += time.perf_counter() - t0
-        except SKIP:
+            direct, t_direct = timed(lv.run_direct, norm)
+            transform, t_transform = timed(lv.run_transform, norm)
+        except lv.VolumeEngineError as exc:
+            if shuffled or not isinstance(exc, SKIP):
+                done += 1
+                refused += 1
             continue
-        for k, lvl in enumerate(run.levels):
+        done += 1
+        if direct.result != transform.result:
+            raise SystemExit(f"METHOD DISAGREEMENT on A={inst.rows} b={inst.rhs}: "
+                             f"direct {direct.result}, transform {transform.result}")
+        elapsed[0] += t_direct
+        elapsed[1] += t_transform
+        bits = max(bits, direct.result.numerator.bit_length(),
+                   direct.result.denominator.bit_length())
+        for k, lvl in enumerate(direct.levels):
             worst[k] = max(worst[k], lvl.residues)
             merged[k] = max(merged[k], lvl.residues - lvl.terms_out)
-        done += 1
-    return worst, merged, elapsed / trials
+    runs = max(trials - refused, 1)
+    return worst, merged, [t / runs for t in elapsed], bits, refused
 
 
 def main() -> int:
@@ -48,19 +95,26 @@ def main() -> int:
     ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
     ap.add_argument("--n", type=int, nargs="+", default=[2, 4, 6, 8])
     ap.add_argument("--trials", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=1, help="the signed make-up's seed")
+    ap.add_argument("--make-up", choices=("signed", "shuffled"), default="signed")
     args = ap.parse_args()
 
+    shuffled = args.make_up == "shuffled"
     rng = random.Random(args.seed)
-    print(f"{'m':>2} {'n':>3}  {'avg time':>11}  per-level worst / bound merged=K")
+    print(f"{'m':>2} {'n':>3}  {'direct':>11}  {'transform':>11}  {'bits':>9}  "
+          "per-level worst / bound merged=K")
     for m in args.m:
         for n in args.n:
-            worst, merged, avg = census_cell(rng, m, n, args.trials)
+            cell_rng = random.Random(f"shuffled:{m}:{n}") if shuffled else rng
+            worst, merged, (t_direct, t_transform), bits, refused = census_cell(
+                cell_rng, m, n, args.trials, shuffled)
             cells = "  ".join(
                 f"L{k+1}:{w}/{(n + 1) ** (k + 1)} merged={g}"
                 for k, (w, g) in enumerate(zip(worst, merged))
             )
-            print(f"{m:>2} {n:>3}  {avg * 1000:8.1f} ms  {cells}")
+            tail = f"  refused={refused}" if refused else ""
+            print(f"{m:>2} {n:>3}  {t_direct * 1000:8.1f} ms  {t_transform * 1000:8.1f} ms  "
+                  f"{bits:>9}  {cells}{tail}")
     return 0
 
 

@@ -92,12 +92,28 @@ _MAX_EXPONENT_DIGITS = 3
 _DECIMAL = r"[+-]?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]+))?"  # compiled on first use
 
 
+def _shown(text: str) -> str:
+    """``text`` as a refusal quotes it: its repr, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def _too_long(exc: ValueError) -> bool:
+    """Whether ``exc`` is int()'s refusal of a literal with more digits
+    than the interpreter's int-to-str cap; its message advises a call
+    that a command-line user cannot make."""
+    return "int_max_str_digits" in str(exc)
+
+
+def _too_long_message() -> str:
+    return f"number too long: more than {_int_str_cap()} digits"
+
+
 def _exact_decimal(text: str) -> Fraction:
     """The exact value of a decimal literal such as "-1.25e-3", refusing
     (exit 2) any other text and a literal whose mantissa has more than
     _MAX_MANTISSA_DIGITS digits or whose exponent has more than
     _MAX_EXPONENT_DIGITS."""
-    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    shown = _shown(text)
     match = re.fullmatch(_DECIMAL, text)
     if match is None:
         raise InstanceFormatError(f"not a decimal literal: {shown}")
@@ -136,13 +152,17 @@ def _parse_rational(value, tolerate_floats: bool):
                 print(f"warning: converting decimal literal {text!r} exactly", file=sys.stderr)
                 return value
             raise InstanceFormatError(
-                f"decimal literal {text!r} not accepted: exact rationals only "
+                f"decimal literal {_shown(text)} not accepted: exact rationals only "
                 "(use \"p/q\" strings, or pass --tolerate-floats)"
             )
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"not a rational: {value!r} ({exc})")
+        except ZeroDivisionError as exc:
+            raise InstanceFormatError(f"not a rational: {_shown(value)} ({exc})")
+        except ValueError as exc:
+            # Fraction's own message would quote the whole text again
+            detail = f" ({_too_long_message()})" if _too_long(exc) else ""
+            raise InstanceFormatError(f"not a rational: {_shown(value)}{detail}")
     raise InstanceFormatError(f"not a rational: {value!r}")
 
 
@@ -172,6 +192,8 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
     except InstanceFormatError:
         raise
     except ValueError as exc:
+        if _too_long(exc):  # json reads an int literal with int()
+            raise InstanceFormatError(f"{path}: {_too_long_message()}")
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict) or "A" not in doc or "b" not in doc:
         raise InstanceFormatError(f'{path}: expected an object with keys "A" and "b"')

@@ -12,7 +12,6 @@ asserts the level-k residue bound (n+1)^k on every run.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -86,18 +85,20 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
         factors.append(f)
         num *= scale
         den *= s
-    if m > 1:
-        pair = coincident_pair(factors)
-        if pair is not None:
-            a, b = (_unscaled(norm, method, i) for i in pair)
-            raise DegenerateInstance(
-                f"coincident denominator factors ({a}) and ({b}){method.refusal} Perturb A "
-                "slightly (approximate result) or use the known-volume generators for such "
-                "shapes."
-            )
-    # m = 1: every factor is the one variable (the row is positive by
-    # compactness), so they add up into its (n+1)-th power
-    return Fraction(num, den), (1, through((1,) * m)), tuple(Counter(factors).items())
+    if len(set(factors)) == len(factors):
+        denom = tuple([(f, 1) for f in factors])
+    elif m > 1:
+        a, b = (_unscaled(norm, method, i) for i in coincident_pair(factors))
+        raise DegenerateInstance(
+            f"coincident denominator factors ({a}) and ({b}){method.refusal} Perturb A "
+            "slightly (approximate result) or use the known-volume generators for such "
+            "shapes."
+        )
+    else:
+        # m = 1: every factor is the one variable (the row is positive by
+        # compactness), so they add up into its (n+1)-th power
+        denom = ((factors[0], len(factors)),)
+    return Fraction(num, den), (1, through((1,) * m)), denom
 
 
 def _unscaled(norm: NormalizedInstance, method: Method, i: int) -> str:

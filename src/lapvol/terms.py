@@ -39,10 +39,16 @@ from the start term to the messages of refusals and errors, which
 
 Like-term merging.  Residues of distinct pole sequences often share
 their exponent and denominator (Brion & Vergne, JAMS 1997, sum iterated
-residues over distinct sequences).  :func:`integrate_level` adds the
-coefficients of such terms once per level, keeps the first term of each
-shape in insertion order, and drops the shapes whose coefficients
-cancel to zero.
+residues over distinct sequences).  :func:`integrate_level` groups such
+terms once per level, adds each group's coefficients by
+:func:`tree_sum`, keeps the first term of each shape in insertion order,
+and drops the shapes whose coefficients cancel to zero.  The closing
+level adds the K of one shape, and :func:`power_sum` the powers of one
+degree, by the same balanced tree of additions, not by a running
+total.  Fraction addition is exact, so only the cost changes: a running
+total adds each term to a number near the size of the result and
+reduces that sum by a gcd, while the tree adds operands of like size
+and leaves the full-size additions to its last rounds.
 
 Closure side.  A level closes on the decay side of exp(a*var) where the
 exponent's coefficient a is nonzero, else on the side with fewer poles
@@ -62,14 +68,21 @@ from integer products without building a term.  :func:`power_sum` is
 the one closed form for such powers of one variable; it keeps only
 alpha > 0, so alpha is read first and K built only where it is kept or
 where an alpha <= 0 shape repeats (to count the level's shapes
-exactly).
+exactly).  A level reads each factor once per job: the start term
+checks its factors for a repeat by one set, :func:`_classified` fixes
+the sides of the level's distinct factors in one pass, and
+:func:`_collected`'s one pass per term gives the closure, the poles as
+positions in the term's denominator and, at the closing level, the
+(b, c, mult) of every factor that K is built from.  The scan for a
+factor holding a third variable runs only where a third slot exists.
 
 Integer kernel.  A level classifies each distinct factor holding the
-variable once: its entry on the variable's slot and its dot product
-with the integer contour point (:attr:`ContourConfig.point`, the
-abscissae in slot order times their common denominator) fix the pole's
-side.  The site history keeps each level's ``(factor, side)`` pairs, and
-a repair re-checks them by the same sign test at the trial abscissae.
+variable once, in one pass over the terms: its entry on the variable's
+slot and its dot product with the integer contour point
+(:attr:`ContourConfig.point`, the abscissae in slot order times their
+common denominator) fix the pole's side.  The site history keeps each
+level's ``(factor, side)`` pairs, and a repair re-checks them by the
+same sign test at the trial abscissae.
 The closing level keys its shapes by alpha as a reduced integer pair;
 only the alpha > 0 powers it keeps get a Fraction alpha.
 
@@ -207,68 +220,88 @@ def _side(f: Factor, k: int, point: Factor) -> Side:
     return Side.LEFT if (at_path > 0) == (f[k] > 0) else Side.RIGHT
 
 
+LEFT, RIGHT, ON_PATH = Side.LEFT, Side.RIGHT, Side.ON_PATH
+
+
 def _classified(terms: Sequence[Term], var: int, config: ContourConfig, history: History):
-    """Classify the distinct factors holding ``var``, repairing an
-    on-path collision first, and record the classification in
-    ``history``.  Returns var's slot, the sides by factor, the (possibly
-    perturbed) config and the number of repairs."""
+    """Classify the distinct factors holding ``var`` in one pass,
+    repairing an on-path collision first, and record the classification
+    in ``history``.  Returns var's slot, the sides by factor in
+    first-seen order, the (possibly perturbed) config and the number of
+    repairs."""
     k = config.slots.index(var)
-    # the distinct factors holding var, in first-seen order
-    factors = {f: None for _, _, denom in terms for f, _ in denom if f[k]}
     point = config.point
-    sides = {f: _side(f, k, point) for f in factors}
+    sides: Dict[Factor, Side] = {}
+    for _, _, denom in terms:
+        for f, _ in denom:
+            if f[k] and f not in sides:
+                # :func:`_side`, inlined
+                at_path = sum(map(mul, f, point))
+                sides[f] = (LEFT if (at_path > 0) == (f[k] > 0) else RIGHT) if at_path else ON_PATH
     repaired = 0
-    if Side.ON_PATH in sides.values():
-        config = perturb_abscissa(config, var, factors, history)
+    if ON_PATH in sides.values():
+        config = perturb_abscissa(config, var, sides, history)
         repaired = 1
         point = config.point
-        sides = {f: _side(f, k, point) for f in factors}
-        assert Side.ON_PATH not in sides.values()
+        sides = {f: _side(f, k, point) for f in sides}
+        assert ON_PATH not in sides.values()
     history.append((var, tuple(sides.items())))
     return k, sides, config, repaired
 
 
 def _collected(term: Term, k: int, sides: Mapping[Factor, Side], force_side: Optional[Side],
-               slots: Sequence[int]):
+               slots: Sequence[int], j: Optional[int] = None):
     """The closure of the term's integral over the variable in slot
-    ``k``: its sign (-1 for a clockwise right closure), the simple poles
-    it collects, and the term's pole count and left pole count.
+    ``k``, from one pass over its factors: the sign (-1 for a clockwise
+    right closure), the positions in the term's denominator of the
+    simple poles it collects, and the term's pole count and left pole
+    count.  With ``j``, the slot of the last variable, the same pass
+    also gives the (b, c, mult) of every factor (b its entry in slot
+    ``k``, c in slot ``j``) and the term's degree minus one.
 
     The closure is on the decay side of exp(a*var) when the exponent's
     coefficient a is nonzero (a > 0 left, a < 0 right), else on the side
     with fewer poles, or on ``force_side``."""
-    sites = [(f, mult, sides[f]) for f, mult in term[2] if f[k]]
-    n_left = sum([side is Side.LEFT for _, _, side in sites])
+    denom = term[2]
+    left: List[int] = []
+    right: List[int] = []
+    parts = []
+    q = -1
+    for i, (f, mult) in enumerate(denom):
+        b = f[k]
+        if b:
+            (left if sides[f] is LEFT else right).append(i)
+        if j is not None:
+            parts.append((b, f[j], mult))
+            q += mult
     a = term[1][1][k]
     if a:
-        side = Side.LEFT if a > 0 else Side.RIGHT
+        poles = left if a > 0 else right
     else:
         # no exponential decay: both closures are valid only when the
         # integrand dies off at least quadratically
-        degree = sum(mult for _, mult, _ in sites)
+        degree = sum([denom[i][1] for i in left + right])
         if degree < 2:
             raise DivergentSlice(
                 f"term {_term_str(term, slots)} has degree {degree} in "
                 f"{var_name(slots[k])} and no exponential decay"
             )
         if force_side is not None:
-            side = force_side
+            poles = left if force_side is LEFT else right
         else:
-            side = Side.LEFT if n_left <= len(sites) - n_left else Side.RIGHT
-    poles = []
-    for f, mult, s in sites:
-        if s is side:
-            if mult != 1:
-                root = form_str([(v, Fraction(-c, f[k])) for i, (v, c) in enumerate(zip(slots, f))
-                                 if i != k])
-                raise DegenerateInstance(
-                    f"pole of order {mult} at {var_name(slots[k])} = {root}; "
-                    "coincident denominator factors before the final level. "
-                    "A tiny random perturbation of A removes the coincidence at the "
-                    "price of an approximate volume."
-                )
-            poles.append(f)
-    return (1 if side is Side.LEFT else -1), poles, len(sites), n_left
+            poles = left if len(left) <= len(right) else right
+    for i in poles:
+        f, mult = denom[i]
+        if mult != 1:
+            root = form_str([(v, Fraction(-c, f[k])) for i, (v, c) in enumerate(zip(slots, f))
+                             if i != k])
+            raise DegenerateInstance(
+                f"pole of order {mult} at {var_name(slots[k])} = {root}; "
+                "coincident denominator factors before the final level. "
+                "A tiny random perturbation of A removes the coincidence at the "
+                "price of an approximate volume."
+            )
+    return (1 if poles is left else -1), poles, len(left) + len(right), len(left), parts, q
 
 
 def _residue(term: Term, k: int, g: Factor, sign: int) -> Term:
@@ -315,22 +348,40 @@ def _residue(term: Term, k: int, g: Factor, sign: int) -> Term:
     return Fraction(num, den), exponent, tuple(out.items())
 
 
+def tree_sum(values: Sequence):
+    """The sum of ``values`` (0 when empty) by a balanced tree of exact
+    additions: each round adds neighbours pairwise, so the operands of an
+    addition have about the same size, not a running total against one
+    term, and each reducing gcd works on the smallest numbers it can."""
+    while len(values) > 1:
+        odd = values[-1:] if len(values) % 2 else []
+        values = [x + y for x, y in zip(values[::2], values[1::2])] + odd
+    return values[0] if values else 0
+
+
 def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     """Add the coefficients of canonical terms with equal exponent and
     equal denominator, compared as a set of distinct (factor,
     multiplicity) pairs so factor order does not matter; the first term
-    of each shape fixes its place and factor order, and shapes whose
-    coefficients cancel are dropped."""
+    of each shape fixes its place and factor order, the coefficients of
+    a shape are added by :func:`tree_sum`, and shapes whose coefficients
+    cancel are dropped."""
     merged: Dict[tuple, list] = {}
     for t in terms:
         key = (t[1], frozenset(t[2]))
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [t, t[0]]
+            merged[key] = [t]
         else:
-            entry[1] += t[0]
-    return [t if total == t[0] else (total, t[1], t[2])
-            for t, total in merged.values() if total != 0]
+            entry.append(t)
+    out = []
+    for like in merged.values():
+        t = like[0]
+        if len(like) > 1:
+            t = (tree_sum([u[0] for u in like]), t[1], t[2])
+        if t[0]:
+            out.append(t)
+    return out
 
 
 # A sum of powers of one variable x: (alpha, q) -> K stands for the
@@ -342,11 +393,11 @@ def power_sum(powers: PowerSum) -> Fraction:
     """Closed form of the last one-variable inversion integral: the
     integral of K * exp(alpha*x) / x^q over a vertical path right of 0
     is K * alpha^(q-1) / (q-1)! for alpha > 0 and zero otherwise."""
-    by_degree: Dict[int, Fraction] = {}
+    by_degree: Dict[int, List[Fraction]] = {}
     for (alpha, q), K in powers.items():
         if alpha > 0:
-            by_degree[q] = by_degree.get(q, 0) + K * alpha ** (q - 1)
-    return sum((v / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
+            by_degree.setdefault(q, []).append(K * alpha ** (q - 1))
+    return sum((tree_sum(v) / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
 
 
 def power_terms(terms: Sequence[Term]) -> PowerSum:
@@ -453,11 +504,11 @@ def integrate_level(
     residues = []
     poles_found = left = 0
     for term in terms:
-        sign, poles, found, n_left = _collected(term, k, sides, force_side, slots)
+        sign, poles, found, n_left, _, _ = _collected(term, k, sides, force_side, slots)
         poles_found += found
         left += n_left
-        for g in poles:
-            residues.append(_residue(term, k, g, sign))
+        for i in poles:
+            residues.append(_residue(term, k, term[2][i][0], sign))
     out = merge_like_terms(residues)
     return out, config, LevelStats(var, len(terms), poles_found, left, poles_found - left,
                                    repaired, len(residues), len(out))
@@ -493,18 +544,18 @@ def close_level(
     rest = [i for i in range(len(slots)) if i != k and i != j]
     checked = set()
     # alpha as a reduced integer pair (N, D > 0), keyed with q
-    powers: Dict[Tuple[int, int, int], Fraction] = {}
+    powers: Dict[Tuple[int, int, int], list] = {}
     dead: Dict[Tuple[int, int, int], list] = {}
     degrees = set()
     poles_found = left = residues = 0
     for term in terms:
-        sign, poles, found, n_left = _collected(term, k, sides, force_side, slots)
+        sign, poles, found, n_left, parts, q = _collected(term, k, sides, force_side, slots, j)
         poles_found += found
         left += n_left
         if not poles:
             continue
         coeff, (den, L), denom = term
-        if not checked.issuperset(denom):
+        if rest and not checked.issuperset(denom):
             for f, _ in denom:
                 if any(f[i] for i in rest):
                     raise MalformedH(
@@ -512,15 +563,10 @@ def close_level(
                         f"holds a variable other than {var_name(var)} and {var_name(last)}"
                     )
             checked.update(denom)
-        # (b, c, mult) of every factor, read once per term
-        parts = [(f[k], f[j], mult) for f, mult in denom]
-        index = {f: i for i, (f, _) in enumerate(denom)}
-        q = sum([mult for _, mult in denom]) - 1
         degrees.add(q)
         # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (den*a)
         x, y = L[j], L[k]
-        for g in poles:
-            jg = index[g]
+        for jg in poles:
             a, g_last, _ = parts[jg]
             N, D = x * a - y * g_last, den * a
             if D < 0:
@@ -528,15 +574,15 @@ def close_level(
             h = gcd(N, D)
             key = (N // h, D // h, q)
             if N > 0:
-                powers[key] = powers.get(key, 0) + _pole_power(sign, coeff, parts, jg, q)
+                powers.setdefault(key, []).append(_pole_power(sign, coeff, parts, jg, q))
             else:
                 dead.setdefault(key, []).append((sign, coeff, parts, jg, q))
         residues += len(poles)
     # one residue has K != 0 (coeff, a and every s are), so only a
     # repeated alpha <= 0 shape can cancel
-    dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
+    dead_out = sum(len(hits) == 1 or tree_sum([_pole_power(*h) for h in hits]) != 0
                    for hits in dead.values())
-    powers = {(Fraction(N, D), q): K for (N, D, q), K in powers.items() if K != 0}
+    powers = {(Fraction(N, D), q): K for (N, D, q), Ks in powers.items() if (K := tree_sum(Ks))}
     stats = LevelStats(var, len(terms), poles_found, left, poles_found - left, repaired,
                        residues, len(powers) + dead_out)
     return powers, degrees, config, stats

@@ -285,6 +285,10 @@ def test_exit_2_number_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300
     code, out, err = run(capsys, "volume", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    # one short line that names the cap, not the interpreter's advice
+    assert err.count("\n") == 1 and len(err) < len(str(path)) + 120, err
+    assert "number too long: more than 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def readme_exit_codes():

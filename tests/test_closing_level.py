@@ -253,3 +253,52 @@ def test_close_level_message_names_the_stray_factor():
         terms_module.close_level([term], 2, P_VAR, config, [])
     assert str(exc.value) == ("denominator factor 3*l1 - 2*l2 + p of the last residue level "
                               "holds a variable other than l2 and p")
+
+
+# -- the closing level's refusal order -------------------------------------
+# Dense terms over the slots (l1, l2) or (l1, l2, l3), closing l1 with l2
+# last at c = (3, 1[, 1]).  The first term that close_level refuses decides
+# the error, and each term is checked for its closure (DivergentSlice,
+# then a repeated pole) before its factors are scanned for MalformedH.
+
+CONFIG_2 = ContourConfig({1: Fraction(3), 2: Fraction(1)})
+CONFIG_3 = ContourConfig({1: Fraction(3), 2: Fraction(1), 3: Fraction(1)})
+# exponent l2 (no decay in l1) over l1 + l2 and l2^3: degree 1 in l1
+DIVERGENT = (Fraction(2), (1, (0, 1)), (((1, 1), 1), ((0, 1), 3)))
+# exponent l1 + l2 closes left, where (l1 + 2*l2)^2 has its root
+REPEATED = (Fraction(3), (1, (1, 1)), (((1, 2), 2), ((0, 1), 2)))
+
+
+def refusal(terms, config):
+    with pytest.raises(lv.VolumeEngineError) as exc:
+        terms_module.close_level(terms, 1, 2, config, [])
+    return type(exc.value)
+
+
+def test_close_level_refuses_a_divergent_slice_before_a_repeated_pole():
+    assert refusal([DIVERGENT, REPEATED], CONFIG_2) is lv.DivergentSlice
+    assert refusal([DIVERGENT], CONFIG_2) is lv.DivergentSlice
+    assert refusal([REPEATED], CONFIG_2) is lv.DegenerateInstance
+    # term order decides between two refused terms
+    assert refusal([REPEATED, DIVERGENT], CONFIG_2) is lv.DegenerateInstance
+
+
+def test_close_level_refuses_a_repeated_pole_before_a_stray_factor():
+    # l2 + l3 holds a third variable; the repeated pole l1 + 2*l2 is refused first
+    stray = ((0, 1, 1), 1)
+    term = (Fraction(3), (1, (1, 1, 0)), (((1, 2, 0), 2), stray))
+    assert refusal([term], CONFIG_3) is lv.DegenerateInstance
+    term = (Fraction(3), (1, (1, 1, 0)), (((1, 2, 0), 1), stray, ((0, 1, 0), 1)))
+    assert refusal([term], CONFIG_3) is lv.MalformedH
+
+
+def test_close_level_never_scans_a_term_without_poles_on_its_closing_side():
+    # l1 - 5*l2 has its root l1 = 5 right of the path at 3; the exponent
+    # closes left, so the term collects nothing and its stray l2 + l3 stays
+    term = (Fraction(3), (1, (1, 1, 0)), (((1, -5, 0), 1), ((0, 1, 1), 2)))
+    powers, degrees, _, stats = terms_module.close_level([term], 1, 2, CONFIG_3, [])
+    assert powers == {} and degrees == set()
+    assert (stats.poles_found, stats.left, stats.residues, stats.terms_out) == (1, 0, 0, 0)
+    # the same stray factor is refused once the term collects a pole
+    term = (Fraction(3), (1, (1, 1, 0)), (((1, 5, 0), 1), ((0, 1, 1), 2)))
+    assert refusal([term], CONFIG_3) is lv.MalformedH

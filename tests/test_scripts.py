@@ -71,6 +71,22 @@ def test_node_census_runs():
     # one level for m = 2, two for m = 3, each within its (n+1)^k bound
     assert "L1:" in lines[1] and "L2:" not in lines[1]
     assert re.search(r"L2:\d+/16 ", lines[4]), out
+    # each method's mean time and the volume's bit length, then the levels
+    assert re.fullmatch(r" 2 +2 +\d+\.\d ms +\d+\.\d ms +\d+  L1:\d+/3 merged=\d+", lines[1]), out
+
+
+def test_node_census_runs_shuffled():
+    out = run_script("node_census.py", "--make-up", "shuffled", "--m", "3", "--n", "3",
+                     "--trials", "2")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].split()[:2] == ["m", "n"], out
+    m, n, direct, _, transform, _, bits = lines[1].split()[:7]
+    assert (m, n) == ("3", "3") and float(direct) > 0 and float(transform) > 0, out
+    assert int(bits) > 20 and "refused=" not in out, out  # coefficients up to 999
+    # the cell draws from its own seed, whatever the cells before it
+    both = run_script("node_census.py", "--make-up", "shuffled", "--m", "2", "3", "--n", "3",
+                      "--trials", "2")
+    assert both.splitlines()[2].split()[6:] == lines[1].split()[6:], both
 
 
 def test_output_digest_runs():
