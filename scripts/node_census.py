@@ -19,10 +19,12 @@ Two make-ups:
   integers in [-999, 999] with random signs, the rows shuffled, and b
   uniform in [1, 999]; each cell draws from its own
   ``random.Random(f"shuffled:{m}:{n}")``, so a cell's draws do not depend
-  on the other cells.  No draw is skipped: a refused one is counted in
-  ``refused=K``.
+  on the other cells.  No draw is skipped: one that the gates or the
+  degeneracy check refuse is counted in ``refused=K``.
 
-Exits 1 if the two methods give different volumes on a draw.
+Exits 1, printing the draw, if the two methods give different volumes
+on it or either raises an internal engine error (DivergentSlice,
+MalformedH, NoAdmissiblePerturbation).
 
     python scripts/node_census.py --m 2 3 4 --n 2 4 6 8 --trials 5
     python scripts/node_census.py --make-up shuffled --m 3 --n 64 --trials 3
@@ -36,8 +38,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import lapvol as lv
+from lapvol.errors import NoAdmissiblePerturbation
 
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
+ENGINE_FAULTS = (lv.DivergentSlice, lv.MalformedH, NoAdmissiblePerturbation)
 ENTRY_MAX = 999
 
 
@@ -70,6 +74,9 @@ def census_cell(rng, m, n, trials, shuffled):
             norm = lv.normalize(inst)
             direct, t_direct = timed(lv.run_direct, norm)
             transform, t_transform = timed(lv.run_transform, norm)
+        except ENGINE_FAULTS as exc:
+            raise SystemExit(f"ENGINE ERROR on A={inst.rows} b={inst.rhs}: "
+                             f"{type(exc).__name__}: {exc}")
         except lv.VolumeEngineError as exc:
             if shuffled or not isinstance(exc, SKIP):
                 done += 1

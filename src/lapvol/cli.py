@@ -108,13 +108,31 @@ def _too_long_message() -> str:
     return f"number too long: more than {_int_str_cap()} digits"
 
 
-def _exact_decimal(text: str) -> Fraction:
-    """The exact value of a decimal literal such as "-1.25e-3", refusing
-    (exit 2) any other text and a literal whose mantissa has more than
-    _MAX_MANTISSA_DIGITS digits or whose exponent has more than
-    _MAX_EXPONENT_DIGITS."""
-    shown = _shown(text)
-    match = re.fullmatch(_DECIMAL, text)
+def _exact_text(text: str, tolerate_floats: bool, kind: str = "decimal literal") -> Fraction:
+    """The exact value of the text of an instance entry: a "p/q" string
+    or, under --tolerate-floats and with one warning, a decimal literal
+    such as "-1.25e-3", given as a JSON number (``kind`` "float
+    literal") or as a string.  Anything else, and a literal whose
+    mantissa has more than _MAX_MANTISSA_DIGITS digits or whose exponent
+    has more than _MAX_EXPONENT_DIGITS, is refused (exit 2) with the
+    text quoted by _shown; a "p/q" refusal quotes it as given."""
+    stripped = text.strip()
+    if "." not in stripped and "e" not in stripped.lower():
+        try:
+            return Fraction(stripped)
+        except ZeroDivisionError as exc:
+            raise InstanceFormatError(f"not a rational: {_shown(text)} ({exc})")
+        except ValueError as exc:
+            # Fraction's own message would quote the whole text again
+            detail = f" ({_too_long_message()})" if _too_long(exc) else ""
+            raise InstanceFormatError(f"not a rational: {_shown(text)}{detail}")
+    shown = _shown(stripped)
+    if not tolerate_floats:
+        raise InstanceFormatError(
+            f"{kind} {shown} not accepted: exact rationals only "
+            "(use \"p/q\" strings, or pass --tolerate-floats)"
+        )
+    match = re.fullmatch(_DECIMAL, stripped)
     if match is None:
         raise InstanceFormatError(f"not a decimal literal: {shown}")
     whole, frac, exp = match.groups()
@@ -124,45 +142,26 @@ def _exact_decimal(text: str) -> Fraction:
             f"mantissa digits and a {_MAX_EXPONENT_DIGITS}-digit exponent"
         )
     try:
-        return Fraction(text)
+        value = Fraction(stripped)
     except ValueError:
         raise InstanceFormatError(f"not a decimal literal: {shown}")
+    print(f"warning: converting decimal literal {stripped!r} to {value} exactly", file=sys.stderr)
+    return value
+
+
+def _not_a_number(text: str):
+    """json's hook for NaN, Infinity and -Infinity, which have no exact
+    value."""
+    raise InstanceFormatError(f"not a number: {text!r}")
 
 
 def _parse_rational(value, tolerate_floats: bool):
-    """A JSON int as it is, a "p/q" string (or, under --tolerate-floats,
-    a decimal literal) as an exact Fraction; InstanceFormatError for
-    anything else."""
-    if type(value) is int:
+    """A JSON int as it is, a string read by :func:`_exact_text`;
+    InstanceFormatError for anything else."""
+    if type(value) is int or isinstance(value, Fraction):  # Fraction: read by the parse_float hook
         return value
-    if isinstance(value, bool):
-        raise InstanceFormatError(f"not a rational: {value!r}")
-    if isinstance(value, Fraction):  # produced by the tolerant float hook
-        return value
-    if isinstance(value, float):
-        raise InstanceFormatError(
-            f"float literal {value!r} not accepted: exact rationals only "
-            "(use strings like \"1/10\", or pass --tolerate-floats)"
-        )
     if isinstance(value, str):
-        text = value.strip()
-        if "." in text or "e" in text.lower():
-            if tolerate_floats:
-                value = _exact_decimal(text)
-                print(f"warning: converting decimal literal {text!r} exactly", file=sys.stderr)
-                return value
-            raise InstanceFormatError(
-                f"decimal literal {_shown(text)} not accepted: exact rationals only "
-                "(use \"p/q\" strings, or pass --tolerate-floats)"
-            )
-        try:
-            return Fraction(text)
-        except ZeroDivisionError as exc:
-            raise InstanceFormatError(f"not a rational: {_shown(value)} ({exc})")
-        except ValueError as exc:
-            # Fraction's own message would quote the whole text again
-            detail = f" ({_too_long_message()})" if _too_long(exc) else ""
-            raise InstanceFormatError(f"not a rational: {_shown(value)}{detail}")
+        return _exact_text(value, tolerate_floats)
     raise InstanceFormatError(f"not a rational: {value!r}")
 
 
@@ -170,23 +169,12 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
     """Read the JSON instance document {"A": [[...]], "b": [...]} with
     entries given as integers (kept as ints) or "p/q" strings (read as
     Fractions)."""
-    if tolerate_floats:
-        def hook(text):
-            # the json hook receives the raw literal text, so the decimal
-            # string converts exactly (0.1 -> 1/10, not the binary float)
-            value = _exact_decimal(text)
-            print(f"warning: converting decimal literal {text!r} to {value} exactly",
-                  file=sys.stderr)
-            return value
-    else:
-        def hook(text):
-            raise InstanceFormatError(
-                f"float literal {text!r} not accepted: exact rationals only "
-                "(use \"p/q\" strings, or pass --tolerate-floats)"
-            )
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=hook)
+            # json hands the hook the literal's text, so a decimal
+            # converts exactly (0.1 -> 1/10, not the binary float)
+            doc = json.load(fh, parse_constant=_not_a_number,
+                            parse_float=lambda t: _exact_text(t, tolerate_floats, "float literal"))
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}")
     except InstanceFormatError:
@@ -379,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol.add_argument("--verify-mc", action="store_true",
                      help="append a Monte Carlo cross-check line")
     vol.add_argument("--samples", type=_int_in_range(1), default=1_000_000)
-    vol.add_argument("--seed", type=int, default=0)
+    vol.add_argument("--seed", type=_int_in_range(0), default=0)
     vol.add_argument("--stats", action="store_true",
                      help="print per-level node counts and the perturbation ledger")
     vol.add_argument("--tolerate-floats", action="store_true",

@@ -26,7 +26,6 @@ from .terms import (
     LevelStats,
     Term,
     close_level,
-    coincident_pair,
     integrate_level,
     power_sum,
     power_terms,
@@ -88,7 +87,11 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
     if len(set(factors)) == len(factors):
         denom = tuple([(f, 1) for f in factors])
     elif m > 1:
-        a, b = (_unscaled(norm, method, i) for i in coincident_pair(factors))
+        # the first pair, in index order, of equal primitive factors
+        first: dict = {}
+        pair = min((first.setdefault(f, i), i) for i, f in enumerate(factors)
+                   if first.setdefault(f, i) != i)
+        a, b = (_unscaled(norm, method, i) for i in pair)
         raise DegenerateInstance(
             f"coincident denominator factors ({a}) and ({b}){method.refusal} Perturb A "
             "slightly (approximate result) or use the known-volume generators for such "

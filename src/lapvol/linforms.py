@@ -11,7 +11,8 @@ variables, for the messages of refusals and errors.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from math import lcm
+from typing import Iterable, Sequence, Tuple, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -35,6 +36,13 @@ def exact(value):
     """An int as it is, anything else as an exact rational by
     :func:`rat` (a float is refused)."""
     return value if type(value) is int else rat(value)
+
+
+def integer_scaled(values: Sequence) -> Tuple[int, Tuple[int, ...]]:
+    """``(k, ints)`` with ``values[i] == ints[i] / k``, k > 0 the lcm of
+    the denominators of the exact ``values`` (1 for none)."""
+    k = lcm(*(v.denominator for v in values))
+    return k, tuple([v.numerator * (k // v.denominator) for v in values])
 
 
 def var_name(var: int) -> str:

@@ -20,10 +20,9 @@ and cost.X == -z say exactly x >= 0, Ax <= b and cost.x == z.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Tuple
 
-from .linforms import exact
+from .linforms import exact, integer_scaled
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -56,9 +55,8 @@ def maximize(
     # held as d times its value (d = 1 until the first pivot); ``start``
     # keeps the scaled rows for the final checks.
     start = [[bi] + row for row, bi in zip(rows, rhs)] + [[0] + cost]
-    scale = [lcm(*(v.denominator for v in row)) for row in start]
-    start = [[v.numerator * (k // v.denominator) for v in row] for row, k in zip(start, scale)]
-    tab = [row[:] for row in start]
+    scale, start = zip(*(integer_scaled(row) for row in start))
+    tab = [list(row) for row in start]
     basis, col, d = list(range(n, n + m)), [None] + list(range(n)), 1
     while True:
         enter = min((k for k in range(1, n + 1) if tab[m][k] > 0), key=col.__getitem__, default=None)

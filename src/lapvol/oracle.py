@@ -55,12 +55,18 @@ def m2_closed_form(a: Sequence, b: Sequence) -> Fraction:
         total /= v
     for j in range(n):
         if b[j] / a[j] < 1:
-            prod = a[j] * b[j]
-            for k in range(n):
-                if k != j:
-                    prod *= b[k] * a[j] - a[k] * b[j]
-            total -= (a[j] - b[j]) ** n / prod
+            total -= _partial_fraction(a, b, j)
     return total / math.factorial(n)
+
+
+def _partial_fraction(a: Sequence[Fraction], b: Sequence[Fraction], j: int) -> Fraction:
+    """The term (a_j-b_j)^n / (a_j b_j prod_{k!=j}(b_k a_j - a_k b_j))
+    of the closed form and of its identity."""
+    prod = a[j] * b[j]
+    for k in range(len(a)):
+        if k != j:
+            prod *= b[k] * a[j] - a[k] * b[j]
+    return (a[j] - b[j]) ** len(a) / prod
 
 
 def identity_check(a: Sequence, b: Sequence) -> bool:
@@ -73,14 +79,7 @@ def identity_check(a: Sequence, b: Sequence) -> bool:
     a = [rat(v) for v in a]
     b = [rat(v) for v in b]
     _genericity(a, b)
-    n = len(a)
-    lhs = Fraction(0)
-    for j in range(n):
-        prod = a[j] * b[j]
-        for k in range(n):
-            if k != j:
-                prod *= b[k] * a[j] - a[k] * b[j]
-        lhs += (a[j] - b[j]) ** n / prod
+    lhs = sum((_partial_fraction(a, b, j) for j in range(len(a))), Fraction(0))
     prod_a = Fraction(1)
     prod_b = Fraction(1)
     for va, vb in zip(a, b):

@@ -40,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
 from .errors import EmptyAfterCleanup, NonpositiveB, NotCompact, NotPointed
-from .linforms import exact, rat
+from .linforms import exact, integer_scaled, rat
 
 Row = Tuple[Fraction, ...]
 Matrix = Tuple[Row, ...]
@@ -85,8 +85,6 @@ class NormalizedInstance:
 
     columns: Tuple[Column, ...]          # integer_columns(rows)
     interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
-    dropped_vacuous: int
-    merged_duplicates: int
 
     @cached_property
     def rows(self) -> Matrix:
@@ -121,7 +119,7 @@ def scale_and_dedupe(inst: PolytopeInstance) -> Tuple[Tuple[Column, ...], int, i
         if not any(row):
             dropped += 1
             continue
-        _, (d, *ints) = _integer_row((bi, *row))
+        _, (d, *ints) = integer_scaled((bi, *row))
         g = gcd(d, *ints)
         key = (d, tuple(ints)) if g == 1 else (d // g, tuple(v // g for v in ints))
         if key in seen:
@@ -137,14 +135,7 @@ def integer_columns(rows) -> Tuple[Column, ...]:
     """Each column j of the rows as (D, (D*A[i][j] for each row i)), D
     being the lcm of the column's denominators, so every entry is an
     int and the column is the integer one divided by D."""
-    return _columns(_integer_row(row) for row in rows)
-
-
-def _integer_row(values) -> Tuple[int, List[int]]:
-    """(k, ints) with the values equal to ints / k, k the lcm of their
-    denominators."""
-    k = lcm(*(v.denominator for v in values))
-    return k, [v.numerator * (k // v.denominator) for v in values]
+    return _columns(integer_scaled(row) for row in rows)
 
 
 def _columns(rows: Iterable[Tuple[int, Sequence[int]]]) -> Tuple[Column, ...]:
@@ -203,7 +194,7 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
         raise NotPointed(
             "no c > 0 with A'c > 0 exists; {x >= 0, Ax <= 0} has a nonzero solution"
         )
-    c = _integerize(x[:m])
+    c = tuple(map(Fraction, integer_scaled(x[:m])[1]))
     assert is_strict_interior(columns, c)
     return c
 
@@ -244,21 +235,15 @@ def normalize(inst: PolytopeInstance) -> NormalizedInstance:
     """Full ingestion pipeline: scale b to ones, clean rows, certify
     compactness and pointedness by the contour seed c alone (the witness
     u of :func:`certify` is not derived).  Raises on any failed gate."""
-    columns, dropped, merged = scale_and_dedupe(inst)
-    return NormalizedInstance(
-        columns=columns,
-        interior=_seed(columns),
-        dropped_vacuous=dropped,
-        merged_duplicates=merged,
-    )
+    columns, _, _ = scale_and_dedupe(inst)
+    return NormalizedInstance(columns=columns, interior=_seed(columns))
 
 
-def integer_sums(columns: Sequence[Column], c: Sequence) -> Tuple[List[int], List[int]]:
+def integer_sums(columns: Sequence[Column], c: Sequence) -> Tuple[Tuple[int, ...], List[int]]:
     """c scaled to integers by the lcm k of its denominators, and the
     integer sums s_j = col_j . (k c), so that (A'c)_j = s_j / (k D_j)
     has the sign of s_j."""
-    k = lcm(*(v.denominator for v in c))
-    ci = [v.numerator * (k // v.denominator) for v in c]
+    _, ci = integer_scaled(c)
     return ci, [sum(a * v for a, v in zip(col, ci)) for _, col in columns]
 
 
@@ -280,8 +265,3 @@ def contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tup
     if not is_strict_interior(norm.columns, c):
         raise ValueError("abscissae must satisfy c > 0 and A'c > 0")
     return c
-
-
-def _integerize(values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    return tuple(v * scale for v in values)

@@ -95,12 +95,12 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
-from .linforms import form_str, var_name
+from .linforms import form_str, integer_scaled, var_name
 
 Factor = Tuple[int, ...]
 Exponent = Tuple[int, Factor]
@@ -128,19 +128,6 @@ def primitive(ints: Sequence[int]) -> Tuple[int, Factor]:
     if next(filter(None, reversed(ints))) < 0:
         s = -s
     return s, tuple([c // s for c in ints])
-
-
-def coincident_pair(factors: Sequence[Factor]) -> Optional[Tuple[int, int]]:
-    """The indices of the first pair (in index order) of equal primitive
-    factors, that is of proportional forms, or None."""
-    groups: Dict[Factor, List[int]] = {}
-    for i, f in enumerate(factors):
-        groups.setdefault(f, []).append(i)
-    repeated = [idx for idx in groups.values() if len(idx) > 1]
-    if not repeated:
-        return None
-    a, b = min(repeated)[:2]
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -178,17 +165,12 @@ class ContourConfig:
     def point(self) -> Factor:
         """The abscissae in slot order times their common denominator:
         integers whose signs and ratios are those of the abscissae."""
-        return _int_point([self.abscissae[v] for v in self.slots])
+        return integer_scaled([self.abscissae[v] for v in self.slots])[1]
 
     def with_abscissa(self, var: int, value: Fraction, record: PerturbationRecord) -> "ContourConfig":
         updated = dict(self.abscissae)
         updated[var] = value
         return ContourConfig(updated, self.ledger + (record,), self.domain_ok)
-
-
-def _int_point(values: Sequence[Fraction]) -> Factor:
-    den = lcm(*(x.denominator for x in values))
-    return tuple([x.numerator * (den // x.denominator) for x in values])
 
 
 @dataclass(frozen=True)
@@ -454,7 +436,7 @@ def perturb_abscissa(
         if (
             config.domain_ok(trial)
             and all(v != candidate for v in values)
-            and _sides_stable(history, slots, _int_point([trial[v] for v in slots]))
+            and _sides_stable(history, slots, integer_scaled([trial[v] for v in slots])[1])
         ):
             delta = min(abs(v - candidate) for v in values)
             record = PerturbationRecord(var, delta, eps)

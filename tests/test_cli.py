@@ -180,10 +180,13 @@ def test_exit_2_malformed_shapes(tmp_path, capsys, doc):
 
 
 def usage_error(capsys, *argv):
-    """Exit code and stderr of a command line that argparse refuses."""
+    """Exit code and stderr of a command line that argparse refuses,
+    which prints nothing on stdout."""
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
-    return exc.value.code, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    return exc.value.code, err
 
 
 def test_exit_2_negative_digits(capsys):
@@ -291,6 +294,28 @@ def test_exit_2_number_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("options", [[], ["--tolerate-floats"]])
+def test_exit_2_float_literal_quoted_short(tmp_path, capsys, options):
+    # a long JSON float literal is quoted cut to 40 characters, as a string is
+    path = tmp_path / "long.json"
+    path.write_text('{"A": [[0.' + "1" * 5000 + ', 1]], "b": [1]}')
+    code, out, err = run(capsys, "volume", str(path), *options)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < len(str(path)) + 120, err
+    assert repr("0." + "1" * 38) + "..." in err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("options", [[], ["--tolerate-floats"]])
+def test_exit_2_not_a_number(tmp_path, capsys, constant, options):
+    # no exact value exists, so --tolerate-floats is no remedy and not advised
+    path = tmp_path / "nan.json"
+    path.write_text('{"A": [[%s, 1]], "b": [1]}' % constant)
+    code, out, err = run(capsys, "volume", str(path), *options)
+    assert (code, out, err) == (2, "", f"error: not a number: {constant!r}\n")
+
+
 def readme_exit_codes():
     table = (REPO / "README.md").read_text().split("### Exit codes", 1)[1].split("\n\n")[1]
     return {int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)}
@@ -363,6 +388,15 @@ def test_exit_2_samples_below_one(capsys, samples):
     assert f"--samples: must be at least 1, got {samples}" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_exit_2_seed_below_zero(capsys, seed):
+    # refused as usage, before the volume is computed
+    code, err = usage_error(capsys, "volume", str(INSTANCES / "paper-example.json"),
+                            "--verify-mc", "--seed", seed)
+    assert code == 2
+    assert f"--seed: must be at least 0, got {seed}" in err
+
+
 def test_exit_2_float_literal(tmp_path, capsys):
     path = write(tmp_path, "f.json", {"A": [["0.1", "1"]], "b": ["1"]})
     code, _, err = run(capsys, "volume", path)
@@ -398,7 +432,11 @@ def test_tolerate_floats_accepts_bounded_decimals(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"A": [[2.5e-1, "0.5e1"]], "b": ["1e2"]}')
     code, out, err = run(capsys, "volume", str(path), "--tolerate-floats")
-    assert code == 0 and "warning" in err
+    # one warning text for a JSON number and a string: the literal and its value
+    assert code == 0 and err == (
+        "warning: converting decimal literal '2.5e-1' to 1/4 exactly\n"
+        "warning: converting decimal literal '0.5e1' to 5 exactly\n"
+        "warning: converting decimal literal '1e2' to 100 exactly\n")
     # {x >= 0, x1/4 + 5 x2 <= 100}: a triangle with legs 400 and 20
     assert out.splitlines()[0].split()[0] == "4000"
 

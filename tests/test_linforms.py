@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lapvol.linforms import P_VAR, form_str, rat, var_name
+from lapvol.linforms import P_VAR, form_str, integer_scaled, rat, var_name
 from lapvol.terms import _root_value
 
 from linform import LinForm
@@ -24,6 +24,14 @@ def test_rat_parses_strings_and_ints():
 def test_rat_refuses_floats():
     with pytest.raises(TypeError):
         rat(0.1)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=6))
+def test_integer_scaled_is_the_least_common_scale(values):
+    k, ints = integer_scaled(values)
+    assert k >= 1 and all(type(v) is int for v in ints)
+    assert [Fraction(v, k) for v in ints] == values
+    assert k == math.lcm(*(Fraction(v).denominator for v in values))  # 1 for no values
 
 
 def test_canonical_form_drops_zeros():

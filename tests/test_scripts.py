@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lapvol as lv
+from lapvol.errors import NoAdmissiblePerturbation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,6 +22,13 @@ def run_script(name, *args):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_cross_check_runs():
@@ -35,9 +45,7 @@ def test_cross_check_runs_unsigned():
 
 
 def test_cross_check_exits_1_on_disagreement(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("cross_check", SCRIPTS / "cross_check.py")
-    cross_check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cross_check)
+    cross_check = load_script("cross_check.py")
     real = lv.run_transform
 
     def off_by_one(norm):
@@ -87,6 +95,27 @@ def test_node_census_runs_shuffled():
     both = run_script("node_census.py", "--make-up", "shuffled", "--m", "2", "3", "--n", "3",
                       "--trials", "2")
     assert both.splitlines()[2].split()[6:] == lines[1].split()[6:], both
+
+
+@pytest.mark.parametrize("fault", [lv.DivergentSlice, lv.MalformedH, NoAdmissiblePerturbation])
+@pytest.mark.parametrize("make_up", ["signed", "shuffled"])
+def test_node_census_exits_1_on_engine_error(monkeypatch, capsys, fault, make_up):
+    # an internal engine error is a defect to report with its draw, not a refusal
+    node_census = load_script("node_census.py")
+
+    def failing(norm):
+        raise fault("engine fault")
+
+    monkeypatch.setattr(node_census.lv, "run_transform", failing)
+    monkeypatch.setattr(sys, "argv", ["node_census.py", "--make-up", make_up, "--m", "2",
+                                      "--n", "3", "--trials", "2"])
+    with pytest.raises(SystemExit) as exc:
+        node_census.main()
+    # a SystemExit carrying a message exits with status 1
+    assert isinstance(exc.value.code, str), exc.value.code
+    assert re.fullmatch(rf"ENGINE ERROR on A=\(\(.*\)\) b=\(.*\): {fault.__name__}: engine fault",
+                        exc.value.code), exc.value.code
+    assert "refused=" not in capsys.readouterr().out
 
 
 def test_output_digest_runs():
