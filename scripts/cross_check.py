@@ -17,31 +17,22 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import lapvol as lv
+from lapvol.cli import _int_in_range
 
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
 
 
-def at_least(least: int):
-    """An argparse type accepting integers >= ``least`` (usage error,
-    exit 2, otherwise)."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    return integer
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--count", type=int, default=50, help="valid instances to collect")
-    ap.add_argument("--m", type=at_least(1), nargs="+", default=[2, 3, 4])
-    ap.add_argument("--n-max", type=at_least(2), default=8,
+    ap.add_argument("--count", type=_int_in_range(1), default=50,
+                    help="valid instances to collect")
+    ap.add_argument("--m", type=_int_in_range(1), nargs="+", default=[2, 3, 4])
+    ap.add_argument("--n-max", type=_int_in_range(2), default=8,
                     help="largest n drawn; n is drawn from 2..N-MAX")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--signed", action=argparse.BooleanOptionalAction, default=True,
                     help="draw mixed-sign instances (--no-signed: nonnegative ones)")
-    ap.add_argument("--mc-samples", type=int, default=0,
+    ap.add_argument("--mc-samples", type=_int_in_range(0), default=0,
                     help="if > 0, also Monte-Carlo check each instance")
     args = ap.parse_args()
 

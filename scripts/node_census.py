@@ -38,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import lapvol as lv
+from lapvol.cli import _int_in_range
 from lapvol.errors import NoAdmissiblePerturbation
 
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
@@ -99,9 +100,9 @@ def census_cell(rng, m, n, trials, shuffled):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--n", type=int, nargs="+", default=[2, 4, 6, 8])
-    ap.add_argument("--trials", type=int, default=5)
+    ap.add_argument("--m", type=_int_in_range(1), nargs="+", default=[2, 3, 4])
+    ap.add_argument("--n", type=_int_in_range(1), nargs="+", default=[2, 4, 6, 8])
+    ap.add_argument("--trials", type=_int_in_range(1), default=5)
     ap.add_argument("--seed", type=int, default=1, help="the signed make-up's seed")
     ap.add_argument("--make-up", choices=("signed", "shuffled"), default="signed")
     args = ap.parse_args()

@@ -162,7 +162,8 @@ def _parse_rational(value, tolerate_floats: bool):
         return value
     if isinstance(value, str):
         return _exact_text(value, tolerate_floats)
-    raise InstanceFormatError(f"not a rational: {value!r}")
+    shown = repr(value)  # a list, object, bool or null, cut as _shown cuts a text
+    raise InstanceFormatError(f"not a rational: {shown[:40]}{'...' * (len(shown) > 40)}")
 
 
 def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:

@@ -7,8 +7,10 @@ integrand through the method's map ``through``: the variable factors are
 through(e_i), the column factors primitive(through(column)) and the
 exponent through((1,)*m), which is p for the transform.  :func:`run`
 integrates the method's ``levels`` by residues, the last of them fused
-with the closed form in ``last`` (:func:`lapvol.terms.close_level`), and
-asserts the level-k residue bound (n+1)^k on every run.
+with the closed form in ``last`` (:func:`lapvol.terms.close_level`),
+asserts the level-k residue bound (n+1)^k on every run, and sums the
+closed form K * alpha^n / n! of the powers K * e^(alpha*last) /
+last^(n+1) that the closing level keeps.
 """
 from __future__ import annotations
 
@@ -27,10 +29,8 @@ from .terms import (
     Term,
     close_level,
     integrate_level,
-    power_sum,
-    power_terms,
     primitive,
-    require_degree,
+    tree_sum,
 )
 
 
@@ -49,7 +49,7 @@ class Run:
     config: ContourConfig
     levels: Tuple[LevelStats, ...]  # the residue levels, in order
     last: int                       # the closed-form variable
-    leaves: int                     # the shapes (alpha, q) entering the closed form
+    leaves: int                     # the closing level's shapes, alpha <= 0 ones included
     result: Fraction
 
     @property
@@ -153,17 +153,18 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     terms: List[Term] = [start_term(norm, method)]
     history: list = []
     levels: List[LevelStats] = []
-    if not method.levels:
-        powers = power_terms(terms)
-        degrees = {q for _, q in powers}
+    # m = 1 has no residue level: the start term is C * e^x / x^(n+1)
+    assert method.levels or terms[0][1:] == ((1, (1,)), (((1,), n + 1),))
+    powers = {1: terms[0][0]}
     for level, k in enumerate(method.levels, 1):
         force = (force_sides or {}).get(k)
         if level < len(method.levels):
             terms, config, stats = integrate_level(terms, k, config, history, force)
         else:
-            powers, degrees, config, stats = close_level(terms, k, last, config, history, force)
+            powers, config, stats = close_level(terms, k, last, n, config, history, force)
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
-    require_degree(degrees, last, n)
-    leaves = levels[-1].terms_out if levels else len(powers)
-    return Run(norm, config, tuple(levels), last, leaves, power_sum(powers))
+    # the closed form of K * e^(alpha*x) / x^(n+1): K * alpha^n / n! for alpha > 0
+    volume = Fraction(tree_sum([K * alpha ** n for alpha, K in powers.items()]), factorial(n))
+    leaves = levels[-1].terms_out if levels else 1
+    return Run(norm, config, tuple(levels), last, leaves, volume)

@@ -43,8 +43,8 @@ residues over distinct sequences).  :func:`integrate_level` groups such
 terms once per level, adds each group's coefficients by
 :func:`tree_sum`, keeps the first term of each shape in insertion order,
 and drops the shapes whose coefficients cancel to zero.  The closing
-level adds the K of one shape, and :func:`power_sum` the powers of one
-degree, by the same balanced tree of additions, not by a running
+level adds the K of one shape, and :func:`lapvol.engine.run` the
+closing powers, by the same balanced tree of additions, not by a running
 total.  Fraction addition is exact, so only the cost changes: a running
 total adds each term to a number near the size of the result and
 reduces that sum by a gcd, while the tree adds operands of like size
@@ -63,9 +63,10 @@ scale folded into the coefficient once.  The last residue level is
 fused with the closed form (:func:`close_level`): with only ``var``
 and ``last`` left, every factor b*var + c*last maps at the zero of
 a*var + g*last to (a*c - b*g)/a times ``last``, so each residue is one
-pair (alpha, K) standing for K * exp(alpha*last) / last^q, computed
-from integer products without building a term.  :func:`power_sum` is
-the one closed form for such powers of one variable; it keeps only
+pair (alpha, K) standing for K * exp(alpha*last) / last^(n+1),
+computed from integer products without building a term.  The volume is
+homogeneous of degree n in b, so n + 1 is the only degree: the closing
+level refuses any other.  The closed form K * alpha^n / n! keeps only
 alpha > 0, so alpha is read first and K built only where it is kept or
 where an alpha <= 0 shape repeats (to count the level's shapes
 exactly).  A level reads each factor once per job: the start term
@@ -95,7 +96,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -366,40 +367,17 @@ def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     return out
 
 
-# A sum of powers of one variable x: (alpha, q) -> K stands for the
-# summand K * exp(alpha*x) / x^q.
-PowerSum = Dict[Tuple[Fraction, int], Fraction]
-
-
-def power_sum(powers: PowerSum) -> Fraction:
-    """Closed form of the last one-variable inversion integral: the
-    integral of K * exp(alpha*x) / x^q over a vertical path right of 0
-    is K * alpha^(q-1) / (q-1)! for alpha > 0 and zero otherwise."""
-    by_degree: Dict[int, List[Fraction]] = {}
-    for (alpha, q), K in powers.items():
-        if alpha > 0:
-            by_degree.setdefault(q, []).append(K * alpha ** (q - 1))
-    return sum((tree_sum(v) / factorial(q - 1) for q, v in by_degree.items()), Fraction(0))
-
-
-def power_terms(terms: Sequence[Term]) -> PowerSum:
-    """Terms over one slot as a power sum in its variable: K divides the
-    coefficient by the product of the factors' entries."""
-    powers: PowerSum = {}
-    for coeff, (den, (L,)), denom in terms:
-        K, q = coeff, 0
-        for (c,), mult in denom:
-            K /= c ** mult
-            q += mult
-        key = (Fraction(L, den), q)
-        powers[key] = powers.get(key, 0) + K
-    return {key: K for key, K in powers.items() if K != 0}
-
-
 def final_level_value(term: Term) -> Fraction:
-    """Closed form of the last integral of one term over one slot:
-    :func:`power_sum` of :func:`power_terms`."""
-    return power_sum(power_terms([term]))
+    """Closed form of the last integral of one term over one slot,
+    K * exp(alpha*x) / x^q with K the coefficient over the product of
+    the factors' entries: over a vertical path right of 0 it is
+    K * alpha^(q-1) / (q-1)! for alpha > 0 and zero otherwise."""
+    coeff, (den, (L,)), denom = term
+    if L <= 0:
+        return Fraction(0)
+    q = sum([mult for _, mult in denom])
+    K = coeff / prod([c ** mult for (c,), mult in denom])
+    return K * Fraction(L, den) ** (q - 1) / factorial(q - 1)
 
 
 def perturb_abscissa(
@@ -500,10 +478,11 @@ def close_level(
     terms: Sequence[Term],
     var: int,
     last: int,
+    n: int,
     config: ContourConfig,
     history: History,
     force_side: Optional[Side] = None,
-) -> Tuple[PowerSum, set, ContourConfig, LevelStats]:
+) -> Tuple[Dict[Fraction, Fraction], ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
@@ -513,11 +492,13 @@ def close_level(
     (s/a)*last with the integer s = a*c - b*g_last, so a residue is
     K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
     prod(s^mult) and alpha the exponent's coefficient on ``last`` at the
-    zero, read as a reduced integer pair.  K is built only where
-    :func:`power_sum` reads it (alpha > 0) and for alpha <= 0 shapes hit
-    twice or more, to see whether they cancel.  Returns the alpha > 0
-    powers in ``last`` (equal (alpha, q) added, zero sums dropped), the
-    degrees q of the terms with collected poles, the config and the
+    zero, read as a reduced integer pair.  The volume is homogeneous of
+    degree n in b, so every term with collected poles must have
+    q = n + 1; any other degree is refused (:class:`MalformedH`).  K is
+    built only where the closed form reads it (alpha > 0) and for
+    alpha <= 0 shapes hit twice or more, to see whether they cancel.
+    Returns the alpha > 0 powers in ``last`` as alpha -> K (equal alpha
+    added, first-seen order, zero sums dropped), the config and the
     level's stats (``terms_out`` counts the alpha <= 0 shapes too).
     """
     k, sides, config, repaired = _classified(terms, var, config, history)
@@ -525,10 +506,9 @@ def close_level(
     j = slots.index(last)
     rest = [i for i in range(len(slots)) if i != k and i != j]
     checked = set()
-    # alpha as a reduced integer pair (N, D > 0), keyed with q
-    powers: Dict[Tuple[int, int, int], list] = {}
-    dead: Dict[Tuple[int, int, int], list] = {}
-    degrees = set()
+    # alpha as a reduced integer pair (N, D > 0)
+    powers: Dict[Tuple[int, int], list] = {}
+    dead: Dict[Tuple[int, int], list] = {}
     poles_found = left = residues = 0
     for term in terms:
         sign, poles, found, n_left, parts, q = _collected(term, k, sides, force_side, slots, j)
@@ -545,7 +525,9 @@ def close_level(
                         f"holds a variable other than {var_name(var)} and {var_name(last)}"
                     )
             checked.update(denom)
-        degrees.add(q)
+        if q != n + 1:
+            raise MalformedH(f"surviving term has {var_name(last)}-multiplicity {q}, "
+                             f"expected {n + 1}")
         # alpha = L_last - L_var*g_last/a = (x*a - y*g_last) / (den*a)
         x, y = L[j], L[k]
         for jg in poles:
@@ -554,7 +536,7 @@ def close_level(
             if D < 0:
                 N, D = -N, -D
             h = gcd(N, D)
-            key = (N // h, D // h, q)
+            key = (N // h, D // h)
             if N > 0:
                 powers.setdefault(key, []).append(_pole_power(sign, coeff, parts, jg, q))
             else:
@@ -564,10 +546,10 @@ def close_level(
     # repeated alpha <= 0 shape can cancel
     dead_out = sum(len(hits) == 1 or tree_sum([_pole_power(*h) for h in hits]) != 0
                    for hits in dead.values())
-    powers = {(Fraction(N, D), q): K for (N, D, q), Ks in powers.items() if (K := tree_sum(Ks))}
+    powers = {Fraction(N, D): K for (N, D), Ks in powers.items() if (K := tree_sum(Ks))}
     stats = LevelStats(var, len(terms), poles_found, left, poles_found - left, repaired,
                        residues, len(powers) + dead_out)
-    return powers, degrees, config, stats
+    return powers, config, stats
 
 
 def _pole_power(sign: int, coeff: Fraction, parts: Sequence[Tuple[int, int, int]], jg: int,
@@ -582,10 +564,3 @@ def _pole_power(sign: int, coeff: Fraction, parts: Sequence[Tuple[int, int, int]
             den *= s if mult == 1 else s ** mult
     return Fraction(sign * coeff.numerator * a ** (q - 1), den)
 
-
-def require_degree(degrees, last: int, n: int) -> None:
-    """Every power of ``last`` the closed form sums must be last^(n+1)."""
-    bad = degrees - {n + 1}
-    if bad:
-        raise MalformedH(f"surviving term has {var_name(last)}-multiplicity {min(bad)}, "
-                         f"expected {n + 1}")

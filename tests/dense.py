@@ -95,8 +95,8 @@ def integrate_level(lin_terms, var, config, history, force_side=None):
     return [lin_term(t, slots) for t in out], config, stats
 
 
-def close_level(lin_terms, var, last, config, history, force_side=None):
-    return _run_level(terms.close_level, lin_terms, config, history, var, last, config,
+def close_level(lin_terms, var, last, n, config, history, force_side=None):
+    return _run_level(terms.close_level, lin_terms, config, history, var, last, n, config,
                       force_side=force_side)[1]
 
 
@@ -104,10 +104,6 @@ def merge_like_terms(lin_terms):
     slots = slots_of(lin_terms)
     return [lin_term(t, slots) for t in terms.merge_like_terms(
         [dense_term(t, slots) for t in lin_terms])]
-
-
-def power_terms(lin_terms, last):
-    return terms.power_terms([dense_term(t, (last,)) for t in lin_terms])
 
 
 def final_level_value(term, var):

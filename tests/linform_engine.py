@@ -7,26 +7,20 @@ factors, pole sites are :class:`PoleSite` values, and the history holds
 PoleSites.  ``dense.py`` converts between the two; the kernel tests
 require the dense engine, converted back, to return exactly what this
 one returns.  The contour, side and stats types are shared with
-``lapvol.terms``; the side rule is this engine's own.
+``lapvol.terms``; the side rule and the closed form are this engine's
+own.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from lapvol.errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
 from lapvol.linforms import var_name
-from lapvol.terms import (
-    ContourConfig,
-    LevelStats,
-    PerturbationRecord,
-    PowerSum,
-    Side,
-    power_sum,
-)
+from lapvol.terms import ContourConfig, LevelStats, PerturbationRecord, Side
 
 from linform import LinForm
 
@@ -320,6 +314,19 @@ def merge_like_terms(terms: Sequence[Term]) -> List[Term]:
     ]
 
 
+# A sum of powers of one variable x: (alpha, q) -> K stands for the
+# summand K * exp(alpha*x) / x^q.
+PowerSum = Dict[Tuple[Fraction, int], Fraction]
+
+
+def power_sum(powers: PowerSum) -> Fraction:
+    """Closed form of the last one-variable inversion integral: the
+    integral of K * exp(alpha*x) / x^q over a vertical path right of 0
+    is K * alpha^(q-1) / (q-1)! for alpha > 0 and zero otherwise."""
+    return sum((K * alpha ** (q - 1) / factorial(q - 1)
+                for (alpha, q), K in powers.items() if alpha > 0), Fraction(0))
+
+
 def power_terms(terms: Sequence[Term], last: int, implicit: Fraction = 0) -> PowerSum:
     """The terms, every factor a multiple of ``last``, as a power sum in
     ``last``: K divides the coefficient by the product of the factors'
@@ -462,12 +469,13 @@ def close_level(
     terms: Sequence[Term],
     var: int,
     last: int,
+    n: int,
     config: ContourConfig,
     rule: SideRule,
     history: History,
     force_side: Optional[Side] = None,
     implicit: Fraction = 0,
-) -> Tuple[PowerSum, set, ContourConfig, LevelStats]:
+) -> Tuple[Dict[Fraction, Fraction], ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
@@ -478,18 +486,18 @@ def close_level(
     K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
     prod(s^mult) and alpha the exponent's coefficient on ``last`` at the
     zero (plus ``implicit``, as in :func:`power_terms`), read as a
-    reduced integer pair.  K is built only where
-    :func:`power_sum` reads it (alpha > 0) and for alpha <= 0 shapes hit
+    reduced integer pair.  A term with collected poles must have
+    q = n + 1 (:class:`MalformedH` otherwise).  K is built only where
+    the closed form reads it (alpha > 0) and for alpha <= 0 shapes hit
     twice or more, to see whether they cancel.  Returns the alpha > 0
-    powers in ``last`` (equal (alpha, q) added, zero sums dropped), the
-    degrees q of the terms with collected poles, the config and the
-    level's stats (``terms_out`` counts the alpha <= 0 shapes too).
+    powers in ``last`` as alpha -> K (equal alpha added, zero sums
+    dropped), the config and the level's stats (``terms_out`` counts the
+    alpha <= 0 shapes too).
     """
     terms, sites, config, repaired = _classified(terms, var, config, history)
-    # alpha as a reduced integer pair (N, D > 0), keyed with q
-    powers: Dict[Tuple[int, int, int], Fraction] = {}
-    dead: Dict[Tuple[int, int, int], list] = {}
-    degrees = set()
+    # alpha as a reduced integer pair (N, D > 0)
+    powers: Dict[Tuple[int, int], Fraction] = {}
+    dead: Dict[Tuple[int, int], list] = {}
     residues = 0
     for term, term_sites in zip(terms, sites):
         sign, poles = _collected(term, term_sites, var, rule, force_side)
@@ -512,7 +520,9 @@ def close_level(
             parts.append((b, c, mult))
         index = {f: j for j, (f, _) in enumerate(term.denom)}
         q = term.total_multiplicity - 1
-        degrees.add(q)
+        if q != n + 1:
+            raise MalformedH(f"surviving term has {var_name(last)}-multiplicity {q}, "
+                             f"expected {n + 1}")
         L = term.exponent
         assert set(L.variables) <= {var, last}
         L_var, L_last = L.coeff(var), L.coeff(last) + implicit
@@ -527,7 +537,7 @@ def close_level(
             if D < 0:
                 N, D = -N, -D
             h = gcd(N, D)
-            key = (N // h, D // h, q)
+            key = (N // h, D // h)
             if N > 0:
                 powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
             else:
@@ -537,9 +547,9 @@ def close_level(
     # repeated alpha <= 0 shape can cancel
     dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
                    for hits in dead.values())
-    powers = {(Fraction(N, D), q): K for (N, D, q), K in powers.items() if K != 0}
+    powers = {Fraction(N, D): K for (N, D), K in powers.items() if K != 0}
     stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
-    return powers, degrees, config, stats
+    return powers, config, stats
 
 
 def _pole_power(sign: int, term: Term, parts: Sequence[Tuple[int, int, int]], jg: int,

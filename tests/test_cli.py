@@ -306,6 +306,18 @@ def test_exit_2_float_literal_quoted_short(tmp_path, capsys, options):
     assert repr("0." + "1" * 38) + "..." in err
 
 
+def test_exit_2_non_number_entry_quoted_short(tmp_path, capsys):
+    # an entry that is neither a number nor a string is quoted by its
+    # repr, cut to 40 characters as a refused text is
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps({"A": [[list(range(3000)), 1]], "b": [1]}))
+    code, out, err = run(capsys, "volume", str(path))
+    shown = repr(list(range(3000)))[:40]
+    assert (code, out, err) == (2, "", f"error: not a rational: {shown}...\n")
+    path.write_text('{"A": [[true, null]], "b": [1]}')
+    assert run(capsys, "volume", str(path))[2] == "error: not a rational: True\n"
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("options", [[], ["--tolerate-floats"]])
 def test_exit_2_not_a_number(tmp_path, capsys, constant, options):

@@ -9,8 +9,9 @@ forms they replace.  Both methods must give the same Fraction, the same
 LevelStats, the same closed-form variable and count of terms reaching
 it, the same perturbation ledger, the same C and the same refusal.
 """
+import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -19,7 +20,7 @@ from lapvol import direct, terms as terms_module, transform
 from lapvol.direct import integration_order, run_direct
 from lapvol.engine import contour
 from lapvol.linforms import P_VAR
-from lapvol.terms import ContourConfig, Side, require_degree
+from lapvol.terms import ContourConfig, Side
 from lapvol.transform import eliminated_var, run_transform
 
 import linform_engine as reference
@@ -31,7 +32,6 @@ from dense import (
     final_level_value,
     initial_term,
     integrate_level,
-    power_terms,
     substituted_term,
 )
 from linform import LinForm
@@ -143,6 +143,22 @@ def test_m1_uses_the_same_finisher(A):
     assert_same(norm)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_m1_volume_is_the_simplex_volume(n):
+    # {x >= 0, a.x <= b} with a > 0 is a simplex of volume b^n / (n! prod a_j);
+    # m = 1 has no residue level, its start term is already C * e^x / x^(n+1)
+    rng = random.Random(f"m1:{n}")
+    for _ in range(3):
+        a = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(n)]
+        b = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        norm = lv.normalize(lv.make_instance([a], [b]))
+        want = b ** n / (factorial(n) * prod(a))
+        for run in (run_direct(norm), run_transform(norm)):
+            assert type(run.result) is Fraction and run.result == want
+            assert run.levels == () and run.leaves == 1
+            assert run.H_coefficient == want * factorial(n)
+
+
 # -- the pruned closing level -------------------------------------------
 # close_level builds K only for alpha > 0 residues and for alpha <= 0
 # shapes hit more than once (summed to see whether they cancel).
@@ -215,16 +231,21 @@ def config_31():
 def test_close_level_keeps_the_alpha_positive_powers(k_builds):
     for terms in (two_variable_terms()[:1], two_variable_terms()):
         k_builds.clear()
-        powers, degrees, _, stats = close_level(terms, 1, 2, config_31(), [])
-        merged, _, reference = integrate_level(terms, 1, config_31(), [])
-        every = power_terms(merged, 2)
-        assert powers == {key: K for key, K in every.items() if key[0] > 0}
-        assert powers and set(every) - set(powers)  # both kinds occur
-        assert stats == reference and stats.terms_out == len(every)
-        assert degrees == {4}
+        powers, _, stats = close_level(terms, 1, 2, 3, config_31(), [])
+        merged, _, unfused = integrate_level(terms, 1, config_31(), [])
+        every = reference.power_terms(merged, 2)
+        assert {q for _, q in every} == {4}
+        assert powers == {alpha: K for (alpha, _), K in every.items() if alpha > 0}
+        assert powers and len(every) > len(powers)  # both kinds occur
+        assert stats == unfused and stats.terms_out == len(every)
+        closed = sum(K * alpha ** 3 for alpha, K in powers.items()) / 6
+        assert closed == reference.power_sum(every)
         # one K per alpha > 0 residue; the alpha <= 0 shapes need theirs
         # only when hit twice, as with both terms
         assert len(k_builds) == (1 if len(terms) == 1 else 5)
+        # every term has degree 4 in l2, which is n + 1 for n = 3 only
+        with pytest.raises(lv.MalformedH, match="l2-multiplicity 4, expected 3"):
+            close_level(terms, 1, 2, 2, config_31(), [])
 
 
 def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
@@ -233,14 +254,15 @@ def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
     factors = (l1 + l2, l1 + 2 * l2, l1 - 5 * l2)
     config = ContourConfig({1: Fraction(3), 2: Fraction(1), 3: Fraction(1)})
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2 + l3,))))
-    with pytest.raises(lv.MalformedH, match="other than l1 and l2"):
-        close_level([term], 1, 2, config, [])
+    for n in (2, 3):  # the stray factor is refused before the degree is read
+        with pytest.raises(lv.MalformedH, match="other than l1 and l2"):
+            close_level([term], 1, 2, n, config, [])
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2,))))
-    powers, degrees, _, stats = close_level([term], 1, 2, config, [])
-    assert powers == {} and stats.terms_out == 2 and degrees == {3}
-    require_degree(degrees, 2, 2)
-    with pytest.raises(lv.MalformedH, match="l2-multiplicity 3, expected 4"):
-        require_degree(degrees, 2, 3)
+    powers, _, stats = close_level([term], 1, 2, 2, config, [])
+    assert powers == {} and stats.terms_out == 2
+    with pytest.raises(lv.MalformedH) as exc:
+        close_level([term], 1, 2, 3, config, [])
+    assert str(exc.value) == "surviving term has l2-multiplicity 3, expected 4"
 
 
 def test_close_level_message_names_the_stray_factor():
@@ -250,7 +272,7 @@ def test_close_level_message_names_the_stray_factor():
     term = (Fraction(5, 7), (2, (1, 1, 1)), (((0, 1, 1), 1), ((3, -2, 1), 2)))
     config = ContourConfig({1: Fraction(1), 2: Fraction(1), P_VAR: Fraction(3)})
     with pytest.raises(lv.MalformedH) as exc:
-        terms_module.close_level([term], 2, P_VAR, config, [])
+        terms_module.close_level([term], 2, P_VAR, 1, config, [])
     assert str(exc.value) == ("denominator factor 3*l1 - 2*l2 + p of the last residue level "
                               "holds a variable other than l2 and p")
 
@@ -259,7 +281,10 @@ def test_close_level_message_names_the_stray_factor():
 # Dense terms over the slots (l1, l2) or (l1, l2, l3), closing l1 with l2
 # last at c = (3, 1[, 1]).  The first term that close_level refuses decides
 # the error, and each term is checked for its closure (DivergentSlice,
-# then a repeated pole) before its factors are scanned for MalformedH.
+# then a repeated pole) before its factors are scanned for MalformedH and
+# its degree is read.
+# Each call passes the n for which the terms' degree in l2 is n + 1, so
+# the degree check refuses none of them.
 
 CONFIG_2 = ContourConfig({1: Fraction(3), 2: Fraction(1)})
 CONFIG_3 = ContourConfig({1: Fraction(3), 2: Fraction(1), 3: Fraction(1)})
@@ -269,36 +294,38 @@ DIVERGENT = (Fraction(2), (1, (0, 1)), (((1, 1), 1), ((0, 1), 3)))
 REPEATED = (Fraction(3), (1, (1, 1)), (((1, 2), 2), ((0, 1), 2)))
 
 
-def refusal(terms, config):
+def refusal(terms, config, n):
     with pytest.raises(lv.VolumeEngineError) as exc:
-        terms_module.close_level(terms, 1, 2, config, [])
+        terms_module.close_level(terms, 1, 2, n, config, [])
     return type(exc.value)
 
 
 def test_close_level_refuses_a_divergent_slice_before_a_repeated_pole():
-    assert refusal([DIVERGENT, REPEATED], CONFIG_2) is lv.DivergentSlice
-    assert refusal([DIVERGENT], CONFIG_2) is lv.DivergentSlice
-    assert refusal([REPEATED], CONFIG_2) is lv.DegenerateInstance
+    assert refusal([DIVERGENT, REPEATED], CONFIG_2, 2) is lv.DivergentSlice
+    assert refusal([DIVERGENT], CONFIG_2, 2) is lv.DivergentSlice
+    assert refusal([REPEATED], CONFIG_2, 2) is lv.DegenerateInstance
     # term order decides between two refused terms
-    assert refusal([REPEATED, DIVERGENT], CONFIG_2) is lv.DegenerateInstance
+    assert refusal([REPEATED, DIVERGENT], CONFIG_2, 2) is lv.DegenerateInstance
 
 
 def test_close_level_refuses_a_repeated_pole_before_a_stray_factor():
     # l2 + l3 holds a third variable; the repeated pole l1 + 2*l2 is refused first
     stray = ((0, 1, 1), 1)
     term = (Fraction(3), (1, (1, 1, 0)), (((1, 2, 0), 2), stray))
-    assert refusal([term], CONFIG_3) is lv.DegenerateInstance
+    assert refusal([term], CONFIG_3, 1) is lv.DegenerateInstance
     term = (Fraction(3), (1, (1, 1, 0)), (((1, 2, 0), 1), stray, ((0, 1, 0), 1)))
-    assert refusal([term], CONFIG_3) is lv.MalformedH
+    assert refusal([term], CONFIG_3, 1) is lv.MalformedH
 
 
 def test_close_level_never_scans_a_term_without_poles_on_its_closing_side():
     # l1 - 5*l2 has its root l1 = 5 right of the path at 3; the exponent
-    # closes left, so the term collects nothing and its stray l2 + l3 stays
+    # closes left, so the term collects nothing: neither its stray l2 + l3
+    # nor its degree 2 (n + 1 only for n = 1, not for the n = 3 passed) is
+    # checked
     term = (Fraction(3), (1, (1, 1, 0)), (((1, -5, 0), 1), ((0, 1, 1), 2)))
-    powers, degrees, _, stats = terms_module.close_level([term], 1, 2, CONFIG_3, [])
-    assert powers == {} and degrees == set()
+    powers, _, stats = terms_module.close_level([term], 1, 2, 3, CONFIG_3, [])
+    assert powers == {}
     assert (stats.poles_found, stats.left, stats.residues, stats.terms_out) == (1, 0, 0, 0)
     # the same stray factor is refused once the term collects a pole
     term = (Fraction(3), (1, (1, 1, 0)), (((1, 5, 0), 1), ((0, 1, 1), 2)))
-    assert refusal([term], CONFIG_3) is lv.MalformedH
+    assert refusal([term], CONFIG_3, 1) is lv.MalformedH

@@ -1,7 +1,8 @@
 """The balanced-tree sums of the residue engine keep every Fraction.
 
 :func:`lapvol.terms.tree_sum` reassociates the exact additions of
-``close_level``, ``power_sum`` and ``merge_like_terms``.  Fraction
+``close_level``, the closed form of ``engine.run`` and
+``merge_like_terms``.  Fraction
 addition is exact, so the order must not change a value; the pinned
 digests below were recorded with the running (one term at a time) sums
 the tree replaced.

@@ -10,8 +10,10 @@ returns: equal terms with their factors in the same order, equal pole
 sites in the history, equal LevelStats and equal ledgers, or the same
 refusal.
 """
+import ast
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import lapvol as lv
 from lapvol import direct, transform
@@ -63,9 +65,9 @@ def checked_level(seen, level_fn, reference_fn, terms, args, rule, history, **kw
     return want
 
 
-def check_run(seen, start, order, last, config, rule, force_side):
+def check_run(seen, start, order, last, n, config, rule, force_side):
     """Every level of one run: the intermediate levels through
-    integrate_level, the last one through close_level."""
+    integrate_level, the last one through close_level at degree n+1."""
     terms, history = [start], []
     for k in order[:-1]:
         result = checked_level(seen, integrate_level, reference.integrate_level, terms,
@@ -74,7 +76,7 @@ def check_run(seen, start, order, last, config, rule, force_side):
             return
         terms, config, _ = result
         assert all(canonical_term(t) == t for t in terms)
-    checked_level(seen, close_level, reference.close_level, terms, (order[-1], last, config),
+    checked_level(seen, close_level, reference.close_level, terms, (order[-1], last, n, config),
                   rule, history, force_side=force_side)
 
 
@@ -92,7 +94,7 @@ def check_instances(norms):
             for start, method, config, rule in zip(
                     starts, methods, configs, (rules.BY_EXPONENT_SIGN, rules.FEWER_POLES)):
                 if isinstance(start, Term):
-                    check_run(seen, start, method.levels, method.last, config, rule, side)
+                    check_run(seen, start, method.levels, method.last, norm.n, config, rule, side)
     return seen
 
 
@@ -123,9 +125,26 @@ def test_close_level_matches_reference_with_implicit_on_a_fractional_exponent():
     config = ContourConfig({1: Fraction(3), 2: Fraction(1)})
     for implicit in (0, 1):
         lifted = canonical_term(Term(Fraction(3, 2), exponent + implicit * l2, factors))
-        got = close_level([lifted], 1, 2, config, [])
-        want = reference.close_level([term], 1, 2, config, reference.SideRule.BY_EXPONENT_SIGN,
-                                     [], implicit=implicit)
+        got = close_level([lifted], 1, 2, 3, config, [])
+        want = reference.close_level([term], 1, 2, 3, config,
+                                     reference.SideRule.BY_EXPONENT_SIGN, [], implicit=implicit)
         assert [in_order(x) for x in got] == [in_order(x) for x in want]
         # at the root of l1, alpha = -1/3 + implicit
         assert bool(want[0]) == (implicit == 1)
+
+
+def test_reference_takes_only_types_from_the_kernel():
+    # the reference shares no code with lapvol.terms: it imports the
+    # contour, ledger, side and stats types and no function, and never
+    # the module itself
+    tree = ast.parse(Path(reference.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "lapvol.terms":
+                taken.update(alias.name for alias in node.names)
+            elif node.module == "lapvol":
+                assert "terms" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "lapvol.terms" not in {alias.name for alias in node.names}
+    assert taken == {"ContourConfig", "LevelStats", "PerturbationRecord", "Side"}

@@ -61,13 +61,30 @@ def test_cross_check_exits_1_on_disagreement(monkeypatch, capsys):
                     err), err
 
 
+def assert_usage_error(script, args, message):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == "", proc
+    assert proc.stderr.startswith("usage: ") and message in proc.stderr, proc.stderr
+
+
 def test_cross_check_refuses_bad_arguments():
-    for args, message in ((["--n-max", "1"], "argument --n-max: must be at least 2, got 1"),
-                          (["--m", "2", "0"], "argument --m: must be at least 1, got 0")):
-        proc = subprocess.run([sys.executable, str(SCRIPTS / "cross_check.py"), *args],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2 and proc.stdout == "", proc
-        assert proc.stderr.startswith("usage: ") and message in proc.stderr, proc.stderr
+    for args, message in (
+            (["--n-max", "1"], "argument --n-max: must be at least 2, got 1"),
+            (["--m", "2", "0"], "argument --m: must be at least 1, got 0"),
+            (["--count", "0"], "argument --count: must be at least 1, got 0"),
+            (["--count", "-1"], "argument --count: must be at least 1, got -1"),
+            (["--mc-samples", "-5"], "argument --mc-samples: must be at least 0, got -5")):
+        assert_usage_error("cross_check.py", args, message)
+
+
+def test_node_census_refuses_bad_arguments():
+    for args, message in (
+            (["--m", "0"], "argument --m: must be at least 1, got 0"),
+            (["--m", "2", "-1"], "argument --m: must be at least 1, got -1"),
+            (["--n", "0"], "argument --n: must be at least 1, got 0"),
+            (["--trials", "0"], "argument --trials: must be at least 1, got 0")):
+        assert_usage_error("node_census.py", args, message)
 
 
 def test_node_census_runs():
