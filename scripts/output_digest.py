@@ -2,16 +2,20 @@
 """Output digest of `lapvol volume`: one line per call, for comparing two
 checkouts byte for byte.
 
-Runs `lapvol.cli.main` in process on three sets of inputs:
+Runs `lapvol.cli.main` in process on four sets of inputs:
 
 * the benchmark's draws: perfbench seeds 1-3 at wide 4, deep 6 and
   small 15 rounds (made by perfbench/gen.py, which is only read);
 * 400 signed draws `random_instance(rng, m, n, signed=True)` with m 1-5
   and n 1-7 from `random.Random(7)`;
-* the committed `instances/*.json`.
+* the committed `instances/*.json`;
+* a fixed set of files that the reader refuses or that meet a repeated
+  pole (READER_DOCS).
 
 Each input runs under `--stats` with `--method both`, `direct` and
-`transform`, and under `--check-only`.  A line reads
+`transform`, and under `--check-only`; the last set also under
+`--tolerate-floats`.  Then `lapvol --gen` runs on each of GEN_SPECS,
+written as the case `gen`.  A line reads
 
     CASE FLAGS exit=CODE sha256=HEX
 
@@ -52,6 +56,22 @@ FLAGS = (
     ("--stats", "--method", "transform"),
     ("--check-only",),
 )
+READER_FLAGS = FLAGS + (("--tolerate-floats",),)
+READER_DOCS = (
+    ("not-rational", '{"A": [["1/2x", 1]], "b": [1]}'),
+    ("float-literal", '{"A": [[0.5, 1]], "b": [1]}'),
+    ("nan", '{"A": [[NaN, 1]], "b": [1]}'),
+    ("ragged-rows", '{"A": [[1, 1], [1]], "b": [1, 1]}'),
+    ("b-zero", '{"A": [[1, 1]], "b": [0]}'),
+    ("b-negative", '{"A": [[1, 1], [1, 2]], "b": [1, "-1/2"]}'),
+    ("zero-rows", '{"A": [[0, 0], [0, 0]], "b": [1, 1]}'),
+    ("divide-by-zero", '{"A": [["1/0", 1]], "b": [1]}'),
+    ("over-long", '{"A": [[' + "9" * 5000 + ', 1]], "b": [1]}'),
+    ("deep-nesting", "[" * 100_000 + "]" * 100_000),
+    ("proportional-columns", '{"A": [[1, 1, 2], [2, 2, -1]], "b": [1, 1]}'),
+    ("box-2", '{"A": [[1, 0], [0, 1]], "b": [1, 1]}'),
+)
+GEN_SPECS = ("simplex:3", "box:2", "paper-example", "box:0", "box:1001")
 
 
 def perfbench_docs():
@@ -97,19 +117,23 @@ def main() -> int:
     ap.add_argument("--limit", type=int, default=0,
                     help="run only the first N inputs of each set (0: all)")
     args = ap.parse_args()
-    sets = (perfbench_docs(), signed_docs(), fixture_docs())
+    sets = ((perfbench_docs(), FLAGS), (signed_docs(), FLAGS), (fixture_docs(), FLAGS),
+            (READER_DOCS, READER_FLAGS))
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for docs in sets:
+        for docs, flag_sets in sets:
             for k, (name, doc) in enumerate(docs):
                 if args.limit and k >= args.limit:
                     break
                 path = f"{name}.json"
                 Path(path).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-                for flags in FLAGS:
+                for flags in flag_sets:
                     code, digest = call(["volume", path, *flags])
                     print(f"{name} {' '.join(flags)} exit={code} sha256={digest}")
         os.chdir(ROOT)
+    for spec in GEN_SPECS[:args.limit or None]:
+        code, digest = call(["--gen", spec])
+        print(f"gen --gen {spec} exit={code} sha256={digest}")
     return 0
 
 

@@ -3,7 +3,7 @@
     lapvol volume FILE [--method direct|transform|both] [--digits K]
                        [--check-only] [--verify-mc --samples N --seed S]
                        [--stats] [--tolerate-floats]
-    lapvol --gen simplex:N | box:N | paper-example
+    lapvol --gen simplex:N | box:N | paper-example    (1 <= N <= 1000)
 
 Exit codes: 0 ok, 2 invalid file/usage, 3 nonpositive b, 4 unbounded,
 5 not pointed, 6 degenerate instance, 7 internal (divergent slice,
@@ -90,6 +90,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
 _MAX_MANTISSA_DIGITS = 100
 _MAX_EXPONENT_DIGITS = 3
 _DECIMAL = r"[+-]?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]+))?"  # compiled on first use
+_MAX_GEN = 1000  # the largest N of --gen simplex:N and box:N (box:N writes N^2 entries)
 
 
 def _shown(text: str) -> str:
@@ -180,6 +181,8 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
         raise InstanceFormatError(f"cannot read {path}: {exc}")
     except InstanceFormatError:
         raise
+    except RecursionError:  # json's decoder recurses once per level of nesting
+        raise InstanceFormatError(f"{path}: invalid JSON (nested too deeply)")
     except ValueError as exc:
         if _too_long(exc):  # json reads an int literal with int()
             raise InstanceFormatError(f"{path}: {_too_long_message()}")
@@ -317,13 +320,14 @@ def _volume_report(inst: PolytopeInstance, args) -> int:
 
 def _cmd_gen(spec: str) -> int:
     kind, _, arg = spec.partition(":")
-    if kind in ("simplex", "box") and re.fullmatch("[0-9]+", arg) and int(arg) >= 1:
-        inst, _vol = known_instance(kind, int(arg))
+    digits = arg.lstrip("0")
+    if kind in ("simplex", "box") and re.fullmatch("[0-9]{1,4}", digits) and int(digits) <= _MAX_GEN:
+        inst, _vol = known_instance(kind, int(digits))
     elif spec == "paper-example":
         inst, _vol = known_instance("paper-example")
     else:
         print(f"error: invalid generator {spec!r} (expected simplex:N or box:N with "
-              "an integer N >= 1, or paper-example)", file=sys.stderr)
+              f"an integer 1 <= N <= {_MAX_GEN}, or paper-example)", file=sys.stderr)
         return EXIT_BAD_FILE
     print(instance_json(inst))
     return EXIT_OK

@@ -38,9 +38,7 @@ def method(columns) -> Method:
     """The direct method on the instance with these integer columns."""
     order = integration_order(columns)
     ids = tuple(range(1, len(order) + 1))
-    return Method(ids, tuple, ids, order[:-1], order[-1],
-                  ": a constraint row is proportional to a coordinate axis or to "
-                  "another column factor.")
+    return Method(ids, tuple, ids, order[:-1], order[-1])
 
 
 def run_direct(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Run:

@@ -4,13 +4,13 @@ Both methods integrate exp(l1+..+lm) over the m variable factors l_i and
 the n column factors (A'l)_j by iterated residues, in the coordinates a
 :class:`Method` gives for one instance.  :func:`start_term` writes the
 integrand through the method's map ``through``: the variable factors are
-through(e_i), the column factors primitive(through(column)) and the
-exponent through((1,)*m), which is p for the transform.  :func:`run`
-integrates the method's ``levels`` by residues, the last of them fused
-with the closed form in ``last`` (:func:`lapvol.terms.close_level`),
-asserts the level-k residue bound (n+1)^k on every run, and sums the
-closed form K * alpha^n / n! of the powers K * e^(alpha*last) /
-last^(n+1) that the closing level keeps.
+through(e_i), the column factors primitive(through(column)) (equal
+factors as one with a multiplicity) and the exponent through((1,)*m),
+which is p for the transform.  :func:`run` integrates the method's
+``levels`` by residues, the last of them fused with the closed form in
+``last`` (:func:`lapvol.terms.close_level`), asserts the level-k residue
+bound (n+1)^k on every run, and sums the closed form K * alpha^n / n! of
+the powers K * e^(alpha*last) / last^(n+1) that the closing level keeps.
 """
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import mul
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DegenerateInstance
-from .linforms import P_VAR, form_str
+from .linforms import P_VAR
 from .polytope import NormalizedInstance, contour_seed, is_strict_interior
 from .terms import (
     ContourConfig,
+    Factor,
     LevelStats,
     Term,
     close_level,
@@ -37,10 +37,9 @@ from .terms import (
 class Method(NamedTuple):
     slots: Tuple[int, ...]                # the variables in ascending id: the slot layout
     through: Callable[[Sequence], Tuple]  # a form over l1..lm as a form over the slots
-    variables: Tuple[int, ...]            # the order of the variable factors l_i
+    variables: Tuple[int, ...]            # the order of the variable factors l_i (names a pole)
     levels: Tuple[int, ...]               # the variables integrated by residues, in order
     last: int                             # the variable left for the closed form
-    refusal: str                          # the tail of the coincident-factor message
 
 
 @dataclass(frozen=True)
@@ -70,47 +69,22 @@ def _unit(i: int, m: int) -> List[int]:
 
 
 def start_term(norm: NormalizedInstance, method: Method) -> Term:
-    """exp(l1+..+lm) over all m+n simple factors, written over the
-    method's slots, each factor primitive and the column scales D/s
-    folded into the coefficient.  Two proportional factors would make a
-    repeated pole at level one already, so they are refused here with a
-    hint; axis-parallel constraint rows (boxes) are the typical trigger.
+    """exp(l1+..+lm) over the m variable and n column factors, written
+    over the method's slots, each factor primitive and the column scales
+    D/s folded into the coefficient.  Equal factors are one factor with
+    their count as multiplicity, in first-seen order: the variables in
+    ``method.variables`` order, then the columns (m = 1: the variable
+    to the power n+1).  Only a level refuses a repeated pole it collects.
     """
     m, through = norm.m, method.through
-    factors = [through(_unit(i, m)) for i in method.variables]
+    denom: Dict[Factor, int] = {through(_unit(i, m)): 1 for i in method.variables}
     num = den = 1
     for scale, col in norm.columns:
         s, f = primitive(through(col))
-        factors.append(f)
+        denom[f] = denom.get(f, 0) + 1
         num *= scale
         den *= s
-    if len(set(factors)) == len(factors):
-        denom = tuple([(f, 1) for f in factors])
-    elif m > 1:
-        # the first pair, in index order, of equal primitive factors
-        first: dict = {}
-        pair = min((first.setdefault(f, i), i) for i, f in enumerate(factors)
-                   if first.setdefault(f, i) != i)
-        a, b = (_unscaled(norm, method, i) for i in pair)
-        raise DegenerateInstance(
-            f"coincident denominator factors ({a}) and ({b}){method.refusal} Perturb A "
-            "slightly (approximate result) or use the known-volume generators for such "
-            "shapes."
-        )
-    else:
-        # m = 1: every factor is the one variable (the row is positive by
-        # compactness), so they add up into its (n+1)-th power
-        denom = ((factors[0], len(factors)),)
-    return Fraction(num, den), (1, through((1,) * m)), denom
-
-
-def _unscaled(norm: NormalizedInstance, method: Method, i: int) -> str:
-    """The start term's factor ``i`` before it was made primitive, as
-    the refusal message writes it."""
-    m = norm.m
-    form = (_unit(method.variables[i], m) if i < m
-            else [row[i - m] for row in norm.rows])
-    return form_str(zip(method.slots, method.through(form)))
+    return Fraction(num, den), (1, through((1,) * m)), tuple(denom.items())
 
 
 def _domain(columns, method: Method):

@@ -28,7 +28,7 @@ c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to integers
 too), the margin min_j (A'c)_j, the start terms of both methods and
 their sign-read variable choices all read these ints.  The rational
 rows (``NormalizedInstance.rows``) are derived from the columns on first
-use, by the refusal messages and the Monte Carlo sampler.
+use, by the Monte Carlo sampler.
 """
 from __future__ import annotations
 

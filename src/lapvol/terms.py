@@ -69,9 +69,8 @@ homogeneous of degree n in b, so n + 1 is the only degree: the closing
 level refuses any other.  The closed form K * alpha^n / n! keeps only
 alpha > 0, so alpha is read first and K built only where it is kept or
 where an alpha <= 0 shape repeats (to count the level's shapes
-exactly).  A level reads each factor once per job: the start term
-checks its factors for a repeat by one set, :func:`_classified` fixes
-the sides of the level's distinct factors in one pass, and
+exactly).  A level reads each factor once per job: :func:`_classified`
+fixes the sides of the level's distinct factors in one pass, and
 :func:`_collected`'s one pass per term gives the closure, the poles as
 positions in the term's denominator and, at the closing level, the
 (b, c, mult) of every factor that K is built from.  The scan for a
@@ -87,8 +86,9 @@ same sign test at the trial abscissae.
 The closing level keys its shapes by alpha as a reduced integer pair;
 only the alpha > 0 powers it keeps get a Fraction alpha.
 
-Repeated roots before the final level mean the data are degenerate and
-are rejected rather than differentiated through.
+Repeated roots.  Equal factors are one factor with a multiplicity, from
+the start term on; :func:`_collected` is the one place that refuses a
+collected pole of order > 1 rather than differentiate through it.
 """
 from __future__ import annotations
 

@@ -41,8 +41,7 @@ def method(columns) -> Method:
         a_r = form[r - 1]
         return tuple([form[j - 1] - a_r for j in others] + [a_r])
 
-    return Method(others + (P_VAR,), through, (r,) + others, others, P_VAR,
-                  " after the p-substitution.")
+    return Method(others + (P_VAR,), through, (r,) + others, others, P_VAR)
 
 
 def run_transform(norm: NormalizedInstance, abscissae: Optional[Sequence] = None,

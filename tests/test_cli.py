@@ -18,6 +18,7 @@ from lapvol.oracle import mc_volume
 from lapvol.polytope import normalize
 
 from conftest import LP_SOLVED_ROWS
+from facet_volume import facet_volume
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -253,17 +254,29 @@ def test_volume_beyond_int_str_limit_renders_exactly(tmp_path, capsys, int_str_l
     assert lines[-1] == f"stats: transform C={volume * 120}"
 
 
+_REPEATED_POLE = ("; coincident denominator factors before the final level. A tiny random "
+                  "perturbation of A removes the coincidence at the price of an approximate "
+                  "volume.\n")
+
+
 def test_coincident_message_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300):
-    # the second row over its b is 7..7 * 3..3 times l2, a numerator of
-    # 6000 digits in the refusal message
-    path = write(tmp_path, "wide.json",
-                 {"A": [["7" * 3000, 0], [0, 1]], "b": ["1/" + "3" * 3000, 1]})
-    for method in ("direct", "transform", "both"):
+    # the first two columns are equal, (1, 7..7) over b = (1, 1/3..3): a
+    # pole of order 2 at l1 = -(7..7 * 3..3)*l2, 6000 digits in the direct
+    # refusal message; the transform meets no repeated pole
+    A, b = [[1, 1, 5], ["7" * 3000, "7" * 3000, 1]], [1, "1/" + "3" * 3000]
+    path = write(tmp_path, "wide.json", {"A": A, "b": b})
+    errors = []
+    for method in ("direct", "both"):
         code, out, err = run(capsys, "volume", path, "--method", method)
         assert code == 6 and out == ""
-        assert err.startswith("error: coincident denominator factors (")
-        assert re.search(r"\d{4301}", err)
+        errors.append(err)
+    code, out, err = run(capsys, "volume", path, "--method", "transform", "--digits", "0")
+    assert code == 0 and err == ""
     assert sys.get_int_max_str_digits() == 4300  # the cap is back
+    sys.set_int_max_str_digits(0)
+    root = int("7" * 3000) * int("3" * 3000)
+    assert errors == [f"error: pole of order 2 at l1 = -{root}*l2{_REPEATED_POLE}"] * 2
+    assert Fraction(out.split()[0]) == facet_volume(A, b)
 
 
 def test_check_only_witness_beyond_int_str_limit(tmp_path, capsys, int_str_limit_4300):
@@ -474,28 +487,23 @@ def test_exit_5_nonpointed_check_only(capsys):
 
 
 def test_exit_6_degenerate_box(tmp_path, capsys):
+    # each variable factor meets its column factor: the first level
+    # collects a pole of order 2
     path = write(tmp_path, "box.json", {"A": [["1", "0"], ["0", "1"]], "b": ["1", "1"]})
-    code, _, err = run(capsys, "volume", path)
-    assert code == 6
-    assert "coincident" in err
-
-
-_PERTURB_HINT = ("Perturb A slightly (approximate result) or use the known-volume "
-                 "generators for such shapes.\n")
+    code, out, err = run(capsys, "volume", path)
+    assert (code, out, err) == (6, "", "error: pole of order 2 at l1 = 0" + _REPEATED_POLE)
 
 
 @pytest.mark.parametrize("method,message", [
-    ("direct", "error: coincident denominator factors (l1 + 2*l2) and (l1 + 2*l2): a "
-               "constraint row is proportional to a coordinate axis or to another column "
-               "factor. "),
-    ("transform", "error: coincident denominator factors (l2 + p) and (l2 + p) after the "
-                  "p-substitution. "),
-])
+    ("direct", "error: pole of order 2 at l2 = -1/2*l1"),
+    ("transform", "error: pole of order 2 at l2 = -p"),
+], ids=["direct", "transform"])
 def test_exit_6_coincident_columns_message(tmp_path, capsys, method, message):
-    # the first two columns are equal, so both methods refuse at the start term
+    # the first two columns are equal: one column factor of multiplicity
+    # 2, which the first level collects as a pole of order 2
     path = write(tmp_path, "dup.json", {"A": [[1, 1, 2], [2, 2, -1]], "b": [1, 1]})
     code, out, err = run(capsys, "volume", path, "--method", method)
-    assert (code, out, err) == (6, "", message + _PERTURB_HINT)
+    assert (code, out, err) == (6, "", message + _REPEATED_POLE)
 
 
 def test_check_only_valid_instance(capsys):
@@ -646,12 +654,30 @@ def test_gen_box(capsys):
 
 
 @pytest.mark.parametrize("spec", ["dodecahedron:3", "simplex:abc", "box:", "simplex:0",
-                                  "box:-2", "simplex: 3", "paper-example:junk"])
+                                  "box:-2", "simplex: 3", "paper-example:junk", "box:1001",
+                                  "simplex:1001", "box:00000",
+                                  pytest.param("box:" + "9" * 5000, id="box:9x5000")])
 def test_gen_unknown_kind(capsys, spec):
     code, out, err = run(capsys, "--gen", spec)
     assert (code, out) == (2, "")
     assert err == (f"error: invalid generator {spec!r} (expected simplex:N or box:N "
-                   "with an integer N >= 1, or paper-example)\n")
+                   "with an integer 1 <= N <= 1000, or paper-example)\n")
+
+
+def test_gen_size_bound_is_inclusive(capsys):
+    # leading zeros are read as before; N = 1000 is the largest size
+    code, out, _ = run(capsys, "--gen", "simplex:0001000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["A"] == [["1"] * 1000] and doc["b"] == ["1"]
+
+
+def test_exit_2_deep_nesting(tmp_path, capsys):
+    # json's decoder recurses once per level; 100,000 levels exhaust it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "volume", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: invalid JSON (nested too deeply)\n")
 
 
 def test_no_command_prints_usage(capsys):

@@ -44,11 +44,16 @@ def test_initial_term_worked_example(worked):
 
 
 def test_initial_term_unit_square_degenerate():
+    # each column is a variable factor: equal factors are one factor of
+    # multiplicity 2, and the first level refuses the pole of order 2
     norm = lv.normalize(lv.make_instance([[1, 0], [0, 1]], [1, 1]))
+    t = initial_term(norm)
+    assert t.coeff == 1
+    assert t.denom == ((LinForm.var(1), 2), (LinForm.var(2), 2))
     with pytest.raises(lv.DegenerateInstance) as err:
-        initial_term(norm)
+        run_direct(norm)
     assert "coincident" in str(err.value)
-    assert "erturb" in str(err.value)  # actionable hint present
+    assert "perturbation" in str(err.value)  # actionable hint present
 
 
 def test_initial_term_m1_bypasses_degeneracy():

@@ -138,17 +138,29 @@ def test_node_census_exits_1_on_engine_error(monkeypatch, capsys, fault, make_up
 def test_output_digest_runs():
     out = run_script("output_digest.py", "--limit", "2")
     lines = out.splitlines()
-    # two inputs of each set (benchmark draws, signed draws, fixtures), four calls each
-    assert len(lines) == 2 * 3 * 4, out
+    # two inputs of each set (benchmark draws, signed draws, fixtures: four
+    # calls each; reader refusals: five calls each), then two --gen calls
+    assert len(lines) == 2 * 3 * 4 + 2 * 5 + 2, out
     pattern = (r"\S+ (--stats|--stats --method (direct|transform)|--check-only) "
                r"exit=\d+ sha256=[0-9a-f]{64}")
-    assert all(re.fullmatch(pattern, line) for line in lines), out
-    assert [line.split()[0] for line in lines[::4]] == [
+    assert all(re.fullmatch(pattern, line) for line in lines[:24]), out
+    assert [line.split()[0] for line in lines[:24:4]] == [
         "wide1-r0-m2n24", "wide1-r0-m2n28", "signed-0", "signed-1", "nonpointed", "paper-example"]
+    assert [line.split(" exit=")[0] for line in lines[24:]] == [
+        f"{name} {flags}" for name in ("not-rational", "float-literal")
+        for flags in ("--stats", "--stats --method direct", "--stats --method transform",
+                      "--check-only", "--tolerate-floats")] + [
+        "gen --gen simplex:3", "gen --gen box:2"]
+    # exact rationals only, unless --tolerate-floats converts the literal
+    assert [line.split()[-2] for line in lines[24:36]] == ["exit=2"] * 9 + ["exit=0"] * 3
     # the digest is that of stdout followed by stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "lapvol.cli", "volume", "instances/paper-example.json", "--check-only"],
-        capture_output=True, text=True, cwd=SCRIPTS.parent,
-        env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
-    digest = hashlib.sha256((proc.stdout + proc.stderr).encode()).hexdigest()
-    assert lines[-1] == f"paper-example --check-only exit={proc.returncode} sha256={digest}"
+    for line, case, argv in (
+            (lines[23], "paper-example --check-only",
+             ["volume", "instances/paper-example.json", "--check-only"]),
+            (lines[-1], "gen --gen box:2", ["--gen", "box:2"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapvol.cli", *argv],
+            capture_output=True, text=True, cwd=SCRIPTS.parent,
+            env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+        digest = hashlib.sha256((proc.stdout + proc.stderr).encode()).hexdigest()
+        assert line == f"{case} exit={proc.returncode} sha256={digest}"

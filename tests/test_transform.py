@@ -87,9 +87,16 @@ def test_simplex_row(n):
 
 
 def test_unit_square_degenerate():
+    # l1 = p - l2 and l2 each appear twice: one factor of multiplicity 2
+    # each, and the first level refuses the pole of order 2
     norm = lv.normalize(lv.make_instance([[1, 0], [0, 1]], [1, 1]))
-    with pytest.raises(lv.DegenerateInstance):
-        substituted_term(norm)
+    t = substituted_term(norm)
+    assert t.coeff == 1
+    assert t.denom == ((LinForm([(2, -1), (P_VAR, 1)]), 2), (LinForm.var(2), 2))
+    with pytest.raises(lv.DegenerateInstance) as err:
+        run_transform(norm)
+    assert "coincident" in str(err.value)
+    assert "perturbation" in str(err.value)
 
 
 def test_perturbation_on_p_collision(worked):
