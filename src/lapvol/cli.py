@@ -200,12 +200,15 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
         raise InstanceFormatError(f"{path}: {exc}")
 
 
-def instance_json(inst: PolytopeInstance) -> str:
-    doc = {
-        "A": [[str(v) for v in row] for row in inst.rows],
-        "b": [str(v) for v in inst.rhs],
-    }
-    return json.dumps(doc, indent=2)
+def write_instance_json(inst: PolytopeInstance, out) -> None:
+    """``json.dumps(doc, indent=2)`` and a newline for the document {"A": rows,
+    "b": rhs} of entry strings (none needs an escape), written to ``out`` row by row."""
+    out.write('{\n  "A": [')
+    for i, row in enumerate(inst.rows):
+        entries = '",\n      "'.join(map(str, row))
+        out.write(f'{"," if i else ""}\n    [\n      "{entries}"\n    ]')
+    entries = '",\n    "'.join(map(str, inst.rhs))
+    out.write(f'\n  ],\n  "b": [\n    "{entries}"\n  ]\n}}\n')
 
 
 def _fmt_vec(values) -> str:
@@ -329,7 +332,7 @@ def _cmd_gen(spec: str) -> int:
         print(f"error: invalid generator {spec!r} (expected simplex:N or box:N with "
               f"an integer 1 <= N <= {_MAX_GEN}, or paper-example)", file=sys.stderr)
         return EXIT_BAD_FILE
-    print(instance_json(inst))
+    write_instance_json(inst, sys.stdout)
     return EXIT_OK
 
 

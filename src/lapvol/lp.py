@@ -16,6 +16,10 @@ pays no rational conversion.  The optimal vertex is x = X/d with integer
 X, and it is verified in integers against a copy of the integer-scaled
 start rows: with each row scale and d positive, X >= 0, row.X <= rhs*d
 and cost.X == -z say exactly x >= 0, Ax <= b and cost.x == z.
+The final objective row also says whether the vertex is the only
+optimum: if every reduced cost is negative, a feasible point with any
+nonbasic variable positive has a smaller value, so no other point
+attains z (a degenerate unique optimum may still read not unique).
 """
 from __future__ import annotations
 
@@ -30,12 +34,13 @@ UNBOUNDED = "unbounded"
 
 def maximize(
     objective: Sequence, A: Sequence[Sequence], b: Sequence
-) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction]]:
+) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction], bool]:
     """Maximize objective . x subject to x >= 0 and A x <= b, b >= 0.
 
-    Returns ``(status, x, value)``: ``(OPTIMAL, x, value)`` with an exact
-    optimal vertex verified by substitution, or ``(UNBOUNDED, None,
-    None)``.  Raises ValueError for malformed data or a negative b entry.
+    Returns ``(OPTIMAL, x, value, unique)`` with an exact optimal vertex
+    verified by substitution, ``unique`` True when every final reduced
+    cost is negative, or ``(UNBOUNDED, None, None, False)``.  Raises
+    ValueError for malformed data or a negative b entry.
     """
     cost = [exact(v) for v in objective]
     rows = [[exact(v) for v in row] for row in A]
@@ -69,7 +74,7 @@ def maximize(
                           < (tab[leave][0] * a, basis[leave])):
                 leave = i
         if leave is None:
-            return UNBOUNDED, None, None
+            return UNBOUNDED, None, None, False
         piv_row, p = tab[leave], tab[leave][enter]
         for i, row in enumerate(tab):
             if i != leave:
@@ -87,5 +92,6 @@ def maximize(
             "simplex witness violates Ax <= b"
     assert sum(a * v for a, v in zip(start[m][1:], X)) == -tab[m][0], \
         "simplex value disagrees with its witness"
-    return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m])
+    unique = all(v < 0 for v in tab[m][1:])
+    return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m]), unique
 

@@ -167,7 +167,7 @@ def bounding_box(norm: NormalizedInstance) -> Tuple[Fraction, ...]:
     ones = [1] * norm.m
     box = []
     for j, (den, _) in enumerate(norm.columns):
-        status, _, top = lp.maximize([int(k == j) for k in range(norm.n)], A, ones)
+        status, _, top, _ = lp.maximize([int(k == j) for k in range(norm.n)], A, ones)
         assert status == lp.OPTIMAL  # the body is compact
         box.append(den * top)
     return tuple(box)

@@ -12,8 +12,9 @@ c > 0 has A'c > 0) are the same condition: both say the recession cone
 margin t over {c, t >= 0, c >= t, A'c >= t, sum(c) <= 1} and accept iff
 the optimum is strictly positive.  Its witness c, scaled to integers,
 seeds the integration abscissae and is all that :func:`normalize` keeps.
-Where A'1 >= 1 the LP's unique optimum is known in closed form and the
-LP is not solved (:func:`find_strict_interior`).  The compactness
+Where A'1 >= 1 its unique optimum is known in closed form; elsewhere it
+is found by row generation, on a relaxation that keeps only the columns
+that bind (:func:`find_strict_interior`).  The compactness
 witness u = c / min_j (A'c)_j, with u >= 0 and A'u >= 1 (which bounds
 the body), is derived from c by :func:`certify` only where it is asked
 for (``--check-only``).
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -169,32 +171,58 @@ def margin_lp(columns: Sequence[Column]) -> Tuple[list, list, list]:
     return [0] * m + [1], A, [0] * (m + len(columns)) + [1]
 
 
+def relaxed_lp(columns: Sequence[Column], kept: Sequence[int]) -> Tuple[list, list, list]:
+    """:func:`margin_lp` over the columns ``kept`` only, in s = c - t*1:
+    variables s_1..s_m, t >= 0, maximize t.  c_i >= t is s_i >= 0,
+    column j reads (D_j - sum(col_j)) t <= col_j . s and sum(c) <= 1
+    reads sum(s) + m t <= 1: len(kept) + 1 rows."""
+    m = len(columns[0][1])
+    A = [[-a for a in col] + [den - sum(col)] for den, col in map(columns.__getitem__, kept)]
+    A.append([1] * m + [m])
+    return [0] * m + [1], A, [0] * len(kept) + [1]
+
+
 def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     """A strictly feasible c > 0 with A'c > 0, scaled to integers, for
     the rows whose :func:`integer_columns` are ``columns``: the
-    integer-scaled optimal c of :func:`margin_lp`.
+    integer-scaled optimal c that Bland's rule returns on :func:`margin_lp`.
 
-    Where every column has sum(col) >= D_j, that is A'1 >= 1, the
-    optimum is all ones and the LP is not solved.  This is the LP's
-    exact, unique optimum: t <= c_i for every i and sum(c) <= 1 give
-    t <= 1/m; c = t = 1/m is feasible because A'1 >= 1; and at t = 1/m
-    the same constraints c_i >= t and sum(c) <= 1 force every
-    c_i = 1/m, so the optimal (c, t) is unique, the simplex returns that
-    vertex, and it scales to all ones.  Every other instance is solved by the LP.
+    Where every column has sum(col) >= D_j, that is A'1 >= 1, no LP is
+    solved: t <= c_i and sum(c) <= 1 give t <= 1/m, c = t = 1/m is then
+    feasible, and at t = 1/m the same constraints force every c_i = 1/m,
+    so this unique optimum, all ones when scaled, is the simplex's vertex.
+
+    Elsewhere, row generation: :func:`relaxed_lp` starts from the columns
+    with sum(col) < D_j and adds every column its optimum violates.  It
+    is the margin LP with rows left out, so its t* bounds the margin
+    LP's from above (t* = 0 refuses).  An optimum that violates no
+    column is optimal for the margin LP too; if it is the relaxation's
+    unique optimum, any other margin-LP optimum would be a second one,
+    so it is the vertex Bland's rule returns on :func:`margin_lp`.
+    Otherwise :func:`margin_lp` itself is solved.
 
     Raises NotPointed when {x >= 0, Ax <= 0} has a nonzero solution, in
     which case no such c exists and the inversion integral is undefined.
     """
     m = len(columns[0][1])
-    if all(sum(col) >= den for den, col in columns):
+    kept = [j for j, (den, col) in enumerate(columns) if sum(col) < den]
+    if not kept:
         return (Fraction(1),) * m
-    status, x, t_star = lp.maximize(*margin_lp(columns))
-    assert status == lp.OPTIMAL  # bounded by t <= c_1 <= sum(c) <= 1
-    if t_star <= 0:
-        raise NotPointed(
-            "no c > 0 with A'c > 0 exists; {x >= 0, Ax <= 0} has a nonzero solution"
-        )
-    c = tuple(map(Fraction, integer_scaled(x[:m])[1]))
+    while True:
+        status, x, t_star, unique = lp.maximize(*relaxed_lp(columns, kept))
+        assert status == lp.OPTIMAL  # bounded by t <= sum(s) + m t <= 1
+        if t_star <= 0:
+            raise NotPointed("no c > 0 with A'c > 0 exists; "
+                             "{x >= 0, Ax <= 0} has a nonzero solution")
+        _, (*s, t) = integer_scaled(x)   # c = s + t*1 over a common denominator
+        ci = [v + t for v in s]
+        cut = [j for j, (den, col) in enumerate(columns) if den * t > sum(map(mul, col, ci))]
+        if not cut:
+            break
+        kept += cut
+    c = (tuple(v + x[m] for v in x[:m]) if unique  # else Bland's vertex at the same t* > 0
+         else lp.maximize(*margin_lp(columns))[1][:m])
+    c = tuple(map(Fraction, integer_scaled(c)[1]))
     assert is_strict_interior(columns, c)
     return c
 
@@ -244,7 +272,7 @@ def integer_sums(columns: Sequence[Column], c: Sequence) -> Tuple[Tuple[int, ...
     integer sums s_j = col_j . (k c), so that (A'c)_j = s_j / (k D_j)
     has the sign of s_j."""
     _, ci = integer_scaled(c)
-    return ci, [sum(a * v for a, v in zip(col, ci)) for _, col in columns]
+    return ci, [sum(map(mul, col, ci)) for _, col in columns]
 
 
 def is_strict_interior(columns: Sequence[Column], c: Sequence) -> bool:

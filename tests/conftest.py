@@ -87,5 +87,6 @@ def seed_calls(monkeypatch):
 
 # A'1 >= 1 holds on the paper example (column 1 sums to exactly 1), so its
 # contour seed is the margin LP's closed-form optimum; on these rows
-# column 1 sums to 0 and the LP is solved.
+# column 1 sums to 0 and two LPs are solved: the relaxation over column 1,
+# whose optimum t* = 1/4 lies on an edge, then the full margin LP.
 LP_SOLVED_ROWS = [[1, 1], [-2, 2], [1, -2]]

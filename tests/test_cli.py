@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lapvol import cli, engine, polytope
-from lapvol.oracle import mc_volume
+from lapvol.oracle import known_instance, mc_volume
 from lapvol.polytope import normalize
 
 from conftest import LP_SOLVED_ROWS
+from test_lp import dense_seed
 from facet_volume import facet_volume
 
 REPO = Path(__file__).resolve().parent.parent
@@ -522,17 +523,24 @@ def test_check_only_valid_instance(capsys):
 
 def paths_with_lp_counts(tmp_path):
     """The paper example, whose seed is the margin LP's closed form (no
-    LP solved), and an instance whose seed the LP solves."""
+    LP solved), and an instance whose seed takes two LPs: the relaxation,
+    whose optimum is not unique, and the full margin LP."""
     return [(str(INSTANCES / "paper-example.json"), 0),
-            (write(tmp_path, "lp.json", {"A": LP_SOLVED_ROWS, "b": [1, 1, 1]}), 1)]
+            (write(tmp_path, "lp.json", {"A": LP_SOLVED_ROWS, "b": [1, 1, 1]}), 2)]
+
+
+def margin_lp_seed(path):
+    """The integer-scaled dense Bland vertex of the instance's margin LP."""
+    return dense_seed(polytope.scale_and_dedupe(cli.load_instance(path))[0])
 
 
 def test_check_only_solves_one_lp(seed_calls, lp_calls, capsys, tmp_path):
     for path, lp_solved in paths_with_lp_counts(tmp_path):
         seed_calls.clear()
         lp_calls.clear()
-        code, _, _ = run(capsys, "volume", path, "--check-only")
+        code, out, _ = run(capsys, "volume", path, "--check-only")
         assert code == 0 and len(seed_calls) == 1 and len(lp_calls) == lp_solved
+        assert f"pointed: true witness={cli._fmt_vec(margin_lp_seed(path))}" in out.splitlines()
 
 
 def test_verify_mc_solves_one_lp(seed_calls, lp_calls, capsys, tmp_path):
@@ -544,6 +552,7 @@ def test_verify_mc_solves_one_lp(seed_calls, lp_calls, capsys, tmp_path):
         code, out, _ = run(capsys, "volume", path, "--verify-mc", "--samples", "1000")
         assert code == 0 and len(seed_calls) == 1 and len(lp_calls) == lp_solved + 2
         inst = cli.load_instance(path)
+        assert normalize(inst).interior == margin_lp_seed(path)
         est = mc_volume(inst, 1000, 0)
         assert mc_volume(inst, 1000, 0, normalize(inst)) == est  # bit for bit
         mc_line = next(l for l in out.splitlines() if l.startswith("mc:"))
@@ -589,6 +598,7 @@ def test_integer_columns_computed_once(monkeypatch, seed_calls, lp_calls, capsys
         code, _, _ = run(capsys, "volume", path, "--stats", "--verify-mc", "--samples", "100")
         assert code == 0 and len(calls) == 1 and len(seed_calls) == 1
         assert len(lp_calls) == lp_solved + 2  # and one bounding LP per coordinate
+        assert normalize(cli.load_instance(path)).interior == margin_lp_seed(path)
 
 
 def test_exit_7_method_disagreement(monkeypatch, capsys):
@@ -651,6 +661,18 @@ def test_gen_box(capsys):
     code, out, _ = run(capsys, "--gen", "box:2")
     assert code == 0
     assert json.loads(out)["A"] == [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("spec", ["simplex:3", "box:3", "box:40", "paper-example"])
+def test_gen_writes_the_indented_json_document(capsys, spec):
+    # written row by row, the output is byte for byte the json module's
+    # indent=2 dump of the document of entry strings, and a newline
+    kind, _, n = spec.partition(":")
+    inst, _ = known_instance(kind, int(n)) if n else known_instance(kind)
+    doc = {"A": [[str(v) for v in row] for row in inst.rows], "b": [str(v) for v in inst.rhs]}
+    code, out, err = run(capsys, "--gen", spec)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["dodecahedron:3", "simplex:abc", "box:", "simplex:0",

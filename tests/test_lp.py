@@ -10,15 +10,17 @@ from scipy.optimize import linprog
 import lapvol as lv
 from lapvol import lp, polytope
 
-from conftest import PRIMES
+from conftest import LP_SOLVED_ROWS, PRIMES
 
 
 def test_trivially_feasible():
     # a zero objective asks for feasibility only: the start basis x = 0
     # answers it without a pivot
-    status, x, val = lp.maximize([0, 0], [[1, 0], [-1, 1]], [1, 0])
+    status, x, val, unique = lp.maximize([0, 0], [[1, 0], [-1, 1]], [1, 0])
     assert status == lp.OPTIMAL
     assert x == (0, 0) and val == 0
+    # every feasible point is optimal, and the zero reduced costs say so
+    assert not unique
 
 
 def test_compactness_system_of_worked_example():
@@ -29,7 +31,7 @@ def test_compactness_system_of_worked_example():
     A = [[-int(k == i) for k in range(3)] + [1] for i in range(3)]
     A += [[-rows[i][j] for i in range(3)] + [1] for j in range(2)]
     A.append([1, 1, 1, 0])
-    status, x, t_star = lp.maximize([0, 0, 0, 1], A, [0] * 5 + [1])
+    status, x, t_star, _ = lp.maximize([0, 0, 0, 1], A, [0] * 5 + [1])
     assert status == lp.OPTIMAL and t_star == Fraction(1, 3)
     c = x[:3]
     col = [sum(rows[i][j] * c[i] for i in range(3)) for j in range(2)]
@@ -44,21 +46,21 @@ def test_compactness_system_of_worked_example():
 
 
 def test_maximize_simple():
-    status, x, val = lp.maximize([3, 2], [[1, 1], [1, 3]], [4, 6])
+    status, x, val, unique = lp.maximize([3, 2], [[1, 1], [1, 3]], [4, 6])
     assert status == lp.OPTIMAL
     assert val == 12 and x == (Fraction(4), Fraction(0))
+    # z = 12 - x2 - 3 s1 at the optimal basis: both reduced costs negative
+    assert unique
 
 
 def test_maximize_unbounded():
-    status, x, val = lp.maximize([1], [], [])
-    assert status == lp.UNBOUNDED and x is None and val is None
-    status, x, val = lp.maximize([1, 1], [[1, -1]], [1])
-    assert status == lp.UNBOUNDED and x is None and val is None
+    assert lp.maximize([1], [], []) == (lp.UNBOUNDED, None, None, False)
+    assert lp.maximize([1, 1], [[1, -1]], [1]) == (lp.UNBOUNDED, None, None, False)
 
 
 def test_degenerate_ties_terminate():
     # classic cycling-prone shape; Bland's rule must terminate
-    status, x, val = lp.maximize(
+    status, x, val, _ = lp.maximize(
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
             [Fraction(1, 4), -60, Fraction(-1, 25), 9],
@@ -88,7 +90,7 @@ def test_random_feasibility_matches_scipy(seed):
         A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(nc)]
         b = [rng.randint(0, 5) for _ in range(nc)]
         obj = [rng.randint(-3, 3) for _ in range(nv)]
-        status, x, val = lp.maximize(obj, A, b)
+        status, x, val, _ = lp.maximize(obj, A, b)
         ref = linprog(
             c=-np.array(obj, dtype=float),
             A_ub=np.array(A, dtype=float).reshape(nc, nv) if nc else None,
@@ -114,7 +116,9 @@ def dense_maximize(objective, A, b):
     """The dense-tableau Bland simplex that the condensed integer tableau
     of lp.maximize replaced: slack identity block stored, Fraction
     entries.  Same rule on the same variable ids, so the two must return
-    the same (status, x, value) on every input."""
+    the same (status, x, value, unique) on every input, ``unique`` read
+    here from the reduced costs of the nonbasic columns of the dense
+    final row."""
     cost = [Fraction(v) for v in objective]
     n, m = len(cost), len(A)
     tab = [[Fraction(v) for v in row] + [Fraction(int(k == i)) for k in range(m)]
@@ -135,7 +139,7 @@ def dense_maximize(objective, A, b):
                 if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:
-            return lp.UNBOUNDED, None, None
+            return lp.UNBOUNDED, None, None, False
         inv = 1 / tab[leave][enter]
         piv_row = tab[leave] = [v * inv for v in tab[leave]]
         piv_val = val[leave] = val[leave] * inv
@@ -152,7 +156,8 @@ def dense_maximize(objective, A, b):
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = val[i]
-    return lp.OPTIMAL, tuple(x), z
+    unique = all(r < 0 for j, r in enumerate(red) if j not in basis)
+    return lp.OPTIMAL, tuple(x), z, unique
 
 
 def scipy_test_lps(seed):
@@ -174,9 +179,13 @@ def margin_lp(rows):
 
 
 def test_matches_dense_reference_on_scipy_test_lps():
+    flags = set()
     for seed in range(8):
         for args in scipy_test_lps(seed):
-            assert lp.maximize(*args) == dense_maximize(*args), args
+            result = lp.maximize(*args)
+            assert result == dense_maximize(*args), args
+            flags.add(result[3])
+    assert flags == {True, False}
 
 
 def test_matches_dense_reference_on_cycling_case():
@@ -190,6 +199,22 @@ def test_matches_dense_reference_on_cycling_case():
         [0, 0, 1],
     )
     assert lp.maximize(*args) == dense_maximize(*args)
+
+
+def test_margin_lp_optimum_on_an_edge_is_not_unique():
+    # on LP_SOLVED_ROWS (b = 1) the margin t* = 1/4 is attained on the edge
+    # c = (3/4 - c3, 1/4, c3), 1/4 <= c3 <= 1/3, and both references say
+    # the optimum is not unique
+    args = margin_lp(LP_SOLVED_ROWS)
+    result = lp.maximize(*args)
+    assert result == dense_maximize(*args)
+    status, x, t_star, unique = result
+    assert status == lp.OPTIMAL and t_star == Fraction(1, 4) and not unique
+    quarter = Fraction(1, 4)
+    for c3 in (quarter, Fraction(1, 3)):
+        c = (3 * quarter - c3, quarter, c3)
+        assert min(c) >= quarter and sum(c) == 1
+        assert all(sum(r[j] * v for r, v in zip(LP_SOLVED_ROWS, c)) >= quarter for j in range(2))
 
 
 @pytest.mark.parametrize("m,n", [(2, 24), (2, 40), (3, 32), (4, 17), (5, 7), (5, 12),
@@ -223,15 +248,21 @@ def test_margin_lps_of_signed_draws_match_dense_reference(block):
 
 
 def test_gate_failing_margin_lp_matches_dense_reference(lp_calls):
+    # the refusal is decided by the one relaxation solve, whose t* = 0
+    # bounds the margin LP's; the margin LP itself has t* = 0 too
     inst = lv.random_instance(random.Random(1), 2, 3, signed=True)
     rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
+    columns = polytope.integer_columns(rows)
     with pytest.raises(lv.NotPointed):
-        polytope.find_strict_interior(polytope.integer_columns(rows))
+        polytope.find_strict_interior(columns)
     (args,) = lp_calls
-    assert args == margin_lp(rows)
+    assert (lp_calls, "not pointed") == row_generation_reference(columns)
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] == 0
     assert result == dense_maximize(*args)
+    result = lp.maximize(*margin_lp(rows))
+    assert result[0] == lp.OPTIMAL and result[2] == 0
+    assert result == dense_maximize(*margin_lp(rows))
 
 
 # -- ints taken as they are ---------------------------------------------------
@@ -307,29 +338,106 @@ def closed_form_cases():
     return cases
 
 
+def dense_seed(columns):
+    """The integer-scaled c of the dense Bland vertex of the full margin
+    LP, or None where its t* is 0: what find_strict_interior must
+    return or refuse."""
+    m = len(columns[0][1])
+    status, x, t_star, _ = dense_maximize(*polytope.margin_lp(columns))
+    assert status == lp.OPTIMAL
+    if t_star == 0:
+        return None
+    scale = lcm(*(v.denominator for v in x[:m]))
+    return tuple(v * scale for v in x[:m])
+
+
+def row_generation_reference(columns):
+    """The LP solves find_strict_interior makes on the columns, replayed
+    with dense_maximize and Fraction arithmetic: (the argument tuples of
+    the solves in order, the path taken).  The relaxation keeps the
+    columns with sum(col) < D_j and adds every column its optimum
+    violates; a unique optimum that violates none is the seed, a shared
+    one is followed by the full margin LP."""
+    m = len(columns[0][1])
+    kept = [j for j, (den, col) in enumerate(columns) if sum(col) < den]
+    if not kept:
+        return [], "closed form"
+    calls = []
+    while True:
+        calls.append(polytope.relaxed_lp(columns, kept))
+        _, x, t_star, unique = dense_maximize(*calls[-1])
+        if t_star == 0:
+            return calls, "not pointed"
+        c = [v + x[m] for v in x[:m]]
+        cut = [j for j, (den, col) in enumerate(columns)
+               if sum(a * v for a, v in zip(col, c)) < den * x[m]]
+        if not cut:
+            break
+        kept += cut
+    if not unique:
+        return calls + [polytope.margin_lp(columns)], "fallback"
+    return calls, "accepted in round 1" if len(calls) == 1 else "accepted after a cut"
+
+
 def test_closed_form_seed_is_the_margin_lps_unique_optimum(lp_calls):
     closed = solved = ties = 0
     for inst in closed_form_cases():
         columns = polytope.scale_and_dedupe(inst)[0]
         m = len(columns[0][1])
-        status, x, t_star = dense_maximize(*polytope.margin_lp(columns))
+        status, x, t_star, _ = dense_maximize(*polytope.margin_lp(columns))
         assert status == lp.OPTIMAL
+        calls, path = row_generation_reference(columns)
         lp_calls.clear()
         try:
             c = polytope.find_strict_interior(columns)
         except lv.NotPointed:
-            assert t_star == 0 and len(lp_calls) == 1
+            assert t_star == 0 and path == "not pointed" and lp_calls == calls
             continue
         if all(sum(col) >= den for den, col in columns):
             # the reference's optimum is the uniform c at t* = 1/m, and the
             # seed is all ones without an LP
             assert t_star == Fraction(1, m) and x[:m] == (Fraction(1, m),) * m
             assert c == (1,) * m and all(type(v) is Fraction for v in c)
-            assert not lp_calls
+            assert not lp_calls and path == "closed form"
             closed += 1
             ties += any(sum(col) == den for den, col in columns)
         else:
             scale = lcm(*(v.denominator for v in x[:m]))
-            assert len(lp_calls) == 1 and c == tuple(v * scale for v in x[:m])
+            assert lp_calls == calls and c == tuple(v * scale for v in x[:m])
             solved += 1
     assert closed and solved and ties
+
+
+# -- row generation: the seed is the margin LP's Bland vertex on every path ---
+
+
+def seed_identity_cases():
+    """Signed draws (m 2-8, n 2-12) and draws of the benchmark's make-up
+    at its wide and deep sizes, as integer columns."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        inst = lv.random_instance(rng, rng.randint(2, 8), rng.randint(2, 12), signed=True)
+        yield polytope.scale_and_dedupe(inst)[0]
+    rng = random.Random("seed identity")
+    for m, n in [(2, 24), (2, 40), (5, 4), (5, 7), (6, 3), (7, 3), (8, 3)] * 4:
+        A = [rng.sample(PRIMES, n)] + [
+            [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
+        inst = lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])
+        yield polytope.scale_and_dedupe(inst)[0]
+
+
+def test_seed_is_the_dense_bland_vertex_on_every_path(lp_calls):
+    paths = {}
+    for columns in seed_identity_cases():
+        calls, path = row_generation_reference(columns)
+        lp_calls.clear()
+        try:
+            c = polytope.find_strict_interior(columns)
+        except lv.NotPointed:
+            c = None
+        assert lp_calls == calls, columns
+        assert c == dense_seed(columns), columns
+        assert (c is None) == (path == "not pointed")
+        paths[path] = paths.get(path, 0) + 1
+    assert set(paths) == {"closed form", "accepted in round 1", "accepted after a cut",
+                          "fallback", "not pointed"}, paths

@@ -172,7 +172,7 @@ def test_mc_box_holds_the_body(make):
     # every side is max x_j over the body, found by an exact LP on the raw rows
     for j, side in enumerate(est.box):
         unit = [int(k == j) for k in range(inst.n)]
-        status, _, top = lp.maximize(unit, inst.rows, inst.rhs)
+        status, _, top, _ = lp.maximize(unit, inst.rows, inst.rhs)
         assert status == lp.OPTIMAL and top == side
     # so the box lies in the cube [0, sum(u)]^n of the compactness witness
     assert max(est.box) <= sum(certify(lv.normalize(inst).columns)[1])

@@ -19,6 +19,7 @@ from lapvol.polytope import (
 )
 
 from conftest import LP_SOLVED_ROWS, draw_valid_instance
+from test_lp import dense_seed
 
 
 def F(v):
@@ -130,13 +131,16 @@ def test_normalize_full_pipeline():
 
 
 def test_normalize_solves_one_lp(seed_calls, lp_calls):
-    # the seed is found once per instance, by the LP where A'1 >= 1 fails
+    # the seed is found once per instance: in closed form where A'1 >= 1,
+    # and on LP_SOLVED_ROWS by the relaxation and then the full margin LP;
+    # either way it is the margin LP's Bland vertex
     for inst, lp_solved in ((lv.paper_example()[0], 0),
-                            (make_instance(LP_SOLVED_ROWS, [1, 1, 1]), 1)):
+                            (make_instance(LP_SOLVED_ROWS, [1, 1, 1]), 2)):
         seed_calls.clear()
         lp_calls.clear()
         norm = normalize(inst)
         assert len(seed_calls) == 1 and len(lp_calls) == lp_solved
+        assert norm.interior == dense_seed(norm.columns)
         # the compactness witness of certify is exact: u >= 0 and A'u >= 1
         u = certify(norm.columns)[1]
         assert all(v >= 0 for v in u)
@@ -223,8 +227,8 @@ def _recession_direction(rows):
     maximize 1'd over {d >= 0, Ad <= 0, 1'd <= 1}, whose optimum is 1
     iff such a direction exists (and 0 otherwise)."""
     n = len(rows[0])
-    status, d, value = lp.maximize([1] * n, [list(row) for row in rows] + [[1] * n],
-                                   [0] * len(rows) + [1])
+    status, d, value, _ = lp.maximize([1] * n, [list(row) for row in rows] + [[1] * n],
+                                      [0] * len(rows) + [1])
     assert status == lp.OPTIMAL and value in (0, 1)
     return d if value == 1 else None
 
