@@ -31,8 +31,8 @@ from .polytope import (
     scale_and_dedupe,
 )
 from .engine import Run
-from .direct import run_direct, volume_direct
-from .transform import run_transform, volume_transform
+from .direct import run_direct
+from .transform import run_transform
 from .oracle import (
     McEstimate,
     box_instance,
@@ -69,9 +69,7 @@ __all__ = [
     "scale_and_dedupe",
     "Run",
     "run_direct",
-    "volume_direct",
     "run_transform",
-    "volume_transform",
     "McEstimate",
     "box_instance",
     "identity_check",

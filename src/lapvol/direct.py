@@ -16,7 +16,6 @@ Variable ids keep naming the input's rows.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .engine import Method, Run, positives, run
@@ -45,7 +44,3 @@ def run_direct(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -
     """Full direct-method run; ``abscissae`` overrides the LP-found
     contour seed c (it must still satisfy c > 0 and A'c > 0)."""
     return run(norm, method(norm.columns), abscissae)
-
-
-def volume_direct(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Fraction:
-    return run_direct(norm, abscissae).result

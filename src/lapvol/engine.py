@@ -48,7 +48,7 @@ class Run:
     config: ContourConfig
     levels: Tuple[LevelStats, ...]  # the residue levels, in order
     last: int                       # the closed-form variable
-    leaves: int                     # the closing level's shapes, alpha <= 0 ones included
+    leaves: int                     # the alpha > 0 powers the closing level keeps
     result: Fraction
 
     @property

@@ -1,7 +1,8 @@
 """Exact rational linear programming, just big enough for the engine.
 
 The one question asked is: maximize c.x over {x >= 0, Ax <= b} with
-b >= 0 (the strict-interior margin problem of :mod:`lapvol.polytope`).
+b >= 0: the margin relaxation of :mod:`lapvol.polytope`, whose last
+optimum seeds the contour, and the box of :func:`lapvol.oracle.bounding_box`.
 Because b >= 0, the all-slack basis x = 0 is feasible, so a single-phase
 primal simplex starts from it, with Bland's least-index rule on variable
 ids: deterministic, exact, and immune to cycling.  The tableau is
@@ -11,15 +12,12 @@ a row label with a column label.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): each row is scaled once to integers, its slack with
 it, and every entry is held as d times its value, d the last pivot, so
 an update is one exact integer division.  Int entries are taken as they
-are, so a caller that already holds integer rows (the margin LP does)
-pays no rational conversion.  The optimal vertex is x = X/d with integer
-X, and it is verified in integers against a copy of the integer-scaled
-start rows: with each row scale and d positive, X >= 0, row.X <= rhs*d
-and cost.X == -z say exactly x >= 0, Ax <= b and cost.x == z.
-The final objective row also says whether the vertex is the only
-optimum: if every reduced cost is negative, a feasible point with any
-nonbasic variable positive has a smaller value, so no other point
-attains z (a degenerate unique optimum may still read not unique).
+are, so a caller that already holds integer rows (the margin relaxation
+does) pays no rational conversion.  The optimal vertex is x = X/d with
+integer X, and it is verified in integers against a copy of the
+integer-scaled start rows: with each row scale and d positive, X >= 0,
+row.X <= rhs*d and cost.X == -z say exactly x >= 0, Ax <= b and
+cost.x == z.
 """
 from __future__ import annotations
 
@@ -34,13 +32,12 @@ UNBOUNDED = "unbounded"
 
 def maximize(
     objective: Sequence, A: Sequence[Sequence], b: Sequence
-) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction], bool]:
+) -> Tuple[str, Optional[Tuple[Fraction, ...]], Optional[Fraction]]:
     """Maximize objective . x subject to x >= 0 and A x <= b, b >= 0.
 
-    Returns ``(OPTIMAL, x, value, unique)`` with an exact optimal vertex
-    verified by substitution, ``unique`` True when every final reduced
-    cost is negative, or ``(UNBOUNDED, None, None, False)``.  Raises
-    ValueError for malformed data or a negative b entry.
+    Returns ``(OPTIMAL, x, value)`` with an exact optimal vertex verified
+    by substitution, or ``(UNBOUNDED, None, None)``.  Raises ValueError
+    for malformed data or a negative b entry.
     """
     cost = [exact(v) for v in objective]
     rows = [[exact(v) for v in row] for row in A]
@@ -74,7 +71,7 @@ def maximize(
                           < (tab[leave][0] * a, basis[leave])):
                 leave = i
         if leave is None:
-            return UNBOUNDED, None, None, False
+            return UNBOUNDED, None, None
         piv_row, p = tab[leave], tab[leave][enter]
         for i, row in enumerate(tab):
             if i != leave:
@@ -92,6 +89,5 @@ def maximize(
             "simplex witness violates Ax <= b"
     assert sum(a * v for a, v in zip(start[m][1:], X)) == -tab[m][0], \
         "simplex value disagrees with its witness"
-    unique = all(v < 0 for v in tab[m][1:])
-    return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m]), unique
+    return OPTIMAL, tuple(Fraction(v, d) for v in X), Fraction(-tab[m][0], d * scale[m])
 

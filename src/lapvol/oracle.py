@@ -98,14 +98,11 @@ def box_instance(n: int, sides: Optional[Sequence] = None) -> Tuple[PolytopeInst
     """Axis-aligned box, oracle-only: both symbolic methods reject the
     identity-pattern rows as degenerate, which is exactly what the
     degeneracy boundary looks like."""
-    sides = [rat(s) for s in (sides if sides is not None else [1] * n)]
-    if len(sides) != n:
-        raise ValueError("need one side length per dimension")
-    A = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    vol = Fraction(1)
-    for s in sides:
-        vol *= s
-    return make_instance(A, sides), vol
+    sides = tuple(rat(s) for s in (sides if sides is not None else [1] * n))
+    if n < 1 or len(sides) != n:
+        raise ValueError("need n >= 1 and one side length per dimension")
+    rows = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return PolytopeInstance(rows, sides), math.prod(sides, start=Fraction(1))
 
 
 def paper_example() -> Tuple[PolytopeInstance, Fraction]:
@@ -167,7 +164,7 @@ def bounding_box(norm: NormalizedInstance) -> Tuple[Fraction, ...]:
     ones = [1] * norm.m
     box = []
     for j, (den, _) in enumerate(norm.columns):
-        status, _, top, _ = lp.maximize([int(k == j) for k in range(norm.n)], A, ones)
+        status, _, top = lp.maximize([int(k == j) for k in range(norm.n)], A, ones)
         assert status == lp.OPTIMAL  # the body is compact
         box.append(den * top)
     return tuple(box)

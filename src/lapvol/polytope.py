@@ -10,11 +10,13 @@ For b > 0, compactness (the body is bounded) and pointedness (some
 c > 0 has A'c > 0) are the same condition: both say the recession cone
 {x >= 0, Ax <= 0} is {0}.  One LP therefore certifies both: maximize a
 margin t over {c, t >= 0, c >= t, A'c >= t, sum(c) <= 1} and accept iff
-the optimum is strictly positive.  Its witness c, scaled to integers,
-seeds the integration abscissae and is all that :func:`normalize` keeps.
-Where A'1 >= 1 its unique optimum is known in closed form; elsewhere it
-is found by row generation, on a relaxation that keeps only the columns
-that bind (:func:`find_strict_interior`).  The compactness
+the optimum is strictly positive.  An optimal c, scaled to integers,
+seeds the integration abscissae and is all that :func:`normalize` keeps;
+the volume does not depend on which strictly feasible c seeds the
+contour.  Where A'1 >= 1 the optimum is known in closed form; elsewhere
+it is found by row generation, on a relaxation that keeps only the
+columns that bind, and the seed is the relaxation's vertex
+(:func:`find_strict_interior`).  The compactness
 witness u = c / min_j (A'c)_j, with u >= 0 and A'u >= 1 (which bounds
 the body), is derived from c by :func:`certify` only where it is asked
 for (``--check-only``).
@@ -24,10 +26,10 @@ ints.  :func:`scale_and_dedupe` is the one pass from the raw rows to the
 normalized instance's integer columns: each row and its b_i are scaled
 to integers, and rows are dropped and merged on their reduced integer
 form.  Each column j is held as an integer column with its scale D_j,
-so no rational row is built on the way.  The margin LP, the seed check
-c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to integers
-too), the margin min_j (A'c)_j, the start terms of both methods and
-their sign-read variable choices all read these ints.  The rational
+so no rational row is built on the way.  The margin relaxation, the
+seed check c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to
+integers too), the margin min_j (A'c)_j, the start terms of both
+methods and their sign-read variable choices all read these ints.  The rational
 rows (``NormalizedInstance.rows``) are derived from the columns on first
 use, by the Monte Carlo sampler.
 """
@@ -160,22 +162,12 @@ def column_rows(columns: Sequence[Column]) -> Matrix:
     return tuple(zip(*(tuple(Fraction(a, den) for a in col) for den, col in columns)))
 
 
-def margin_lp(columns: Sequence[Column]) -> Tuple[list, list, list]:
-    """The (objective, A, b) of the margin LP over the rows whose
-    :func:`integer_columns` are ``columns``, as :func:`lp.maximize`
-    takes them: variables c_1..c_m, t >= 0, maximize the margin t."""
-    m = len(columns[0][1])
-    A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]   # t - c_i <= 0
-    A += [[-a for a in col] + [den] for den, col in columns]         # D_j (t - (A'c)_j) <= 0
-    A.append([1] * m + [0])                                          # sum(c) <= 1
-    return [0] * m + [1], A, [0] * (m + len(columns)) + [1]
-
-
 def relaxed_lp(columns: Sequence[Column], kept: Sequence[int]) -> Tuple[list, list, list]:
-    """:func:`margin_lp` over the columns ``kept`` only, in s = c - t*1:
-    variables s_1..s_m, t >= 0, maximize t.  c_i >= t is s_i >= 0,
-    column j reads (D_j - sum(col_j)) t <= col_j . s and sum(c) <= 1
-    reads sum(s) + m t <= 1: len(kept) + 1 rows."""
+    """The margin LP over the columns ``kept`` only, in s = c - t*1, as
+    :func:`lp.maximize` takes it: variables s_1..s_m, t >= 0, maximize
+    t.  c_i >= t is s_i >= 0, column j, D_j t <= col_j . c, reads
+    (D_j - sum(col_j)) t <= col_j . s and sum(c) <= 1 reads
+    sum(s) + m t <= 1: len(kept) + 1 rows."""
     m = len(columns[0][1])
     A = [[-a for a in col] + [den - sum(col)] for den, col in map(columns.__getitem__, kept)]
     A.append([1] * m + [m])
@@ -184,22 +176,19 @@ def relaxed_lp(columns: Sequence[Column], kept: Sequence[int]) -> Tuple[list, li
 
 def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     """A strictly feasible c > 0 with A'c > 0, scaled to integers, for
-    the rows whose :func:`integer_columns` are ``columns``: the
-    integer-scaled optimal c that Bland's rule returns on :func:`margin_lp`.
+    the rows whose :func:`integer_columns` are ``columns``: an optimal c
+    of the margin LP.
 
     Where every column has sum(col) >= D_j, that is A'1 >= 1, no LP is
     solved: t <= c_i and sum(c) <= 1 give t <= 1/m, c = t = 1/m is then
     feasible, and at t = 1/m the same constraints force every c_i = 1/m,
-    so this unique optimum, all ones when scaled, is the simplex's vertex.
+    so the optimum is unique and all ones when scaled.
 
     Elsewhere, row generation: :func:`relaxed_lp` starts from the columns
     with sum(col) < D_j and adds every column its optimum violates.  It
     is the margin LP with rows left out, so its t* bounds the margin
-    LP's from above (t* = 0 refuses).  An optimum that violates no
-    column is optimal for the margin LP too; if it is the relaxation's
-    unique optimum, any other margin-LP optimum would be a second one,
-    so it is the vertex Bland's rule returns on :func:`margin_lp`.
-    Otherwise :func:`margin_lp` itself is solved.
+    LP's from above (t* = 0 refuses), and an optimum that violates no
+    column is optimal for the margin LP too: that vertex is the seed.
 
     Raises NotPointed when {x >= 0, Ax <= 0} has a nonzero solution, in
     which case no such c exists and the inversion integral is undefined.
@@ -209,7 +198,7 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     if not kept:
         return (Fraction(1),) * m
     while True:
-        status, x, t_star, unique = lp.maximize(*relaxed_lp(columns, kept))
+        status, x, t_star = lp.maximize(*relaxed_lp(columns, kept))
         assert status == lp.OPTIMAL  # bounded by t <= sum(s) + m t <= 1
         if t_star <= 0:
             raise NotPointed("no c > 0 with A'c > 0 exists; "
@@ -220,9 +209,7 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
         if not cut:
             break
         kept += cut
-    c = (tuple(v + x[m] for v in x[:m]) if unique  # else Bland's vertex at the same t* > 0
-         else lp.maximize(*margin_lp(columns))[1][:m])
-    c = tuple(map(Fraction, integer_scaled(c)[1]))
+    c = tuple(map(Fraction, integer_scaled([v + x[m] for v in x[:m]])[1]))
     assert is_strict_interior(columns, c)
     return c
 

@@ -67,13 +67,13 @@ pair (alpha, K) standing for K * exp(alpha*last) / last^(n+1),
 computed from integer products without building a term.  The volume is
 homogeneous of degree n in b, so n + 1 is the only degree: the closing
 level refuses any other.  The closed form K * alpha^n / n! keeps only
-alpha > 0, so alpha is read first and K built only where it is kept or
-where an alpha <= 0 shape repeats (to count the level's shapes
-exactly).  A level reads each factor once per job: :func:`_classified`
-fixes the sides of the level's distinct factors in one pass, and
-:func:`_collected`'s one pass per term gives the closure, the poles as
-positions in the term's denominator and, at the closing level, the
-(b, c, mult) of every factor that K is built from.  The scan for a
+alpha > 0, so alpha is read first and K built only there; the closing
+level's ``terms_out`` counts the alpha > 0 powers it returns.  A level
+reads each factor once per job: :func:`_classified` fixes the sides of
+the level's distinct factors in one pass, and :func:`_collected`'s one
+pass per term gives the closure, the poles as positions in the term's
+denominator and, at the closing level, the (b, c, mult) of every factor
+that K is built from.  The scan for a
 factor holding a third variable runs only where a third slot exists.
 
 Integer kernel.  A level classifies each distinct factor holding the
@@ -83,8 +83,8 @@ slot and its dot product with the integer contour point
 common denominator) fix the pole's side.  The site history keeps each
 level's ``(factor, side)`` pairs, and a repair re-checks them by the
 same sign test at the trial abscissae.
-The closing level keys its shapes by alpha as a reduced integer pair;
-only the alpha > 0 powers it keeps get a Fraction alpha.
+The closing level keys its powers by alpha as a reduced integer pair,
+built only for alpha > 0; each power kept gets a Fraction alpha once.
 
 Repeated roots.  Equal factors are one factor with a multiplicity, from
 the start term on; :func:`_collected` is the one place that refuses a
@@ -177,7 +177,9 @@ class ContourConfig:
 @dataclass(frozen=True)
 class LevelStats:
     """Counts of one level: ``residues`` before like-term merging,
-    ``terms_out`` after it."""
+    ``terms_out`` after it.  At the closing level ``terms_out`` is the
+    number of alpha > 0 powers kept, so ``residues - terms_out`` counts
+    the residues merged or dropped for alpha <= 0."""
 
     var: int
     terms_in: int
@@ -495,11 +497,10 @@ def close_level(
     zero, read as a reduced integer pair.  The volume is homogeneous of
     degree n in b, so every term with collected poles must have
     q = n + 1; any other degree is refused (:class:`MalformedH`).  K is
-    built only where the closed form reads it (alpha > 0) and for
-    alpha <= 0 shapes hit twice or more, to see whether they cancel.
-    Returns the alpha > 0 powers in ``last`` as alpha -> K (equal alpha
-    added, first-seen order, zero sums dropped), the config and the
-    level's stats (``terms_out`` counts the alpha <= 0 shapes too).
+    built only where the closed form reads it (alpha > 0).  Returns the
+    alpha > 0 powers in ``last`` as alpha -> K (equal alpha added,
+    first-seen order, zero sums dropped), the config and the level's
+    stats (``terms_out`` is the number of powers returned).
     """
     k, sides, config, repaired = _classified(terms, var, config, history)
     slots = config.slots
@@ -508,7 +509,6 @@ def close_level(
     checked = set()
     # alpha as a reduced integer pair (N, D > 0)
     powers: Dict[Tuple[int, int], list] = {}
-    dead: Dict[Tuple[int, int], list] = {}
     poles_found = left = residues = 0
     for term in terms:
         sign, poles, found, n_left, parts, q = _collected(term, k, sides, force_side, slots, j)
@@ -535,20 +535,14 @@ def close_level(
             N, D = x * a - y * g_last, den * a
             if D < 0:
                 N, D = -N, -D
-            h = gcd(N, D)
-            key = (N // h, D // h)
             if N > 0:
-                powers.setdefault(key, []).append(_pole_power(sign, coeff, parts, jg, q))
-            else:
-                dead.setdefault(key, []).append((sign, coeff, parts, jg, q))
+                h = gcd(N, D)
+                powers.setdefault((N // h, D // h), []).append(
+                    _pole_power(sign, coeff, parts, jg, q))
         residues += len(poles)
-    # one residue has K != 0 (coeff, a and every s are), so only a
-    # repeated alpha <= 0 shape can cancel
-    dead_out = sum(len(hits) == 1 or tree_sum([_pole_power(*h) for h in hits]) != 0
-                   for hits in dead.values())
     powers = {Fraction(N, D): K for (N, D), Ks in powers.items() if (K := tree_sum(Ks))}
     stats = LevelStats(var, len(terms), poles_found, left, poles_found - left, repaired,
-                       residues, len(powers) + dead_out)
+                       residues, len(powers))
     return powers, config, stats
 
 

@@ -13,7 +13,6 @@ p, and ``through`` maps a form a to sum_{j != r} (a_j - a_r)*l_j + a_r*p.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .engine import Method, Run, positives, run
@@ -50,7 +49,3 @@ def run_transform(norm: NormalizedInstance, abscissae: Optional[Sequence] = None
     with d = sum(c) derived) and ``force_sides`` as in
     :func:`lapvol.engine.run`."""
     return run(norm, method(norm.columns), abscissae, force_sides)
-
-
-def volume_transform(norm: NormalizedInstance, abscissae: Optional[Sequence] = None) -> Fraction:
-    return run_transform(norm, abscissae).result

@@ -17,8 +17,8 @@ def draw_valid_instance(rng: random.Random, m: int, n: int, signed: bool = False
         inst = lv.random_instance(rng, m, n, signed=signed)
         try:
             norm = lv.normalize(inst)
-            vd = lv.volume_direct(norm)
-            vt = lv.volume_transform(norm)
+            vd = lv.run_direct(norm).result
+            vt = lv.run_transform(norm).result
         except SKIPPABLE:
             continue
         assert vd == vt
@@ -52,13 +52,14 @@ def draws(signed, count, seed):
 PRIMES = [p for p in range(1009, 2000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
 
 
-def prime_row_draws(count, seed):
+def prime_row_draws(count, seed, ms=(2, 6), ns=(2, 5)):
     """Instances of the benchmark's make-up: row 1 distinct primes, rows
-    2..m mixed-sign integers, b positive integers."""
+    2..m mixed-sign integers, b positive integers; m and n drawn from
+    the inclusive ranges ``ms`` and ``ns``."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        m, n = rng.randint(2, 6), rng.randint(2, 5)
+        m, n = rng.randint(*ms), rng.randint(*ns)
         A = [rng.sample(PRIMES, n)] + [
             [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)] for _ in range(m - 1)]
         out.append(lv.normalize(lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])))
@@ -87,6 +88,6 @@ def seed_calls(monkeypatch):
 
 # A'1 >= 1 holds on the paper example (column 1 sums to exactly 1), so its
 # contour seed is the margin LP's closed-form optimum; on these rows
-# column 1 sums to 0 and two LPs are solved: the relaxation over column 1,
-# whose optimum t* = 1/4 lies on an edge, then the full margin LP.
+# column 1 sums to 0 and one LP is solved: the relaxation over column 1,
+# whose optimum t* = 1/4 lies on an edge of optima; its vertex is the seed.
 LP_SOLVED_ROWS = [[1, 1], [-2, 2], [1, -2]]

@@ -66,7 +66,7 @@ def certify(rows):
     A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]
     A += [[-rows[i][j] for i in range(m)] + [1] for j in range(n)]
     A.append([1] * m + [0])
-    status, x, t_star, _ = lp.maximize([0] * m + [1], A, [0] * (m + n) + [1])
+    status, x, t_star = lp.maximize([0] * m + [1], A, [0] * (m + n) + [1])
     assert status == lp.OPTIMAL
     if t_star <= 0:
         raise NotCompact("polytope is unbounded (no u >= 0 with A'u >= 1)")

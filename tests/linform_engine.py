@@ -488,16 +488,14 @@ def close_level(
     zero (plus ``implicit``, as in :func:`power_terms`), read as a
     reduced integer pair.  A term with collected poles must have
     q = n + 1 (:class:`MalformedH` otherwise).  K is built only where
-    the closed form reads it (alpha > 0) and for alpha <= 0 shapes hit
-    twice or more, to see whether they cancel.  Returns the alpha > 0
-    powers in ``last`` as alpha -> K (equal alpha added, zero sums
-    dropped), the config and the level's stats (``terms_out`` counts the
-    alpha <= 0 shapes too).
+    the closed form reads it (alpha > 0).  Returns the alpha > 0 powers
+    in ``last`` as alpha -> K (equal alpha added, zero sums dropped), the
+    config and the level's stats (``terms_out`` is the number of powers
+    returned).
     """
     terms, sites, config, repaired = _classified(terms, var, config, history)
     # alpha as a reduced integer pair (N, D > 0)
     powers: Dict[Tuple[int, int], Fraction] = {}
-    dead: Dict[Tuple[int, int], list] = {}
     residues = 0
     for term, term_sites in zip(terms, sites):
         sign, poles = _collected(term, term_sites, var, rule, force_side)
@@ -536,19 +534,13 @@ def close_level(
             N, D = x * a - y * g_last, z * a
             if D < 0:
                 N, D = -N, -D
-            h = gcd(N, D)
-            key = (N // h, D // h)
             if N > 0:
+                h = gcd(N, D)
+                key = (N // h, D // h)
                 powers[key] = powers.get(key, 0) + _pole_power(sign, term, parts, jg, q)
-            else:
-                dead.setdefault(key, []).append((sign, term, parts, jg, q))
         residues += len(poles)
-    # one residue has K != 0 (coeff, a and every s are), so only a
-    # repeated alpha <= 0 shape can cancel
-    dead_out = sum(len(hits) == 1 or sum(_pole_power(*h) for h in hits) != 0
-                   for hits in dead.values())
     powers = {Fraction(N, D): K for (N, D), K in powers.items() if K != 0}
-    stats = _level_stats(var, terms, sites, repaired, residues, len(powers) + dead_out)
+    stats = _level_stats(var, terms, sites, repaired, residues, len(powers))
     return powers, config, stats
 
 

@@ -83,8 +83,8 @@ def test_criterion_03_two_constraint_closed_form_equivalence():
         except lv.GenericityViolated:
             continue
         norm = lv.normalize(lv.make_instance([a, b], [1, 1]))
-        assert lv.volume_direct(norm) == expected
-        assert lv.volume_transform(norm) == expected
+        assert lv.run_direct(norm).result == expected
+        assert lv.run_transform(norm).result == expected
         done += 1
     elapsed = time.perf_counter() - t0
     ok = done == 200 and elapsed < 60.0
@@ -113,10 +113,10 @@ def test_criterion_05_known_volumes_and_rejections(capsys):
     for n in range(1, 16):
         inst, vol = lv.simplex_instance(n)
         norm = lv.normalize(inst)
-        ok &= lv.volume_direct(norm) == F(1, math.factorial(n))
-        ok &= lv.volume_transform(norm) == F(1, math.factorial(n))
+        ok &= lv.run_direct(norm).result == F(1, math.factorial(n))
+        ok &= lv.run_transform(norm).result == F(1, math.factorial(n))
     inst, vol = lv.paper_example()
-    ok &= lv.volume_direct(lv.normalize(inst)) == F(17, 48)
+    ok &= lv.run_direct(lv.normalize(inst)).result == F(17, 48)
     fixtures = Path(__file__).resolve().parent.parent / "instances"
     code_unbounded = cli.main(["volume", str(fixtures / "unbounded.json")])
     code_nonpointed = cli.main(["volume", str(fixtures / "nonpointed.json"), "--check-only"])
@@ -168,12 +168,12 @@ def test_criterion_08_scaling_law():
         m, n = rng.choice([2, 3]), rng.randint(1, 6)
         inst = lv.random_instance(rng, m, n, signed=True)
         try:
-            base = lv.volume_direct(lv.normalize(inst))
+            base = lv.run_direct(lv.normalize(inst)).result
         except SKIPPABLE:
             continue
         for t in (F(1, 2), F(2), F(3)):
             scaled = lv.make_instance(inst.rows, [t * bi for bi in inst.rhs])
-            assert lv.volume_direct(lv.normalize(scaled)) == t**n * base
+            assert lv.run_direct(lv.normalize(scaled)).result == t**n * base
         done += 1
     report(8, done == 20, "volume at t*b equals t^n * volume at b for t in {1/2, 2, 3}")
 
@@ -193,7 +193,7 @@ def test_criterion_10_monte_carlo_consistency():
         m, n = rng.choice([2, 3]), rng.randint(2, 3)
         inst = lv.random_instance(rng, m, n)
         try:
-            vol = lv.volume_direct(lv.normalize(inst))
+            vol = lv.run_direct(lv.normalize(inst)).result
         except SKIPPABLE:
             continue
         est = lv.mc_volume(inst, 1000, seed=0)

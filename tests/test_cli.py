@@ -106,15 +106,16 @@ def test_stats_direct_order_and_levels(capsys):
     assert out.splitlines()[1:] == [
         "stats: method=direct order=l2,l3,l1",
         "stats: method=direct level=1 terms_in=1 poles=3 left=2 right=1 terms_out=2 merged=0",
-        "stats: method=direct level=2 terms_in=2 poles=6 left=6 right=0 terms_out=3 merged=3",
-        "stats: method=direct level=3 terms_in=3 poles=0 left=0 right=0 terms_out=3 merged=0",
+        "stats: method=direct level=2 terms_in=2 poles=6 left=6 right=0 terms_out=2 merged=4",
+        "stats: method=direct level=3 terms_in=2 poles=0 left=0 right=0 terms_out=2 merged=0",
         "stats: perturbation var=l3 epsilon=1 delta=1",
     ]
 
 
 # The full --stats report of both methods: at m = 1, where no level runs
-# and direct's closed-form line counts the power shapes, and at m = 2,
-# where the closing level is the only residue level.
+# and direct's closed-form line counts the one power, and at m = 2, where
+# the closing level is the only residue level and counts its alpha > 0
+# powers (the residue with alpha <= 0 is in merged=).
 STATS_REPORTS = [
     ("simplex3.json", [
         "1/6 (0.166666666667)",
@@ -127,8 +128,8 @@ STATS_REPORTS = [
         "7/60 (0.116666666667)",
         "methods agree: direct == transform (exact)",
         "stats: method=direct order=l1,l2",
-        "stats: method=direct level=1 terms_in=1 poles=3 left=3 right=0 terms_out=3 merged=0",
-        "stats: method=direct level=2 terms_in=3 poles=0 left=0 right=0 terms_out=3 merged=0",
+        "stats: method=direct level=1 terms_in=1 poles=3 left=3 right=0 terms_out=2 merged=1",
+        "stats: method=direct level=2 terms_in=2 poles=0 left=0 right=0 terms_out=2 merged=0",
         "stats: method=transform level=1 terms_in=1 poles=4 left=2 right=2 terms_out=1 merged=1",
         "stats: transform C=7/30",
     ]),
@@ -523,10 +524,10 @@ def test_check_only_valid_instance(capsys):
 
 def paths_with_lp_counts(tmp_path):
     """The paper example, whose seed is the margin LP's closed form (no
-    LP solved), and an instance whose seed takes two LPs: the relaxation,
-    whose optimum is not unique, and the full margin LP."""
+    LP solved), and an instance whose seed takes one LP: the relaxation,
+    whose optimum is not unique."""
     return [(str(INSTANCES / "paper-example.json"), 0),
-            (write(tmp_path, "lp.json", {"A": LP_SOLVED_ROWS, "b": [1, 1, 1]}), 2)]
+            (write(tmp_path, "lp.json", {"A": LP_SOLVED_ROWS, "b": [1, 1, 1]}), 1)]
 
 
 def margin_lp_seed(path):

@@ -6,9 +6,12 @@ residue level was fused with the closed form: every level through
 then ``final_level_value`` per surviving term for direct and the C loop
 for transform.  The start terms are checked against the Fraction-built
 forms they replace.  Both methods must give the same Fraction, the same
-LevelStats, the same closed-form variable and count of terms reaching
-it, the same perturbation ledger, the same C and the same refusal.
+LevelStats, the same closed-form variable and count of alpha > 0 powers
+reaching it, the same perturbation ledger, the same C and the same
+refusal.  The closing level counts only the powers the closed form
+keeps, so the reference's last level counts its alpha > 0 terms.
 """
+import dataclasses
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -48,8 +51,11 @@ def reference_direct(norm, abscissae=None):
         assert stats.residues <= (n + 1) ** level
     assert all(t.total_multiplicity == n + 1 for t in terms)
     last = order[-1]
+    kept = sum(t.exponent.coeff(last) > 0 for t in terms)
+    if levels:
+        levels[-1] = dataclasses.replace(levels[-1], terms_out=kept)
     result = sum((final_level_value(t, last) for t in terms), Fraction(0))
-    return result, tuple(levels), (last, len(terms)), config.ledger, result * factorial(n)
+    return result, tuple(levels), (last, kept), config.ledger, result * factorial(n)
 
 
 def reference_transform(norm, abscissae=None, force_sides=None):
@@ -160,8 +166,7 @@ def test_m1_volume_is_the_simplex_volume(n):
 
 
 # -- the pruned closing level -------------------------------------------
-# close_level builds K only for alpha > 0 residues and for alpha <= 0
-# shapes hit more than once (summed to see whether they cancel).
+# close_level builds K only for alpha > 0 residues.
 
 def closing_shapes(norm):
     """Direct's closing-level residues, built as Terms by the unfused
@@ -191,23 +196,41 @@ def k_builds(monkeypatch):
     return calls
 
 
-def test_pruned_closing_level_on_prime_row_draws(k_builds):
-    once = cancelled = 0
-    for norm in prime_row_draws(40, 10):
-        assert_same(norm)
+def k_builds_per_draw(draws, k_builds):
+    """For each draw the direct run does not refuse: (the K that
+    close_level builds, the alpha > 0 residues, the alpha <= 0 ones), the
+    residues counted on the unfused path."""
+    for norm in draws:
         if isinstance(outcome(run_direct, norm), tuple):
             continue
         shapes = closing_shapes(norm)
         k_builds.clear()
         run_direct(norm)
-        # K is built for every alpha > 0 residue and for every residue of
-        # an alpha <= 0 shape hit more than once, and for no other
-        assert len(k_builds) == sum(hits for (alpha, _), (hits, _) in shapes.items()
-                                    if alpha > 0 or hits > 1)
-        once += sum(alpha <= 0 and hits == 1 for (alpha, _), (hits, _) in shapes.items())
-        cancelled += sum(alpha <= 0 and hits > 1 and total == 0
-                         for (alpha, _), (hits, total) in shapes.items())
-    assert once > 0 and cancelled > 0
+        yield (len(k_builds), sum(hits for (alpha, _), (hits, _) in shapes.items() if alpha > 0),
+               sum(hits for (alpha, _), (hits, _) in shapes.items() if alpha <= 0))
+
+
+def test_pruned_closing_level_on_prime_row_draws(k_builds):
+    draws = prime_row_draws(40, 10)
+    for norm in draws:
+        assert_same(norm)
+    dead = 0
+    for built, alive, dropped in k_builds_per_draw(draws, k_builds):
+        assert built == alive  # K for every alpha > 0 residue and no other
+        dead += dropped
+    assert dead > 0
+
+
+def test_k_is_built_once_per_alpha_positive_residue_on_deep_draws(k_builds):
+    # the sizes of the deep workload (m 5-8, n 3-7), where most of the
+    # closing level's residues have alpha <= 0
+    alive = dead = 0
+    for built, kept, dropped in k_builds_per_draw(prime_row_draws(6, "deep", (5, 8), (3, 7)),
+                                                  k_builds):
+        assert built == kept
+        alive += kept
+        dead += dropped
+    assert dead > alive > 0
 
 
 def two_variable_terms():
@@ -237,12 +260,14 @@ def test_close_level_keeps_the_alpha_positive_powers(k_builds):
         assert {q for _, q in every} == {4}
         assert powers == {alpha: K for (alpha, _), K in every.items() if alpha > 0}
         assert powers and len(every) > len(powers)  # both kinds occur
-        assert stats == unfused and stats.terms_out == len(every)
+        # terms_out counts the powers kept, the rest of the level's stats
+        # are those of the unfused level
+        assert stats == dataclasses.replace(unfused, terms_out=len(powers))
         closed = sum(K * alpha ** 3 for alpha, K in powers.items()) / 6
         assert closed == reference.power_sum(every)
-        # one K per alpha > 0 residue; the alpha <= 0 shapes need theirs
-        # only when hit twice, as with both terms
-        assert len(k_builds) == (1 if len(terms) == 1 else 5)
+        # one K per alpha > 0 residue: the second term collects only the
+        # alpha <= 0 roots of l1 + l2 and l1 + 2*l2
+        assert len(k_builds) == 1
         # every term has degree 4 in l2, which is n + 1 for n = 3 only
         with pytest.raises(lv.MalformedH, match="l2-multiplicity 4, expected 3"):
             close_level(terms, 1, 2, 2, config_31(), [])
@@ -259,7 +284,7 @@ def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
             close_level([term], 1, 2, n, config, [])
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2,))))
     powers, _, stats = close_level([term], 1, 2, 2, config, [])
-    assert powers == {} and stats.terms_out == 2
+    assert powers == {} and stats.terms_out == 0
     with pytest.raises(lv.MalformedH) as exc:
         close_level([term], 1, 2, 3, config, [])
     assert str(exc.value) == "surviving term has l2-multiplicity 3, expected 4"

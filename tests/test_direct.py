@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
-from lapvol.direct import method, run_direct, volume_direct
+from lapvol.direct import method, run_direct
 from lapvol.engine import _domain
 from lapvol.polytope import contour_seed
 from lapvol.terms import ContourConfig
@@ -60,13 +60,13 @@ def test_initial_term_m1_bypasses_degeneracy():
     norm = lv.normalize(lv.make_instance([[2, 3]], [1]))
     t = initial_term(norm)
     assert all(f.variables == (1,) for f, _ in t.denom)
-    assert volume_direct(norm) == F(1, 12)  # (1/2)(1/3)/2!
+    assert run_direct(norm).result == F(1, 12)  # (1/2)(1/3)/2!
 
 
 def test_worked_example_volume(worked):
     norm, vol = worked
-    assert volume_direct(norm, abscissae=(3, 2, 1)) == vol == F(17, 48)
-    assert volume_direct(norm) == vol  # engine-chosen contour
+    assert run_direct(norm, abscissae=(3, 2, 1)).result == vol == F(17, 48)
+    assert run_direct(norm).result == vol  # engine-chosen contour
 
 
 def test_worked_example_branch_partials(worked):
@@ -98,7 +98,7 @@ def test_node_counts_within_bound(worked):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 15])
 def test_simplex_volume(n):
     inst, vol = lv.simplex_instance(n)
-    assert volume_direct(lv.normalize(inst)) == vol == F(1, __import__("math").factorial(n))
+    assert run_direct(lv.normalize(inst)).result == vol == F(1, __import__("math").factorial(n))
 
 
 def test_perturbation_fixture_returns_exact_volume(worked):
@@ -131,7 +131,7 @@ def test_matches_two_constraint_closed_form():
             continue
         try:
             norm = lv.normalize(lv.make_instance([a, b], [1, 1]))
-            got = volume_direct(norm)
+            got = run_direct(norm).result
         except SKIPPABLE:
             continue
         assert got == expected
@@ -150,7 +150,7 @@ def test_row_permutation_invariance():
             [inst.rows[i] for i in perm], [inst.rhs[i] for i in perm]
         )
         try:
-            assert volume_direct(lv.normalize(permuted)) == v0
+            assert run_direct(lv.normalize(permuted)).result == v0
         except SKIPPABLE:
             continue
         done += 1
@@ -163,7 +163,7 @@ def test_scaling_law():
         inst, _, base = draw_valid_instance(rng, m, n)
         for t in (F(1, 2), F(2), F(3)):
             scaled = lv.make_instance(inst.rows, [t * bi for bi in inst.rhs])
-            assert volume_direct(lv.normalize(scaled)) == t**n * base
+            assert run_direct(lv.normalize(scaled)).result == t**n * base
 
 
 def test_monotone_under_added_constraint():
@@ -176,7 +176,7 @@ def test_monotone_under_added_constraint():
             list(inst.rows) + list(extra.rows), list(inst.rhs) + [F(1)]
         )
         try:
-            v1 = volume_direct(lv.normalize(bigger))
+            v1 = run_direct(lv.normalize(bigger)).result
         except SKIPPABLE:
             continue
         assert 0 < v1 <= v0
@@ -240,7 +240,7 @@ def test_every_integration_order_gives_the_volume(A, b):
     run = run_direct(norm)
     for order in itertools.permutations(range(1, norm.m + 1)):
         assert volume_in_order(norm, order) == run.result
-    assert run.result == lv.volume_transform(norm)
+    assert run.result == lv.run_transform(norm).result
 
 
 @pytest.mark.parametrize("A,b", ORDER_CASES)
@@ -272,4 +272,4 @@ def test_refused_deep_draw_returns_its_volume():
     norm = lv.normalize(lv.make_instance(A, b))
     run = run_direct(norm)
     assert [lvl.var for lvl in run.levels] + [run.last] == [2, 4, 3, 5, 1]
-    assert run.result == lv.volume_transform(norm) == F(31381059609, 286041585816420767146640)
+    assert run.result == lv.run_transform(norm).result == F(31381059609, 286041585816420767146640)

@@ -58,5 +58,5 @@ def test_shuffled_volumes_are_pinned():
     rng = random.Random("shuffled:3:24")
     for pinned in SHUFFLED_3_24:
         norm = lv.normalize(draw(rng, 3, 24))
-        for volume in (lv.volume_direct(norm), lv.volume_transform(norm)):
+        for volume in (lv.run_direct(norm).result, lv.run_transform(norm).result):
             assert hashlib.sha256(str(volume).encode()).hexdigest() == pinned

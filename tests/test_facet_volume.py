@@ -10,8 +10,8 @@ import pytest
 
 import lapvol as lv
 from lapvol import direct, engine
-from lapvol.direct import volume_direct
-from lapvol.transform import volume_transform
+from lapvol.direct import run_direct
+from lapvol.transform import run_transform
 
 from conftest import outcome
 from facet_volume import facet_volume
@@ -103,5 +103,5 @@ def test_equal_start_factors(k):
     norm = lv.normalize(lv.make_instance([[Fraction(v) for v in row] for row in A], b))
     start = engine.start_term(norm, direct.method(norm.columns))
     assert max(mult for _, mult in start[2]) > 1  # a repeated factor from the input
-    assert outcome(volume_direct, norm) == (by_direct or volume)
-    assert outcome(volume_transform, norm) == (by_transform or volume)
+    assert outcome(lambda: run_direct(norm).result) == (by_direct or volume)
+    assert outcome(lambda: run_transform(norm).result) == (by_transform or volume)

@@ -10,17 +10,15 @@ from scipy.optimize import linprog
 import lapvol as lv
 from lapvol import lp, polytope
 
-from conftest import LP_SOLVED_ROWS, PRIMES
+from conftest import PRIMES
 
 
 def test_trivially_feasible():
     # a zero objective asks for feasibility only: the start basis x = 0
     # answers it without a pivot
-    status, x, val, unique = lp.maximize([0, 0], [[1, 0], [-1, 1]], [1, 0])
+    status, x, val = lp.maximize([0, 0], [[1, 0], [-1, 1]], [1, 0])
     assert status == lp.OPTIMAL
     assert x == (0, 0) and val == 0
-    # every feasible point is optimal, and the zero reduced costs say so
-    assert not unique
 
 
 def test_compactness_system_of_worked_example():
@@ -31,7 +29,7 @@ def test_compactness_system_of_worked_example():
     A = [[-int(k == i) for k in range(3)] + [1] for i in range(3)]
     A += [[-rows[i][j] for i in range(3)] + [1] for j in range(2)]
     A.append([1, 1, 1, 0])
-    status, x, t_star, _ = lp.maximize([0, 0, 0, 1], A, [0] * 5 + [1])
+    status, x, t_star = lp.maximize([0, 0, 0, 1], A, [0] * 5 + [1])
     assert status == lp.OPTIMAL and t_star == Fraction(1, 3)
     c = x[:3]
     col = [sum(rows[i][j] * c[i] for i in range(3)) for j in range(2)]
@@ -46,21 +44,19 @@ def test_compactness_system_of_worked_example():
 
 
 def test_maximize_simple():
-    status, x, val, unique = lp.maximize([3, 2], [[1, 1], [1, 3]], [4, 6])
+    status, x, val = lp.maximize([3, 2], [[1, 1], [1, 3]], [4, 6])
     assert status == lp.OPTIMAL
     assert val == 12 and x == (Fraction(4), Fraction(0))
-    # z = 12 - x2 - 3 s1 at the optimal basis: both reduced costs negative
-    assert unique
 
 
 def test_maximize_unbounded():
-    assert lp.maximize([1], [], []) == (lp.UNBOUNDED, None, None, False)
-    assert lp.maximize([1, 1], [[1, -1]], [1]) == (lp.UNBOUNDED, None, None, False)
+    assert lp.maximize([1], [], []) == (lp.UNBOUNDED, None, None)
+    assert lp.maximize([1, 1], [[1, -1]], [1]) == (lp.UNBOUNDED, None, None)
 
 
 def test_degenerate_ties_terminate():
     # classic cycling-prone shape; Bland's rule must terminate
-    status, x, val, _ = lp.maximize(
+    status, x, val = lp.maximize(
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
             [Fraction(1, 4), -60, Fraction(-1, 25), 9],
@@ -90,7 +86,7 @@ def test_random_feasibility_matches_scipy(seed):
         A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(nc)]
         b = [rng.randint(0, 5) for _ in range(nc)]
         obj = [rng.randint(-3, 3) for _ in range(nv)]
-        status, x, val, _ = lp.maximize(obj, A, b)
+        status, x, val = lp.maximize(obj, A, b)
         ref = linprog(
             c=-np.array(obj, dtype=float),
             A_ub=np.array(A, dtype=float).reshape(nc, nv) if nc else None,
@@ -116,9 +112,7 @@ def dense_maximize(objective, A, b):
     """The dense-tableau Bland simplex that the condensed integer tableau
     of lp.maximize replaced: slack identity block stored, Fraction
     entries.  Same rule on the same variable ids, so the two must return
-    the same (status, x, value, unique) on every input, ``unique`` read
-    here from the reduced costs of the nonbasic columns of the dense
-    final row."""
+    the same (status, x, value) on every input."""
     cost = [Fraction(v) for v in objective]
     n, m = len(cost), len(A)
     tab = [[Fraction(v) for v in row] + [Fraction(int(k == i)) for k in range(m)]
@@ -139,7 +133,7 @@ def dense_maximize(objective, A, b):
                 if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:
-            return lp.UNBOUNDED, None, None, False
+            return lp.UNBOUNDED, None, None
         inv = 1 / tab[leave][enter]
         piv_row = tab[leave] = [v * inv for v in tab[leave]]
         piv_val = val[leave] = val[leave] * inv
@@ -156,8 +150,7 @@ def dense_maximize(objective, A, b):
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = val[i]
-    unique = all(r < 0 for j, r in enumerate(red) if j not in basis)
-    return lp.OPTIMAL, tuple(x), z, unique
+    return lp.OPTIMAL, tuple(x), z
 
 
 def scipy_test_lps(seed):
@@ -172,20 +165,23 @@ def scipy_test_lps(seed):
         yield obj, A, b
 
 
-def margin_lp(rows):
-    """The arguments of the margin LP over the rows, from the function
-    that builds them for polytope.find_strict_interior."""
-    return polytope.margin_lp(polytope.integer_columns(rows))
+def margin_lp(columns):
+    """The (objective, A, b) of the full margin LP over the rows whose
+    integer columns are ``columns``, as lp.maximize takes them: variables
+    c_1..c_m, t >= 0, maximize the margin t.  find_strict_interior solves
+    row-generation relaxations of it; this is the reference whose dense
+    Bland vertex dense_seed reads."""
+    m = len(columns[0][1])
+    A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]   # t - c_i <= 0
+    A += [[-a for a in col] + [den] for den, col in columns]         # D_j (t - (A'c)_j) <= 0
+    A.append([1] * m + [0])                                          # sum(c) <= 1
+    return [0] * m + [1], A, [0] * (m + len(columns)) + [1]
 
 
 def test_matches_dense_reference_on_scipy_test_lps():
-    flags = set()
     for seed in range(8):
         for args in scipy_test_lps(seed):
-            result = lp.maximize(*args)
-            assert result == dense_maximize(*args), args
-            flags.add(result[3])
-    assert flags == {True, False}
+            assert lp.maximize(*args) == dense_maximize(*args), args
 
 
 def test_matches_dense_reference_on_cycling_case():
@@ -201,22 +197,6 @@ def test_matches_dense_reference_on_cycling_case():
     assert lp.maximize(*args) == dense_maximize(*args)
 
 
-def test_margin_lp_optimum_on_an_edge_is_not_unique():
-    # on LP_SOLVED_ROWS (b = 1) the margin t* = 1/4 is attained on the edge
-    # c = (3/4 - c3, 1/4, c3), 1/4 <= c3 <= 1/3, and both references say
-    # the optimum is not unique
-    args = margin_lp(LP_SOLVED_ROWS)
-    result = lp.maximize(*args)
-    assert result == dense_maximize(*args)
-    status, x, t_star, unique = result
-    assert status == lp.OPTIMAL and t_star == Fraction(1, 4) and not unique
-    quarter = Fraction(1, 4)
-    for c3 in (quarter, Fraction(1, 3)):
-        c = (3 * quarter - c3, quarter, c3)
-        assert min(c) >= quarter and sum(c) == 1
-        assert all(sum(r[j] * v for r, v in zip(LP_SOLVED_ROWS, c)) >= quarter for j in range(2))
-
-
 @pytest.mark.parametrize("m,n", [(2, 24), (2, 40), (3, 32), (4, 17), (5, 7), (5, 12),
                                  (6, 4), (7, 30), (8, 3), (8, 40)])
 def test_margin_lps_of_generic_rows_match_dense_reference(m, n):
@@ -229,7 +209,7 @@ def test_margin_lps_of_generic_rows_match_dense_reference(m, n):
     inst = lv.make_instance(A, [rng.randint(1, 999) for _ in range(m)])
     rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
     assert any(v.denominator > 1 for row in rows for v in row)
-    args = margin_lp(rows)
+    args = margin_lp(polytope.integer_columns(rows))
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] > 0
     assert result == dense_maximize(*args)
@@ -243,7 +223,8 @@ def test_margin_lps_of_signed_draws_match_dense_reference(block):
     for seed in range(25 * block, 25 * block + 25):
         rng = random.Random(seed)
         inst = lv.random_instance(rng, rng.randint(2, 8), rng.randint(2, 12), signed=True)
-        args = margin_lp(polytope.column_rows(polytope.scale_and_dedupe(inst)[0]))
+        args = margin_lp(polytope.integer_columns(
+            polytope.column_rows(polytope.scale_and_dedupe(inst)[0])))
         assert lp.maximize(*args) == dense_maximize(*args), seed
 
 
@@ -260,9 +241,9 @@ def test_gate_failing_margin_lp_matches_dense_reference(lp_calls):
     result = lp.maximize(*args)
     assert result[0] == lp.OPTIMAL and result[2] == 0
     assert result == dense_maximize(*args)
-    result = lp.maximize(*margin_lp(rows))
+    result = lp.maximize(*margin_lp(columns))
     assert result[0] == lp.OPTIMAL and result[2] == 0
-    assert result == dense_maximize(*margin_lp(rows))
+    assert result == dense_maximize(*margin_lp(columns))
 
 
 # -- ints taken as they are ---------------------------------------------------
@@ -311,7 +292,7 @@ def test_margin_lp_on_integer_columns_matches_fraction_rows(block):
         rng = random.Random(seed)
         inst = lv.random_instance(rng, rng.randint(1, 6), rng.randint(1, 12), signed=True)
         rows = polytope.column_rows(polytope.scale_and_dedupe(inst)[0])
-        args = margin_lp(rows)
+        args = margin_lp(polytope.integer_columns(rows))
         m, n = len(rows), len(rows[0])
         A = [[-int(k == i) for k in range(m)] + [1] for i in range(m)]
         A += [[-rows[i][j] for i in range(m)] + [1] for j in range(n)]
@@ -343,7 +324,7 @@ def dense_seed(columns):
     LP, or None where its t* is 0: what find_strict_interior must
     return or refuse."""
     m = len(columns[0][1])
-    status, x, t_star, _ = dense_maximize(*polytope.margin_lp(columns))
+    status, x, t_star = dense_maximize(*margin_lp(columns))
     assert status == lp.OPTIMAL
     if t_star == 0:
         return None
@@ -356,8 +337,7 @@ def row_generation_reference(columns):
     with dense_maximize and Fraction arithmetic: (the argument tuples of
     the solves in order, the path taken).  The relaxation keeps the
     columns with sum(col) < D_j and adds every column its optimum
-    violates; a unique optimum that violates none is the seed, a shared
-    one is followed by the full margin LP."""
+    violates; an optimum that violates none is the seed."""
     m = len(columns[0][1])
     kept = [j for j, (den, col) in enumerate(columns) if sum(col) < den]
     if not kept:
@@ -365,7 +345,7 @@ def row_generation_reference(columns):
     calls = []
     while True:
         calls.append(polytope.relaxed_lp(columns, kept))
-        _, x, t_star, unique = dense_maximize(*calls[-1])
+        _, x, t_star = dense_maximize(*calls[-1])
         if t_star == 0:
             return calls, "not pointed"
         c = [v + x[m] for v in x[:m]]
@@ -374,8 +354,6 @@ def row_generation_reference(columns):
         if not cut:
             break
         kept += cut
-    if not unique:
-        return calls + [polytope.margin_lp(columns)], "fallback"
     return calls, "accepted in round 1" if len(calls) == 1 else "accepted after a cut"
 
 
@@ -384,7 +362,7 @@ def test_closed_form_seed_is_the_margin_lps_unique_optimum(lp_calls):
     for inst in closed_form_cases():
         columns = polytope.scale_and_dedupe(inst)[0]
         m = len(columns[0][1])
-        status, x, t_star, _ = dense_maximize(*polytope.margin_lp(columns))
+        status, x, t_star = dense_maximize(*margin_lp(columns))
         assert status == lp.OPTIMAL
         calls, path = row_generation_reference(columns)
         lp_calls.clear()
@@ -408,7 +386,7 @@ def test_closed_form_seed_is_the_margin_lps_unique_optimum(lp_calls):
     assert closed and solved and ties
 
 
-# -- row generation: the seed is the margin LP's Bland vertex on every path ---
+# -- row generation: the relaxation's vertex against the margin LP's ---------
 
 
 def seed_identity_cases():
@@ -427,6 +405,9 @@ def seed_identity_cases():
 
 
 def test_seed_is_the_dense_bland_vertex_on_every_path(lp_calls):
+    # the seed is the relaxation's vertex; that it is also the full margin
+    # LP's Bland vertex is measured here, not promised: it holds on every
+    # case, those whose relaxation optimum is not unique included
     paths = {}
     for columns in seed_identity_cases():
         calls, path = row_generation_reference(columns)
@@ -440,4 +421,4 @@ def test_seed_is_the_dense_bland_vertex_on_every_path(lp_calls):
         assert (c is None) == (path == "not pointed")
         paths[path] = paths.get(path, 0) + 1
     assert set(paths) == {"closed form", "accepted in round 1", "accepted after a cut",
-                          "fallback", "not pointed"}, paths
+                          "not pointed"}, paths

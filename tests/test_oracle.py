@@ -1,4 +1,5 @@
 """Closed-form oracles, generators, and the Monte Carlo estimator."""
+import math
 import random
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ def test_matches_engine_on_two_rows():
         except lv.GenericityViolated:
             continue
         norm = lv.normalize(lv.make_instance([a, b], [1, 1]))
-        assert lv.volume_direct(norm) == expected
+        assert lv.run_direct(norm).result == expected
         done += 1
 
 
@@ -107,7 +108,7 @@ def test_simplex_generator():
     inst, vol = simplex_instance(3)
     assert vol == F(1, 6)
     assert inst.rows == ((F(1), F(1), F(1)),)
-    assert lv.volume_direct(lv.normalize(inst)) == vol
+    assert lv.run_direct(lv.normalize(inst)).result == vol
 
 
 def test_box_generator():
@@ -117,10 +118,31 @@ def test_box_generator():
     assert vol2 == 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_box_instance_is_the_identity_instance(n):
+    # the identity rows are built as tuples once, without make_instance's
+    # copy, and give the same instance and types
+    sides = [F(k + 1, 3) if k % 2 else k + 2 for k in range(n)]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for given in (None, sides):
+        inst, vol = box_instance(n, given)
+        want = lv.make_instance(identity, [Fraction(v) for v in given or [1] * n])
+        assert inst == want
+        assert [type(v) for row in inst.rows for v in row] == [int] * (n * n)
+        assert [type(v) for v in inst.rhs] == [Fraction] * n
+        assert vol == (F(1) if given is None else F(math.prod(sides)))
+
+
+def test_box_instance_refuses_a_wrong_side_count():
+    for n, sides in ((2, [1]), (1, [1, 2]), (0, None)):
+        with pytest.raises(ValueError):
+            box_instance(n, sides)
+
+
 def test_paper_example_generator():
     inst, vol = paper_example()
     assert vol == F(17, 48)
-    assert lv.volume_direct(lv.normalize(inst)) == vol
+    assert lv.run_direct(lv.normalize(inst)).result == vol
 
 
 def test_known_instance_dispatch():
@@ -172,7 +194,7 @@ def test_mc_box_holds_the_body(make):
     # every side is max x_j over the body, found by an exact LP on the raw rows
     for j, side in enumerate(est.box):
         unit = [int(k == j) for k in range(inst.n)]
-        status, _, top, _ = lp.maximize(unit, inst.rows, inst.rhs)
+        status, _, top = lp.maximize(unit, inst.rows, inst.rhs)
         assert status == lp.OPTIMAL and top == side
     # so the box lies in the cube [0, sum(u)]^n of the compactness witness
     assert max(est.box) <= sum(certify(lv.normalize(inst).columns)[1])

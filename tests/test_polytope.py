@@ -132,10 +132,10 @@ def test_normalize_full_pipeline():
 
 def test_normalize_solves_one_lp(seed_calls, lp_calls):
     # the seed is found once per instance: in closed form where A'1 >= 1,
-    # and on LP_SOLVED_ROWS by the relaxation and then the full margin LP;
-    # either way it is the margin LP's Bland vertex
+    # and on LP_SOLVED_ROWS by one relaxation solve, whose vertex is the
+    # full margin LP's Bland vertex there too
     for inst, lp_solved in ((lv.paper_example()[0], 0),
-                            (make_instance(LP_SOLVED_ROWS, [1, 1, 1]), 2)):
+                            (make_instance(LP_SOLVED_ROWS, [1, 1, 1]), 1)):
         seed_calls.clear()
         lp_calls.clear()
         norm = normalize(inst)
@@ -227,8 +227,8 @@ def _recession_direction(rows):
     maximize 1'd over {d >= 0, Ad <= 0, 1'd <= 1}, whose optimum is 1
     iff such a direction exists (and 0 otherwise)."""
     n = len(rows[0])
-    status, d, value, _ = lp.maximize([1] * n, [list(row) for row in rows] + [[1] * n],
-                                      [0] * len(rows) + [1])
+    status, d, value = lp.maximize([1] * n, [list(row) for row in rows] + [[1] * n],
+                                   [0] * len(rows) + [1])
     assert status == lp.OPTIMAL and value in (0, 1)
     return d if value == 1 else None
 

@@ -8,7 +8,7 @@ import lapvol as lv
 from lapvol.linforms import P_VAR
 from lapvol.polytope import integer_columns
 from lapvol.terms import Side
-from lapvol.transform import eliminated_var, run_transform, volume_transform
+from lapvol.transform import eliminated_var, run_transform
 
 from conftest import SKIPPABLE, draw_valid_instance, frac_vec
 from dense import substituted_term
@@ -83,7 +83,7 @@ def test_m1_reads_constant_directly():
 @pytest.mark.parametrize("n", [1, 3, 7, 12])
 def test_simplex_row(n):
     inst, vol = lv.simplex_instance(n)
-    assert volume_transform(lv.normalize(inst)) == vol
+    assert run_transform(lv.normalize(inst)).result == vol
 
 
 def test_unit_square_degenerate():
@@ -151,7 +151,7 @@ def test_positive_row_moved_last():
     run = run_transform(moved, abscissae=c[1:] + c[:1])
     assert [lvl.residues for lvl in run.levels] == [lvl.residues for lvl in base.levels]
     assert sum(lvl.residues for lvl in run.levels) == 9
-    assert run.result == base.result == lv.volume_direct(norm)
+    assert run.result == base.result == lv.run_direct(norm).result
 
 
 def test_matches_two_constraint_closed_form():
@@ -166,7 +166,7 @@ def test_matches_two_constraint_closed_form():
             continue
         try:
             norm = lv.normalize(lv.make_instance([a, b], [1, 1]))
-            got = volume_transform(norm)
+            got = run_transform(norm).result
         except SKIPPABLE:
             continue
         assert got == expected
@@ -178,4 +178,4 @@ def test_exact_agreement_with_direct():
     for _ in range(10):
         m, n = rng.choice([2, 3, 4]), rng.randint(2, 6)
         _, norm, v = draw_valid_instance(rng, m, n, signed=True)
-        assert lv.volume_direct(norm) == lv.volume_transform(norm) == v
+        assert lv.run_direct(norm).result == lv.run_transform(norm).result == v
