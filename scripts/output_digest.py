@@ -17,9 +17,12 @@ Each input runs under `--stats` with `--method both`, `direct` and
 `--tolerate-floats`.  Then `lapvol --gen` runs on each of GEN_SPECS,
 written as the case `gen`.  A line reads
 
-    CASE FLAGS exit=CODE sha256=HEX
+    CASE FLAGS exit=CODE volume=HEX stats=HEX
 
-with HEX the digest of stdout followed by stderr.  Every input is written
+with `volume=` the sha256 of stdout without its `stats:` lines followed
+by stderr, and `stats=` the sha256 of the `stats:` lines.  A change that
+moves only `--stats` counts thus differs only in `stats=`, which shows
+that no volume, agreement line or message moved.  Every input is written
 to a file of its own name in a scratch directory and passed by that
 name, so the lines do not depend on where the checkout lies.  Run it on
 two checkouts and diff the outputs: equal files mean the same stdout,
@@ -98,9 +101,15 @@ def fixture_docs():
         yield path.stem, path.read_text()
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def call(argv):
-    """(exit code, sha256 of stdout + stderr) of one in-process CLI call;
-    an exception counts as the code ``crash:<type>``."""
+    """(exit code, the sha256 of stdout without its `stats:` lines
+    followed by stderr, the sha256 of the `stats:` lines) of one
+    in-process CLI call; an exception counts as the code
+    ``crash:<type>``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -108,8 +117,10 @@ def call(argv):
         except (Exception, SystemExit) as exc:
             code = f"crash:{type(exc).__name__}"
             print(exc, file=sys.stderr)
-    digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
-    return code, digest
+    lines = out.getvalue().splitlines(keepends=True)
+    stats = "".join(line for line in lines if line.startswith("stats:"))
+    rest = "".join(line for line in lines if not line.startswith("stats:"))
+    return code, sha256(rest + err.getvalue()), sha256(stats)
 
 
 def main() -> int:
@@ -128,12 +139,12 @@ def main() -> int:
                 path = f"{name}.json"
                 Path(path).write_text(doc if isinstance(doc, str) else json.dumps(doc))
                 for flags in flag_sets:
-                    code, digest = call(["volume", path, *flags])
-                    print(f"{name} {' '.join(flags)} exit={code} sha256={digest}")
+                    code, volume, stats = call(["volume", path, *flags])
+                    print(f"{name} {' '.join(flags)} exit={code} volume={volume} stats={stats}")
         os.chdir(ROOT)
     for spec in GEN_SPECS[:args.limit or None]:
-        code, digest = call(["--gen", spec])
-        print(f"gen --gen {spec} exit={code} sha256={digest}")
+        code, volume, stats = call(["--gen", spec])
+        print(f"gen --gen {spec} exit={code} volume={volume} stats={stats}")
     return 0
 
 

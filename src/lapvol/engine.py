@@ -11,14 +11,31 @@ which is p for the transform.  :func:`run` integrates the method's
 ``last`` (:func:`lapvol.terms.close_level`), asserts the level-k residue
 bound (n+1)^k on every run, and sums the closed form K * alpha^n / n! of
 the powers K * e^(alpha*last) / last^(n+1) that the closing level keeps.
+
+Exponent bound.  After every residue level but the closing one,
+:func:`run` drops each term whose exponent L is negative at the contour
+point c (one integer dot product with ``config.point``, after the
+level's repair); the level's ``terms_out`` counts the terms kept.  This
+is exact.  A level closes on the decay side of e^(a*v), so every root r
+it collects has a*(r - c_v) < 0, and the residue's exponent, L with v
+set to r, is L(c) + a*(r - c_v) at c: less than L(c), or L itself where
+a = 0.  Down any residue chain L(c) never rises, so every power below a
+term T has alpha*c_last <= L_T(c) with c_last > 0, and L_T(c) < 0 leaves
+only alpha < 0, which the closed form drops.  A later repair moves c, so
+its domain test also keeps every pruned exponent negative (finitely
+many more strict inequalities: a small enough shift still exists), and
+the bound holds at the final point.  The transform's exponent p is
+d > 0 at c, so it never prunes.  A repeated pole or a repair that sits
+only below pruned terms is never met.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .linforms import P_VAR
 from .polytope import NormalizedInstance, contour_seed, is_strict_interior
@@ -87,11 +104,12 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
     return Fraction(num, den), (1, through((1,) * m)), tuple(denom.items())
 
 
-def _domain(columns, method: Method):
+def _domain(columns, method: Method, pruned: Collection[Factor] = ()):
     """Strict feasibility of slot abscissae z: y = (the slot forms of
     l1..lm)·z must stay in {y > 0, A'y > 0}, checked on the integer
-    columns.  The forms are built on the first call, which only a
-    repair makes."""
+    columns, and every exponent in ``pruned`` (its ints over the slots)
+    must stay negative at z.  The forms are built on the first call,
+    which only a repair makes."""
     m = len(columns[0][1])
     forms: list = []
 
@@ -99,20 +117,22 @@ def _domain(columns, method: Method):
         if not forms:
             forms.extend(method.through(_unit(i, m)) for i in range(1, m + 1))
         z = [abscissae[v] for v in method.slots]
-        return is_strict_interior(columns, [sum(map(mul, f, z)) for f in forms])
+        return (is_strict_interior(columns, [sum(map(mul, f, z)) for f in forms])
+                and all(sum(map(mul, L, z)) < 0 for L in pruned))
 
     return ok
 
 
-def contour(norm: NormalizedInstance, method: Method,
-            abscissae: Optional[Sequence] = None) -> ContourConfig:
+def contour(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
+            pruned: Collection[Factor] = ()) -> ContourConfig:
     """The paths of the seed c (``abscissae`` overrides the LP-found one):
-    c_j on l_j, and d = sum(c) on p."""
+    c_j on l_j, and d = sum(c) on p.  A repair keeps every exponent in
+    ``pruned``, a collection the caller may grow, negative."""
     c = contour_seed(norm, abscissae)
     points = {v: c[v - 1] for v in method.slots if v != P_VAR}
     if method.last == P_VAR:
         points[P_VAR] = sum(c, Fraction(0))
-    return ContourConfig(points, domain_ok=_domain(norm.columns, method))
+    return ContourConfig(points, domain_ok=_domain(norm.columns, method, pruned))
 
 
 def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
@@ -123,7 +143,8 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     closes on where the exponent leaves the side free, and exists for
     the side-independence tests."""
     n, last = norm.n, method.last
-    config = contour(norm, method, abscissae)
+    pruned: Set[Factor] = set()
+    config = contour(norm, method, abscissae, pruned)
     terms: List[Term] = [start_term(norm, method)]
     history: list = []
     levels: List[LevelStats] = []
@@ -134,6 +155,16 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
         force = (force_sides or {}).get(k)
         if level < len(method.levels):
             terms, config, stats = integrate_level(terms, k, config, history, force)
+            # the exponent bound (module docstring)
+            point, kept = config.point, []
+            for t in terms:
+                L = t[1][1]
+                if sum(map(mul, L, point)) < 0:
+                    pruned.add(L)
+                else:
+                    kept.append(t)
+            if len(kept) < len(terms):
+                terms, stats = kept, replace(stats, terms_out=len(kept))
         else:
             powers, config, stats = close_level(terms, k, last, n, config, history, force)
         levels.append(stats)

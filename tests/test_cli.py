@@ -618,7 +618,7 @@ def test_exit_7_method_disagreement(monkeypatch, capsys):
 def test_exit_7_no_admissible_perturbation(monkeypatch, capsys):
     # the default contour of the paper example needs one repair; with a
     # domain that holds nowhere, no shift of the path is admissible
-    monkeypatch.setattr(engine, "_domain", lambda columns, method: (lambda abscissae: False))
+    monkeypatch.setattr(engine, "_domain", lambda *_: (lambda abscissae: False))
     code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"),
                          "--method", "direct")
     assert code == 7 and out == ""

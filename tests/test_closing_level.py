@@ -9,17 +9,21 @@ forms they replace.  Both methods must give the same Fraction, the same
 LevelStats, the same closed-form variable and count of alpha > 0 powers
 reaching it, the same perturbation ledger, the same C and the same
 refusal.  The closing level counts only the powers the closed form
-keeps, so the reference's last level counts its alpha > 0 terms.
+keeps, so the reference's last level counts its alpha > 0 terms, and
+the reference direct driver applies the exponent bound of
+:mod:`lapvol.engine` at its inner levels.  Without it, the reference is
+the unpruned driver that the bound is checked against.
 """
 import dataclasses
 import random
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
 import lapvol as lv
-from lapvol import direct, terms as terms_module, transform
+from lapvol import direct, engine, terms as terms_module, transform
 from lapvol.direct import integration_order, run_direct
 from lapvol.engine import contour
 from lapvol.linforms import P_VAR
@@ -32,23 +36,39 @@ from dense import (
     Term,
     canonical_term,
     close_level,
+    dense_term,
     final_level_value,
     initial_term,
     integrate_level,
     substituted_term,
 )
+from facet_volume import facet_volume
 from linform import LinForm
 
 
-def reference_direct(norm, abscissae=None):
+def reference_direct(norm, abscissae=None, prune=True):
+    """The unfused direct driver; with ``prune`` it drops, after every
+    level but the closing one, the terms whose exponent is negative at
+    the contour point, and a later repair keeps those exponents
+    negative."""
     n = norm.n
-    config = contour(norm, direct.method(norm.columns), abscissae)
+    pruned = set()
+    config = contour(norm, direct.method(norm.columns), abscissae, pruned)
     order = integration_order(norm.columns)
     terms, history, levels = [initial_term(norm)], [], []
     for level, k in enumerate(order[:-1], 1):
         terms, config, stats = integrate_level(terms, k, config, history)
-        levels.append(stats)
         assert stats.residues <= (n + 1) ** level
+        if prune and level < len(order) - 1:
+            kept = []
+            for t in terms:
+                if t.exponent.evaluate(config.abscissae) < 0:
+                    pruned.add(dense_term(t, config.slots)[1][1])
+                else:
+                    kept.append(t)
+            terms = kept
+            stats = dataclasses.replace(stats, terms_out=len(kept))
+        levels.append(stats)
     assert all(t.total_multiplicity == n + 1 for t in terms)
     last = order[-1]
     kept = sum(t.exponent.coeff(last) > 0 for t in terms)
@@ -163,6 +183,98 @@ def test_m1_volume_is_the_simplex_volume(n):
             assert type(run.result) is Fraction and run.result == want
             assert run.levels == () and run.leaves == 1
             assert run.H_coefficient == want * factorial(n)
+
+
+# -- the exponent bound -------------------------------------------------
+# After every inner level engine.run drops the terms whose exponent is
+# negative at the contour point; every power below them has alpha < 0.
+
+def unpruned_volume(norm):
+    return outcome(lambda: reference_direct(norm, prune=False)[0])
+
+
+def test_pruned_volume_equals_the_unpruned_drivers():
+    compared = 0
+    for norm in draws(True, 60, 9) + prime_row_draws(20, "deep", (5, 8), (3, 7)):
+        want = unpruned_volume(norm)
+        if not isinstance(want, tuple):
+            assert run_direct(norm).result == want
+            compared += 1
+    assert compared >= 60
+
+
+def test_exponent_bound_cuts_the_residues_of_deep_draws():
+    pruned = unpruned = 0
+    for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
+        pruned += sum(s.residues for s in run_direct(norm).levels)
+        unpruned += sum(s.residues for s in reference_direct(norm, prune=False)[1])
+    assert 5 * pruned <= 3 * unpruned  # at most 60%
+
+
+def sweep_instance(seed, m, n):
+    """Draw (m, n) of the 461-draw sweep: signed draws from
+    random.Random(seed) for m 2-5 and n 2-7, in that loop order."""
+    rng = random.Random(seed)
+    for m_ in range(2, 6):
+        for n_ in range(2, 8):
+            inst = lv.random_instance(rng, m_, n_, signed=True)
+            if (m_, n_) == (m, n):
+                return inst
+
+
+# Sweep draws (seed, m, n) whose direct run meets a repeated pole only
+# below pruned terms, with their volume by facet_volume.  facet_volume
+# takes about 4 s on each m = 5, n = 7 draw, so those two are checked
+# against the pinned volume and the transform's.
+PRUNED_POLES = {
+    (1, 5, 4): Fraction(2472490313, 992978532000),
+    (9, 4, 7): Fraction(18776508850942714967862041911915469099243753,
+                        5427386520351102049197528715215162433875030000000),
+    (12, 4, 7): Fraction(10393450089908058203408908151, 1453134030321996712951112768716800),
+    (13, 5, 5): Fraction(66823, 1529199000),
+    (19, 5, 7): Fraction(5033477049294578576194371805241,
+                         3549469710069459660312819077068800000),
+    (20, 5, 7): Fraction(74334134759910141848466340607, 2552615048173177981289775390912000),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRUNED_POLES))
+def test_repeated_pole_below_a_pruned_term(key):
+    inst, volume = sweep_instance(*key), PRUNED_POLES[key]
+    norm = lv.normalize(inst)
+    if key[1:] == (5, 7):
+        assert run_transform(norm).result == volume
+    else:
+        assert facet_volume(inst.rows, inst.rhs) == volume
+    assert run_direct(norm).result == volume
+    assert unpruned_volume(norm)[0] is lv.DegenerateInstance
+
+
+# (seed, abscissae): a repair moves a path that a pruned exponent holds
+REPAIR_DRAWS = [(5013, (1, 1, 1, 3)), (5058, (1, 1, 1, 1, 2)), (5067, (1, 1, 1, 1, 3))]
+
+
+@pytest.mark.parametrize("seed,abscissae", REPAIR_DRAWS)
+def test_repair_keeps_pruned_exponents_negative(seed, abscissae, monkeypatch):
+    rng = random.Random(seed)
+    m, n = rng.randint(3, 5), rng.randint(2, 5)
+    inst = lv.random_instance(rng, m, n, signed=rng.random() < 0.5)
+    norm = lv.normalize(inst)
+    assert fused(run_direct, norm, abscissae=abscissae) == outcome(
+        reference_direct, norm, abscissae=abscissae)
+    real, seen = engine._domain, []
+    for check in (True, False):
+        # the run's pruned exponents, which the domain test leaves out
+        # when check is False
+        seen.clear()
+        monkeypatch.setattr(engine, "_domain", lambda columns, method, pruned: (
+            seen.append(pruned) or real(columns, method, pruned if check else ())))
+        run = run_direct(norm, abscissae)
+        assert run.config.ledger and seen[0]
+        # each pruned exponent stays negative at the final point, and only
+        # the domain test keeps it so
+        assert (max(sum(map(mul, L, run.config.point)) for L in seen[0]) < 0) == check
+        assert run.result == facet_volume(inst.rows, inst.rhs)
 
 
 # -- the pruned closing level -------------------------------------------

@@ -142,7 +142,7 @@ def test_output_digest_runs():
     # calls each; reader refusals: five calls each), then two --gen calls
     assert len(lines) == 2 * 3 * 4 + 2 * 5 + 2, out
     pattern = (r"\S+ (--stats|--stats --method (direct|transform)|--check-only) "
-               r"exit=\d+ sha256=[0-9a-f]{64}")
+               r"exit=\d+ volume=[0-9a-f]{64} stats=[0-9a-f]{64}")
     assert all(re.fullmatch(pattern, line) for line in lines[:24]), out
     assert [line.split()[0] for line in lines[:24:4]] == [
         "wide1-r0-m2n24", "wide1-r0-m2n28", "signed-0", "signed-1", "nonpointed", "paper-example"]
@@ -152,9 +152,15 @@ def test_output_digest_runs():
                       "--check-only", "--tolerate-floats")] + [
         "gen --gen simplex:3", "gen --gen box:2"]
     # exact rationals only, unless --tolerate-floats converts the literal
-    assert [line.split()[-2] for line in lines[24:36]] == ["exit=2"] * 9 + ["exit=0"] * 3
-    # the digest is that of stdout followed by stderr
+    assert [line.split()[-3] for line in lines[24:36]] == ["exit=2"] * 9 + ["exit=0"] * 3
+    # volume= digests stdout without its stats: lines, then stderr;
+    # stats= digests the stats: lines
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
     for line, case, argv in (
+            (lines[20], "paper-example --stats",
+             ["volume", "instances/paper-example.json", "--stats"]),
             (lines[23], "paper-example --check-only",
              ["volume", "instances/paper-example.json", "--check-only"]),
             (lines[-1], "gen --gen box:2", ["--gen", "box:2"])):
@@ -162,5 +168,9 @@ def test_output_digest_runs():
             [sys.executable, "-m", "lapvol.cli", *argv],
             capture_output=True, text=True, cwd=SCRIPTS.parent,
             env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
-        digest = hashlib.sha256((proc.stdout + proc.stderr).encode()).hexdigest()
-        assert line == f"{case} exit={proc.returncode} sha256={digest}"
+        out = proc.stdout.splitlines(keepends=True)
+        stats = "".join(x for x in out if x.startswith("stats:"))
+        rest = "".join(x for x in out if not x.startswith("stats:"))
+        assert line == (f"{case} exit={proc.returncode} volume={sha256(rest + proc.stderr)} "
+                        f"stats={sha256(stats)}")
+        assert bool(stats) == ("--stats" in argv)
