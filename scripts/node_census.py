@@ -6,9 +6,10 @@ method's mean time per run (normalize excluded), the largest bit length
 of a volume's numerator or denominator in the cell, and the direct
 method's observed worst per-level node count (residues, before like-term
 merging) next to the (n+1)^k ceiling, with the worst number of those
-residues that merging removed (``merged``, which also counts the terms
-the exponent bound drops after each level but the closing one, and the
-closing level's residues with alpha <= 0).  The O(n^m)-flavored growth
+residues that merging removed (``merged``, which also counts the
+residues the exponent bound drops without building them at each level
+but the closing one, and the closing level's residues with
+alpha <= 0; the node counts include the dropped residues too).  The O(n^m)-flavored growth
 is visible directly.
 
 Two make-ups:

@@ -7,7 +7,8 @@
 
 Exit codes: 0 ok, 2 invalid file/usage, 3 nonpositive b, 4 unbounded,
 5 not pointed, 6 degenerate instance, 7 internal (divergent slice,
-malformed transform or disagreeing methods).
+malformed last-level shape, no admissible path perturbation, or
+disagreeing methods).
 
 The parse keeps a JSON int as an int and makes a "p/q" string (or, under
 --tolerate-floats, a decimal literal) an exact Fraction; both

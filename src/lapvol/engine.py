@@ -12,30 +12,35 @@ which is p for the transform.  :func:`run` integrates the method's
 bound (n+1)^k on every run, and sums the closed form K * alpha^n / n! of
 the powers K * e^(alpha*last) / last^(n+1) that the closing level keeps.
 
-Exponent bound.  After every residue level but the closing one,
-:func:`run` drops each term whose exponent L is negative at the contour
-point c (one integer dot product with ``config.point``, after the
-level's repair); the level's ``terms_out`` counts the terms kept.  This
-is exact.  A level closes on the decay side of e^(a*v), so every root r
-it collects has a*(r - c_v) < 0, and the residue's exponent, L with v
-set to r, is L(c) + a*(r - c_v) at c: less than L(c), or L itself where
+Exponent bound.  At every residue level but the closing one,
+:func:`lapvol.terms.integrate_level` builds no residue whose exponent L
+is negative at the contour point c (after the level's repair), deciding
+each sign before the residue is built; the level's ``residues`` still
+counts it and ``terms_out`` counts the merged terms kept.  This is
+exact.  A level closes on the decay side of e^(a*v), so every root r it
+collects has a*(r - c_v) < 0, and the residue's exponent, L with v set
+to r, is L(c) + a*(r - c_v) at c: less than L(c), or L itself where
 a = 0.  Down any residue chain L(c) never rises, so every power below a
 term T has alpha*c_last <= L_T(c) with c_last > 0, and L_T(c) < 0 leaves
 only alpha < 0, which the closed form drops.  A later repair moves c, so
 its domain test also keeps every pruned exponent negative (finitely
 many more strict inequalities: a small enough shift still exists), and
-the bound holds at the final point.  The transform's exponent p is
-d > 0 at c, so it never prunes.  A repeated pole or a repair that sits
-only below pruned terms is never met.
+the bound holds at the final point.  The pruned exponents are those of
+the merged shapes whose coefficients do not cancel, as if every residue
+had been built (the unmerged residues' exponents are a larger set, which
+can change a repair's shift): :class:`_Pruned` keeps each level's
+dropped jobs and builds and merges them only when a repair's domain test
+first reads them, so a run without a repair builds none.  The transform's exponent
+p is d > 0 at c, so it never prunes.  A repeated pole or a repair that
+sits only below pruned terms is never met.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import mul
-from typing import (Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linforms import P_VAR
 from .polytope import NormalizedInstance, contour_seed, is_strict_interior
@@ -45,6 +50,7 @@ from .terms import (
     LevelStats,
     Term,
     close_level,
+    dropped_exponents,
     integrate_level,
     primitive,
     tree_sum,
@@ -104,7 +110,23 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
     return Fraction(num, den), (1, through((1,) * m)), tuple(denom.items())
 
 
-def _domain(columns, method: Method, pruned: Collection[Factor] = ()):
+class _Pruned:
+    """The exponents the bound has pruned, as the repair's domain test
+    reads them: each level's dropped jobs are built and merged
+    (:func:`lapvol.terms.dropped_exponents`) on the first iteration
+    after the level."""
+
+    def __init__(self) -> None:
+        self.levels: List[list] = []  # the dropped jobs of each level not yet built
+        self.exponents: set = set()
+
+    def __iter__(self):
+        while self.levels:
+            self.exponents.update(dropped_exponents(self.levels.pop()))
+        return iter(self.exponents)
+
+
+def _domain(columns, method: Method, pruned: Iterable[Factor] = ()):
     """Strict feasibility of slot abscissae z: y = (the slot forms of
     l1..lm)·z must stay in {y > 0, A'y > 0}, checked on the integer
     columns, and every exponent in ``pruned`` (its ints over the slots)
@@ -124,10 +146,10 @@ def _domain(columns, method: Method, pruned: Collection[Factor] = ()):
 
 
 def contour(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
-            pruned: Collection[Factor] = ()) -> ContourConfig:
+            pruned: Iterable[Factor] = ()) -> ContourConfig:
     """The paths of the seed c (``abscissae`` overrides the LP-found one):
     c_j on l_j, and d = sum(c) on p.  A repair keeps every exponent in
-    ``pruned``, a collection the caller may grow, negative."""
+    ``pruned``, an iterable the caller may grow, negative."""
     c = contour_seed(norm, abscissae)
     points = {v: c[v - 1] for v in method.slots if v != P_VAR}
     if method.last == P_VAR:
@@ -143,7 +165,7 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     closes on where the exponent leaves the side free, and exists for
     the side-independence tests."""
     n, last = norm.n, method.last
-    pruned: Set[Factor] = set()
+    pruned = _Pruned()
     config = contour(norm, method, abscissae, pruned)
     terms: List[Term] = [start_term(norm, method)]
     history: list = []
@@ -154,17 +176,9 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     for level, k in enumerate(method.levels, 1):
         force = (force_sides or {}).get(k)
         if level < len(method.levels):
-            terms, config, stats = integrate_level(terms, k, config, history, force)
-            # the exponent bound (module docstring)
-            point, kept = config.point, []
-            for t in terms:
-                L = t[1][1]
-                if sum(map(mul, L, point)) < 0:
-                    pruned.add(L)
-                else:
-                    kept.append(t)
-            if len(kept) < len(terms):
-                terms, stats = kept, replace(stats, terms_out=len(kept))
+            dropped: list = []  # the exponent bound (module docstring)
+            terms, config, stats = integrate_level(terms, k, config, history, force, dropped)
+            pruned.levels.append(dropped)
         else:
             powers, config, stats = close_level(terms, k, last, n, config, history, force)
         levels.append(stats)

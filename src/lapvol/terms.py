@@ -176,10 +176,11 @@ class ContourConfig:
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Counts of one level: ``residues`` before like-term merging,
-    ``terms_out`` after it.  At the closing level ``terms_out`` is the
-    number of alpha > 0 powers kept, so ``residues - terms_out`` counts
-    the residues merged or dropped for alpha <= 0."""
+    """Counts of one level: ``residues`` before like-term merging, the
+    residues the exponent bound drops unbuilt included, ``terms_out``
+    after it.  At the closing level ``terms_out`` is the number of
+    alpha > 0 powers kept, so ``residues - terms_out`` counts the
+    residues merged or dropped for alpha <= 0."""
 
     var: int
     terms_in: int
@@ -450,6 +451,7 @@ def integrate_level(
     config: ContourConfig,
     history: History,
     force_side: Optional[Side] = None,
+    dropped: Optional[list] = None,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
     """One full level: classify poles, repair on-path collisions, record
     the classification, take the residues, then merge like terms.
@@ -460,20 +462,47 @@ def integrate_level(
     every term this returns are.  ``force_side`` overrides the
     fewer-poles choice for the terms whose exponent does not hold
     ``var``; it exists for the side-consistency tests.
+
+    With a list ``dropped`` the level applies the exponent bound
+    (:mod:`lapvol.engine`) at the contour point c after its repair: a
+    residue whose exponent is negative at c is not built, and its job
+    (term, slot, pole, sign) goes to ``dropped`` (:func:`dropped_exponents`);
+    ``residues`` still counts it.  At the zero of g, a = g[k], the
+    exponent (a*L - L[k]*g) / (a*den) with den > 0 has the sign of
+    a*(a*L(c) - L[k]*g(c)) at c, so one dot product L(c) per term and
+    one g(c) per pole decide every sign exactly before any residue is
+    built; where L[k] = 0 the sign is L(c)'s, which a repair may have
+    made negative.  Without ``dropped`` every residue is built.
     """
     k, sides, config, repaired = _classified(terms, var, config, history)
-    slots = config.slots
+    slots, point = config.slots, config.point
     residues = []
-    poles_found = left = 0
+    poles_found = left = count = 0
     for term in terms:
         sign, poles, found, n_left, _, _ = _collected(term, k, sides, force_side, slots)
         poles_found += found
         left += n_left
+        if not poles:
+            continue
+        count += len(poles)
+        L = term[1][1]
+        Lc, c = sum(map(mul, L, point)), L[k]
         for i in poles:
-            residues.append(_residue(term, k, term[2][i][0], sign))
+            g = term[2][i][0]
+            a = g[k]
+            if dropped is not None and (a * (a * Lc - c * sum(map(mul, g, point))) if c else Lc) < 0:
+                dropped.append((term, k, g, sign))
+            else:
+                residues.append(_residue(term, k, g, sign))
     out = merge_like_terms(residues)
     return out, config, LevelStats(var, len(terms), poles_found, left, poles_found - left,
-                                   repaired, len(residues), len(out))
+                                   repaired, count, len(out))
+
+
+def dropped_exponents(jobs: Sequence[tuple]) -> List[Factor]:
+    """The exponents, as ints, of the shapes that merging the residues of
+    one level's ``dropped`` jobs (:func:`integrate_level`) leaves."""
+    return [t[1][1] for t in merge_like_terms([_residue(*job) for job in jobs])]
 
 
 def close_level(

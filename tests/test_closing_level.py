@@ -17,7 +17,7 @@ the unpruned driver that the bound is checked against.
 import dataclasses
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import mul
 
 import pytest
@@ -186,8 +186,8 @@ def test_m1_volume_is_the_simplex_volume(n):
 
 
 # -- the exponent bound -------------------------------------------------
-# After every inner level engine.run drops the terms whose exponent is
-# negative at the contour point; every power below them has alpha < 0.
+# At every inner level integrate_level builds no residue whose exponent
+# is negative at the contour point; every power below it has alpha < 0.
 
 def unpruned_volume(norm):
     return outcome(lambda: reference_direct(norm, prune=False)[0])
@@ -209,6 +209,82 @@ def test_exponent_bound_cuts_the_residues_of_deep_draws():
         pruned += sum(s.residues for s in run_direct(norm).levels)
         unpruned += sum(s.residues for s in reference_direct(norm, prune=False)[1])
     assert 5 * pruned <= 3 * unpruned  # at most 60%
+
+
+@pytest.fixture
+def residue_builds(monkeypatch):
+    """The residues terms._residue builds during the test."""
+    built = []
+    real = terms_module._residue
+    monkeypatch.setattr(terms_module, "_residue", lambda *a: built.append(real(*a)) or built[-1])
+    return built
+
+
+def test_exponent_bound_builds_only_the_residues_it_keeps(residue_builds, monkeypatch):
+    real, runs = engine._domain, []
+    monkeypatch.setattr(engine, "_domain", lambda columns, method, pruned: (
+        runs.append(pruned) or real(columns, method, pruned)))
+    built = counted = 0
+    for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
+        reference = reference_direct(norm)[1]
+        residue_builds.clear()
+        run = run_direct(norm)
+        inner = [s.residues for s in run.levels[:-1]]
+        assert inner == [s.residues for s in reference[:-1]]
+        # no repair, so every inner level reads the final point, and every
+        # residue built there has exponent >= 0 at it
+        assert not run.config.ledger
+        assert all(sum(map(mul, L, run.config.point)) >= 0 for _, (_, L), _ in residue_builds)
+        # the dropped residues are counted and kept as jobs, never built
+        pruned = runs[-1]
+        assert not pruned.exponents
+        assert len(residue_builds) + sum(map(len, pruned.levels)) == sum(inner)
+        built += len(residue_builds)
+        counted += sum(inner)
+    assert (built, counted) == (104, 209)
+
+
+def random_dense_terms(rng):
+    """Dense terms over the slots (l1, l2, l3) sharing their factors, so
+    that residues merge, most exponents with a zero entry on l1."""
+    factors = list({terms_module.primitive(f)[1] for f in (
+        [rng.randint(-3, 3) for _ in range(3)] for _ in range(6)) if any(f)})
+    out = []
+    for _ in range(3):
+        L = [rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(-3, 3), rng.randint(-3, 3)]
+        den = rng.randint(1, 3)
+        t = gcd(den, *L)
+        out.append((Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                    (den // t, tuple(c // t for c in L)),
+                    tuple((f, 1) for f in rng.sample(factors, rng.randint(2, len(factors))))))
+    return out
+
+
+def test_sign_test_drops_exactly_the_negative_exponents():
+    # the level with the bound keeps exactly the merged terms whose
+    # exponent is >= 0 at the point after its repair, its dropped jobs
+    # merge to exactly the others, and its counts are those of the level
+    # without the bound but for terms_out
+    rng = random.Random(24)
+    checked = held_out = 0
+    while checked < 200:
+        terms = random_dense_terms(rng)
+        config = ContourConfig({v: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in (1, 2, 3)})
+        try:
+            every = terms_module.integrate_level(terms, 1, config, [])
+        except lv.DivergentSlice:
+            continue
+        dropped = []
+        kept, after, stats = terms_module.integrate_level(terms, 1, config, [], None, dropped)
+        assert after == every[1]
+        negative = [sum(map(mul, t[1][1], after.point)) < 0 for t in every[0]]
+        assert kept == [t for t, neg in zip(every[0], negative) if not neg]
+        assert (terms_module.dropped_exponents(dropped)
+                == [t[1][1] for t, neg in zip(every[0], negative) if neg])
+        assert stats == dataclasses.replace(every[2], terms_out=len(kept))
+        held_out += any(neg and not t[1][1][0] for t, neg in zip(every[0], negative))
+        checked += 1
+    assert held_out > 0  # some term whose exponent does not hold l1 is dropped
 
 
 def sweep_instance(seed, m, n):
@@ -270,11 +346,28 @@ def test_repair_keeps_pruned_exponents_negative(seed, abscissae, monkeypatch):
         monkeypatch.setattr(engine, "_domain", lambda columns, method, pruned: (
             seen.append(pruned) or real(columns, method, pruned if check else ())))
         run = run_direct(norm, abscissae)
-        assert run.config.ledger and seen[0]
+        assert run.config.ledger and set(seen[0])
         # each pruned exponent stays negative at the final point, and only
         # the domain test keeps it so
         assert (max(sum(map(mul, L, run.config.point)) for L in seen[0]) < 0) == check
         assert run.result == facet_volume(inst.rows, inst.rhs)
+
+    def domain_reads(run_fn):
+        """The exponents each domain test of ``run_fn``'s repairs reads."""
+        reads = []
+
+        def domain(columns, method, pruned):
+            ok = real(columns, method, pruned)
+            return lambda abscissae: reads.append(frozenset(pruned)) or ok(abscissae)
+
+        monkeypatch.setattr(engine, "_domain", domain)
+        run_fn(norm, abscissae)
+        return reads
+
+    # exactly the exponents the reference prunes after merging, at every
+    # domain test: not the unmerged residues' exponents, a superset
+    want = domain_reads(reference_direct)
+    assert any(want) and domain_reads(run_direct) == want
 
 
 # -- the pruned closing level -------------------------------------------
