@@ -6,8 +6,9 @@ the two symbolic results are identical Fractions (exit 1 with the
 instance on stderr if not), and (optionally) checks a Monte Carlo
 estimate against them.  Each line gives the volume, ``leaves=``, the
 number of powers K * e^(alpha*x) / x^(n+1) with alpha > 0 that the
-direct method's closing level keeps for the closed form, and the number
-of path perturbations.
+direct method's closing level keeps for the closed form, and
+``perturbations=``, the number of the direct run's levels whose path met
+a pole (each such pole counts as left of its path).
 
     python scripts/cross_check.py --count 50 --m 2 3 4 --n-max 8 --mc-samples 200000
 """

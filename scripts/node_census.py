@@ -26,8 +26,8 @@ Two make-ups:
   degeneracy check refuse is counted in ``refused=K``.
 
 Exits 1, printing the draw, if the two methods give different volumes
-on it or either raises an internal engine error (DivergentSlice,
-MalformedH, NoAdmissiblePerturbation).
+on it or either raises an internal engine error (DivergentSlice or
+MalformedH).
 
     python scripts/node_census.py --m 2 3 4 --n 2 4 6 8 --trials 5
     python scripts/node_census.py --make-up shuffled --m 3 --n 64 --trials 3
@@ -42,10 +42,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import lapvol as lv
 from lapvol.cli import _int_in_range
-from lapvol.errors import NoAdmissiblePerturbation
 
 SKIP = (lv.NotCompact, lv.NotPointed, lv.DegenerateInstance)
-ENGINE_FAULTS = (lv.DivergentSlice, lv.MalformedH, NoAdmissiblePerturbation)
+ENGINE_FAULTS = (lv.DivergentSlice, lv.MalformedH)
 ENTRY_MAX = 999
 
 

@@ -7,8 +7,7 @@
 
 Exit codes: 0 ok, 2 invalid file/usage, 3 nonpositive b, 4 unbounded,
 5 not pointed, 6 degenerate instance, 7 internal (divergent slice,
-malformed last-level shape, no admissible path perturbation, or
-disagreeing methods).
+malformed last-level shape, or disagreeing methods).
 
 The parse keeps a JSON int as an int and makes a "p/q" string (or, under
 --tolerate-floats, a decimal literal) an exact Fraction; both
@@ -34,7 +33,6 @@ from .errors import (
     EmptyAfterCleanup,
     InstanceFormatError,
     MalformedH,
-    NoAdmissiblePerturbation,
     NonpositiveB,
     NotCompact,
     NotPointed,
@@ -63,7 +61,6 @@ _ERROR_CODES = [
     (DegenerateInstance, EXIT_DEGENERATE),
     (DivergentSlice, EXIT_INTERNAL),
     (MalformedH, EXIT_INTERNAL),
-    (NoAdmissiblePerturbation, EXIT_INTERNAL),
 ]
 
 
@@ -269,7 +266,7 @@ def _print_stats(kind: str, run) -> None:
             f"terms_out={lvl.terms_out} merged={lvl.residues - lvl.terms_out}"
         )
     for rec in run.config.ledger:
-        print(f"stats: perturbation var={var_name(rec.var)} epsilon={rec.epsilon} delta={rec.delta}")
+        print(f"stats: perturbation var={var_name(rec.var)} on_path={rec.on_path}")
     if kind == "transform":
         print(f"stats: transform C={run.H_coefficient}")
 

@@ -14,43 +14,52 @@ the powers K * e^(alpha*last) / last^(n+1) that the closing level keeps.
 
 Exponent bound.  At every residue level but the closing one,
 :func:`lapvol.terms.integrate_level` builds no residue whose exponent L
-is negative at the contour point c (after the level's repair), deciding
-each sign before the residue is built; the level's ``residues`` still
-counts it and ``terms_out`` counts the merged terms kept.  This is
-exact.  A level closes on the decay side of e^(a*v), so every root r it
-collects has a*(r - c_v) < 0, and the residue's exponent, L with v set
-to r, is L(c) + a*(r - c_v) at c: less than L(c), or L itself where
-a = 0.  Down any residue chain L(c) never rises, so every power below a
-term T has alpha*c_last <= L_T(c) with c_last > 0, and L_T(c) < 0 leaves
-only alpha < 0, which the closed form drops.  A later repair moves c, so
-its domain test also keeps every pruned exponent negative (finitely
-many more strict inequalities: a small enough shift still exists), and
-the bound holds at the final point.  The pruned exponents are those of
-the merged shapes whose coefficients do not cancel, as if every residue
-had been built (the unmerged residues' exponents are a larger set, which
-can change a repair's shift): :class:`_Pruned` keeps each level's
-dropped jobs and builds and merges them only when a repair's domain test
-first reads them, so a run without a repair builds none.  The transform's exponent
-p is d > 0 at c, so it never prunes.  A repeated pole or a repair that
-sits only below pruned terms is never met.
+is negative at the contour point c, deciding each sign before the
+residue is built; the level's ``residues`` still counts it and
+``terms_out`` counts the merged terms kept.  This is exact.  A level
+closes on the decay side of e^(a*v), so every root r it collects has
+a*(r - c_v) <= 0 (< 0 but for the roots on the path, below), and the
+residue's exponent, L with v set to r, is L(c) + a*(r - c_v) at c: at
+most L(c), or L itself where a = 0.  Down any residue chain L(c) never
+rises, so every power below a term T has alpha*c_last <= L_T(c) with
+c_last > 0, and L_T(c) < 0 leaves only alpha < 0, which the closed form
+drops.  The transform's exponent p is d > 0 at c, so it never prunes.
+A repeated pole that sits only below pruned terms is never met.
+
+Poles on a path.  A root that lies exactly on its level's path counts
+as left of it (:func:`lapvol.terms._classified`), and the ledger of
+:attr:`Run.config` keeps, for each level whose path met a pole, the
+variable and the number of its distinct factors on the path.  Read this
+as symbolic perturbation (Edelsbrunner & Mücke, "Simulation of
+Simplicity", ACM TOG 1990): the path of the i-th level moves right by
+e_i > 0, with each e_(i+1) infinitesimal against e_i.  The run is then
+exactly the run on the moved contour c', on which no pole sits on a
+path, for three reasons.  Every other side, the seed's open domain
+c > 0, A'c > 0, and every exponent sign the bound reads are strict
+inequalities at c, so small enough shifts keep them all.  The factors
+and exponents of a level hold no variable integrated before it, so the
+root of a level-i factor is a form in the later variables: the shifts
+move it by O(e_(i+1)) while its path moves by e_i, and a root on the
+path ends left of it.  And each pruned exponent is < 0 at c, so it
+stays negative at c'.  So the residues of every level are those of a
+valid contour, and the bound's argument above holds at c' as it reads
+at c.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import mul
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linforms import P_VAR
-from .polytope import NormalizedInstance, contour_seed, is_strict_interior
+from .polytope import NormalizedInstance, contour_seed
 from .terms import (
     ContourConfig,
     Factor,
     LevelStats,
     Term,
     close_level,
-    dropped_exponents,
     integrate_level,
     primitive,
     tree_sum,
@@ -110,51 +119,15 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
     return Fraction(num, den), (1, through((1,) * m)), tuple(denom.items())
 
 
-class _Pruned:
-    """The exponents the bound has pruned, as the repair's domain test
-    reads them: each level's dropped jobs are built and merged
-    (:func:`lapvol.terms.dropped_exponents`) on the first iteration
-    after the level."""
-
-    def __init__(self) -> None:
-        self.levels: List[list] = []  # the dropped jobs of each level not yet built
-        self.exponents: set = set()
-
-    def __iter__(self):
-        while self.levels:
-            self.exponents.update(dropped_exponents(self.levels.pop()))
-        return iter(self.exponents)
-
-
-def _domain(columns, method: Method, pruned: Iterable[Factor] = ()):
-    """Strict feasibility of slot abscissae z: y = (the slot forms of
-    l1..lm)·z must stay in {y > 0, A'y > 0}, checked on the integer
-    columns, and every exponent in ``pruned`` (its ints over the slots)
-    must stay negative at z.  The forms are built on the first call,
-    which only a repair makes."""
-    m = len(columns[0][1])
-    forms: list = []
-
-    def ok(abscissae) -> bool:
-        if not forms:
-            forms.extend(method.through(_unit(i, m)) for i in range(1, m + 1))
-        z = [abscissae[v] for v in method.slots]
-        return (is_strict_interior(columns, [sum(map(mul, f, z)) for f in forms])
-                and all(sum(map(mul, L, z)) < 0 for L in pruned))
-
-    return ok
-
-
-def contour(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
-            pruned: Iterable[Factor] = ()) -> ContourConfig:
+def contour(norm: NormalizedInstance, method: Method,
+            abscissae: Optional[Sequence] = None) -> ContourConfig:
     """The paths of the seed c (``abscissae`` overrides the LP-found one):
-    c_j on l_j, and d = sum(c) on p.  A repair keeps every exponent in
-    ``pruned``, an iterable the caller may grow, negative."""
+    c_j on l_j, and d = sum(c) on p."""
     c = contour_seed(norm, abscissae)
     points = {v: c[v - 1] for v in method.slots if v != P_VAR}
     if method.last == P_VAR:
         points[P_VAR] = sum(c, Fraction(0))
-    return ContourConfig(points, domain_ok=_domain(norm.columns, method, pruned))
+    return ContourConfig(points)
 
 
 def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] = None,
@@ -165,10 +138,8 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     closes on where the exponent leaves the side free, and exists for
     the side-independence tests."""
     n, last = norm.n, method.last
-    pruned = _Pruned()
-    config = contour(norm, method, abscissae, pruned)
+    config = contour(norm, method, abscissae)
     terms: List[Term] = [start_term(norm, method)]
-    history: list = []
     levels: List[LevelStats] = []
     # m = 1 has no residue level: the start term is C * e^x / x^(n+1)
     assert method.levels or terms[0][1:] == ((1, (1,)), (((1,), n + 1),))
@@ -176,11 +147,10 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
     for level, k in enumerate(method.levels, 1):
         force = (force_sides or {}).get(k)
         if level < len(method.levels):
-            dropped: list = []  # the exponent bound (module docstring)
-            terms, config, stats = integrate_level(terms, k, config, history, force, dropped)
-            pruned.levels.append(dropped)
+            # the exponent bound (module docstring)
+            terms, config, stats = integrate_level(terms, k, config, force, prune=True)
         else:
-            powers, config, stats = close_level(terms, k, last, n, config, history, force)
+            powers, config, stats = close_level(terms, k, last, n, config, force)
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
     # the closed form of K * e^(alpha*x) / x^(n+1): K * alpha^n / n! for alpha > 0

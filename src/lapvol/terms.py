@@ -14,8 +14,9 @@ into a new list via Cauchy residues at simple poles:
 * the side of the root relative to the path picks whether the left or
   right half-plane closure collects it; right closures are traversed
   clockwise, so their residue sum enters with a minus sign;
-* poles landing exactly on a path are repaired by nudging that path's
-  abscissa (the on-line perturbation), never by moving the pole.
+* a root lying exactly on a path counts as left of it, which reads the
+  path as moved right by an infinitesimal (symbolic perturbation; the
+  argument that this is exact is in :mod:`lapvol.engine`).
 
 Slot layout.  A run's variables sit in slots, the config's variables in
 ascending id (:attr:`ContourConfig.slots`): l1..lm for the direct
@@ -80,9 +81,9 @@ Integer kernel.  A level classifies each distinct factor holding the
 variable once, in one pass over the terms: its entry on the variable's
 slot and its dot product with the integer contour point
 (:attr:`ContourConfig.point`, the abscissae in slot order times their
-common denominator) fix the pole's side.  The site history keeps each
-level's ``(factor, side)`` pairs, and a repair re-checks them by the
-same sign test at the trial abscissae.
+common denominator) fix the pole's side; a zero product puts the root on
+the path, where it counts as left, and the level adds the number of
+such factors to the config's ledger.
 The closing level keys its powers by alpha as a reduced integer pair,
 built only for alpha > 0; each power kept gets a Fraction alpha once.
 
@@ -93,14 +94,14 @@ collected pole of order > 1 rather than differentiate through it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, prod
 from operator import mul
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
+from .errors import DegenerateInstance, DivergentSlice, MalformedH
 from .linforms import form_str, integer_scaled, var_name
 
 Factor = Tuple[int, ...]
@@ -111,7 +112,6 @@ Term = Tuple[Fraction, Exponent, Tuple[Tuple[Factor, int], ...]]
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
-    ON_PATH = "on-path"
 
 
 def _term_str(term: Term, slots: Sequence[int]) -> str:
@@ -133,29 +133,17 @@ def primitive(ints: Sequence[int]) -> Tuple[int, Factor]:
 
 @dataclass(frozen=True)
 class PerturbationRecord:
-    var: int
-    delta: Fraction    # post-repair distance from the path to the nearest pole
-    epsilon: Fraction  # how far the abscissa moved
+    var: int      # the level whose path met poles
+    on_path: int  # its distinct factors with their root on the path
 
 
 @dataclass(frozen=True)
 class ContourConfig:
     """Real abscissae of the vertical integration paths plus the ledger
-    of on-line perturbations applied so far.
-
-    ``domain_ok`` is the method-specific strict-feasibility predicate
-    (condition (a) of the perturbation step); it receives a candidate
-    abscissae mapping and must hold at all times.
-    """
+    of the levels whose path met a pole, in level order."""
 
     abscissae: Mapping[int, Fraction]
     ledger: Tuple[PerturbationRecord, ...] = ()
-    domain_ok: Callable[[Mapping[int, Fraction]], bool] = field(
-        default=lambda _: True, compare=False, repr=False
-    )
-
-    def abscissa(self, var: int) -> Fraction:
-        return self.abscissae[var]
 
     @cached_property
     def slots(self) -> Tuple[int, ...]:
@@ -168,11 +156,6 @@ class ContourConfig:
         integers whose signs and ratios are those of the abscissae."""
         return integer_scaled([self.abscissae[v] for v in self.slots])[1]
 
-    def with_abscissa(self, var: int, value: Fraction, record: PerturbationRecord) -> "ContourConfig":
-        updated = dict(self.abscissae)
-        updated[var] = value
-        return ContourConfig(updated, self.ledger + (record,), self.domain_ok)
-
 
 @dataclass(frozen=True)
 class LevelStats:
@@ -180,7 +163,8 @@ class LevelStats:
     residues the exponent bound drops unbuilt included, ``terms_out``
     after it.  At the closing level ``terms_out`` is the number of
     alpha > 0 powers kept, so ``residues - terms_out`` counts the
-    residues merged or dropped for alpha <= 0."""
+    residues merged or dropped for alpha <= 0.  ``repaired`` is 1 where
+    the level's path met a pole, else 0."""
 
     var: int
     terms_in: int
@@ -192,47 +176,33 @@ class LevelStats:
     terms_out: int
 
 
-# level history entries: (var, the level's distinct (factor, side) pairs
-# under the final config, in first-seen order)
-History = List[Tuple[int, Tuple[Tuple[Factor, Side], ...]]]
+LEFT, RIGHT = Side.LEFT, Side.RIGHT
 
 
-def _side(f: Factor, k: int, point: Factor) -> Side:
-    """With f = a*var + rest, f's value at the path point is
-    a*(path - root), so its sign against a's gives the root's side."""
-    at_path = sum(map(mul, f, point))
-    if at_path == 0:
-        return Side.ON_PATH
-    return Side.LEFT if (at_path > 0) == (f[k] > 0) else Side.RIGHT
-
-
-LEFT, RIGHT, ON_PATH = Side.LEFT, Side.RIGHT, Side.ON_PATH
-
-
-def _classified(terms: Sequence[Term], var: int, config: ContourConfig, history: History):
-    """Classify the distinct factors holding ``var`` in one pass,
-    repairing an on-path collision first, and record the classification
-    in ``history``.  Returns var's slot, the sides by factor in
-    first-seen order, the (possibly perturbed) config and the number of
-    repairs."""
+def _classified(terms: Sequence[Term], var: int, config: ContourConfig):
+    """Classify the distinct factors holding ``var`` in one pass.  With
+    f = a*var + rest, f's value at the path point is a*(path - root), so
+    its sign against a's gives the root's side; a root on the path counts
+    as left, and the level's count of them goes to the ledger.  Returns
+    var's slot, the sides by factor in first-seen order, the config and
+    ``repaired``."""
     k = config.slots.index(var)
     point = config.point
     sides: Dict[Factor, Side] = {}
+    on_path = 0
     for _, _, denom in terms:
         for f, _ in denom:
             if f[k] and f not in sides:
-                # :func:`_side`, inlined
                 at_path = sum(map(mul, f, point))
-                sides[f] = (LEFT if (at_path > 0) == (f[k] > 0) else RIGHT) if at_path else ON_PATH
-    repaired = 0
-    if ON_PATH in sides.values():
-        config = perturb_abscissa(config, var, sides, history)
-        repaired = 1
-        point = config.point
-        sides = {f: _side(f, k, point) for f in sides}
-        assert ON_PATH not in sides.values()
-    history.append((var, tuple(sides.items())))
-    return k, sides, config, repaired
+                if at_path:
+                    sides[f] = LEFT if (at_path > 0) == (f[k] > 0) else RIGHT
+                else:
+                    sides[f] = LEFT
+                    on_path += 1
+    if on_path:
+        config = ContourConfig(config.abscissae,
+                               config.ledger + (PerturbationRecord(var, on_path),))
+    return k, sides, config, min(on_path, 1)
 
 
 def _collected(term: Term, k: int, sides: Mapping[Factor, Side], force_side: Optional[Side],
@@ -383,98 +353,33 @@ def final_level_value(term: Term) -> Fraction:
     return K * Fraction(L, den) ** (q - 1) / factorial(q - 1)
 
 
-def perturb_abscissa(
-    config: ContourConfig,
-    var: int,
-    level_sites: Sequence[Factor],
-    history: History,
-) -> ContourConfig:
-    """Move the path Re(var) off a colliding pole without disturbing any
-    earlier classification.
-
-    ``level_sites`` are the level's distinct factors holding ``var``.
-    The shift epsilon > 0 is halved from 1 until three exact conditions
-    hold: (a) the method's strict domain constraint still holds, (b) no
-    pole of this level sits on the new path, (c) every pole recorded at
-    the earlier levels keeps its original side once re-evaluated with
-    the shifted abscissa.  A valid epsilon always exists because each
-    condition is a finite set of strict inequalities satisfied for all
-    small enough shifts; if 512 halvings find none, the engine is at
-    fault and :class:`NoAdmissiblePerturbation` is raised.
-    """
-    slots, abscissae = config.slots, config.abscissae
-    k = slots.index(var)
-    z = [abscissae[v] for v in slots]
-    values = sorted({_root_value(g, k, z) for g in level_sites})
-    path = config.abscissa(var)
-    if path not in values:
-        return config  # nothing on the path; no repair needed
-    eps = Fraction(1)
-    for _ in range(512):
-        candidate = path + eps
-        trial = dict(abscissae)
-        trial[var] = candidate
-        if (
-            config.domain_ok(trial)
-            and all(v != candidate for v in values)
-            and _sides_stable(history, slots, integer_scaled([trial[v] for v in slots])[1])
-        ):
-            delta = min(abs(v - candidate) for v in values)
-            record = PerturbationRecord(var, delta, eps)
-            return config.with_abscissa(var, candidate, record)
-        eps /= 2
-    raise NoAdmissiblePerturbation(
-        f"no admissible perturbation of the path Re({var_name(var)}) within "
-        "512 halvings of the shift"
-    )
-
-
-def _root_value(g: Factor, k: int, z: Sequence[Fraction]) -> Fraction:
-    """The root of g in the variable of slot ``k``, the other slots at
-    ``z``: -(sum of g_i*z_i over i != k) / g_k."""
-    return Fraction(-sum([c * x for i, (c, x) in enumerate(zip(g, z)) if i != k]), g[k])
-
-
-def _sides_stable(history: History, slots: Sequence[int], point: Factor) -> bool:
-    """Every recorded site keeps its side at the integer ``point``."""
-    for lvl_var, sites in history:
-        k = slots.index(lvl_var)
-        for g, side in sites:
-            if _side(g, k, point) is not side:
-                return False
-    return True
-
-
 def integrate_level(
     terms: Sequence[Term],
     var: int,
     config: ContourConfig,
-    history: History,
     force_side: Optional[Side] = None,
-    dropped: Optional[list] = None,
+    prune: bool = False,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
-    """One full level: classify poles, repair on-path collisions, record
-    the classification, take the residues, then merge like terms.
-    Returns the new term list, the (possibly perturbed) config and the
-    level diagnostics.
+    """One full level: classify poles, take the residues, then merge like
+    terms.  Returns the new term list, the config (its ledger extended
+    where the path met a pole) and the level diagnostics.
 
     The terms must be canonical, as the start terms of both methods and
     every term this returns are.  ``force_side`` overrides the
     fewer-poles choice for the terms whose exponent does not hold
     ``var``; it exists for the side-consistency tests.
 
-    With a list ``dropped`` the level applies the exponent bound
-    (:mod:`lapvol.engine`) at the contour point c after its repair: a
-    residue whose exponent is negative at c is not built, and its job
-    (term, slot, pole, sign) goes to ``dropped`` (:func:`dropped_exponents`);
-    ``residues`` still counts it.  At the zero of g, a = g[k], the
-    exponent (a*L - L[k]*g) / (a*den) with den > 0 has the sign of
+    With ``prune`` the level applies the exponent bound
+    (:mod:`lapvol.engine`) at the contour point c: a residue whose
+    exponent is negative at c is not built, and ``residues`` still
+    counts it.  At the zero of g, a = g[k], the exponent
+    (a*L - L[k]*g) / (a*den) with den > 0 has the sign of
     a*(a*L(c) - L[k]*g(c)) at c, so one dot product L(c) per term and
     one g(c) per pole decide every sign exactly before any residue is
-    built; where L[k] = 0 the sign is L(c)'s, which a repair may have
-    made negative.  Without ``dropped`` every residue is built.
+    built; where L[k] = 0 the sign is L(c)'s.  Without ``prune`` every
+    residue is built.
     """
-    k, sides, config, repaired = _classified(terms, var, config, history)
+    k, sides, config, repaired = _classified(terms, var, config)
     slots, point = config.slots, config.point
     residues = []
     poles_found = left = count = 0
@@ -490,19 +395,11 @@ def integrate_level(
         for i in poles:
             g = term[2][i][0]
             a = g[k]
-            if dropped is not None and (a * (a * Lc - c * sum(map(mul, g, point))) if c else Lc) < 0:
-                dropped.append((term, k, g, sign))
-            else:
+            if not prune or (a * (a * Lc - c * sum(map(mul, g, point))) if c else Lc) >= 0:
                 residues.append(_residue(term, k, g, sign))
     out = merge_like_terms(residues)
     return out, config, LevelStats(var, len(terms), poles_found, left, poles_found - left,
                                    repaired, count, len(out))
-
-
-def dropped_exponents(jobs: Sequence[tuple]) -> List[Factor]:
-    """The exponents, as ints, of the shapes that merging the residues of
-    one level's ``dropped`` jobs (:func:`integrate_level`) leaves."""
-    return [t[1][1] for t in merge_like_terms([_residue(*job) for job in jobs])]
 
 
 def close_level(
@@ -511,14 +408,13 @@ def close_level(
     last: int,
     n: int,
     config: ContourConfig,
-    history: History,
     force_side: Optional[Side] = None,
 ) -> Tuple[Dict[Fraction, Fraction], ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
-    The terms must be canonical; classification, repair and the closure
-    side are those of :func:`integrate_level`.  At the zero of
+    The terms must be canonical; classification and the closure side
+    are those of :func:`integrate_level`.  At the zero of
     g = a*var + g_last*last a factor f = b*var + c*last becomes
     (s/a)*last with the integer s = a*c - b*g_last, so a residue is
     K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
@@ -531,7 +427,7 @@ def close_level(
     first-seen order, zero sums dropped), the config and the level's
     stats (``terms_out`` is the number of powers returned).
     """
-    k, sides, config, repaired = _classified(terms, var, config, history)
+    k, sides, config, repaired = _classified(terms, var, config)
     slots = config.slots
     j = slots.index(last)
     rest = [i for i in range(len(slots)) if i != k and i != j]

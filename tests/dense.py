@@ -3,9 +3,9 @@
 The engine runs on int tuples over a slot layout (the config's variables
 in ascending id).  The tests write their terms and pole sites with
 LinForms, as :mod:`linform_engine` defines them, and pass them through
-the wrappers below: each converts the terms and the site history to the
-dense form over the config's slots, calls the engine, and converts what
-it returns back, so a test reads and asserts LinForm terms.
+the wrappers below: each converts the terms to the dense form over the
+config's slots, calls the engine, and converts what it returns back, so
+a test reads and asserts LinForm terms and pole sites.
 """
 from fractions import Fraction
 from math import lcm
@@ -42,16 +42,6 @@ def lin_term(term, slots):
     return Term(coeff, exponent, tuple((lin_form(f, slots), m) for f, m in denom))
 
 
-def dense_history(history, slots):
-    return [(var, tuple((dense_form(s.factor.primitive()[1], slots), s.side) for s in sites))
-            for var, sites in history]
-
-
-def lin_history(history, slots):
-    return [(var, tuple(PoleSite(lin_form(g, slots), var, side, 1) for g, side in sites))
-            for var, sites in history]
-
-
 def slots_of(lin_terms):
     """The variables of LinForm terms, ascending: their slot layout."""
     return tuple(sorted({v for t in lin_terms for f in (t.exponent, *(f for f, _ in t.denom))
@@ -78,26 +68,24 @@ def substituted_term(norm):
     return _start_term(norm, transform.method(norm.columns))
 
 
-def _run_level(level_fn, lin_terms, config, history, *args, **kwargs):
-    """``level_fn`` on the dense forms of ``lin_terms`` and ``history``;
-    the history is converted back in place, also after a refusal."""
+def classified(lin_terms, var, config):
+    """The level's pole sites, one per distinct factor holding ``var`` in
+    first-seen order, as the engine classifies them, and its config."""
     slots = config.slots
-    dense = dense_history(history, slots)
-    try:
-        return slots, level_fn([dense_term(t, slots) for t in lin_terms], *args, dense, **kwargs)
-    finally:
-        history[:] = lin_history(dense, slots)
+    _, sides, config, _ = terms._classified([dense_term(t, slots) for t in lin_terms], var, config)
+    return [PoleSite(lin_form(f, slots), var, side, 1) for f, side in sides.items()], config
 
 
-def integrate_level(lin_terms, var, config, history, force_side=None):
-    slots, (out, config, stats) = _run_level(terms.integrate_level, lin_terms, config, history,
-                                             var, config, force_side=force_side)
+def integrate_level(lin_terms, var, config, force_side=None):
+    slots = config.slots
+    out, config, stats = terms.integrate_level([dense_term(t, slots) for t in lin_terms], var,
+                                               config, force_side)
     return [lin_term(t, slots) for t in out], config, stats
 
 
-def close_level(lin_terms, var, last, n, config, history, force_side=None):
-    return _run_level(terms.close_level, lin_terms, config, history, var, last, n, config,
-                      force_side=force_side)[1]
+def close_level(lin_terms, var, last, n, config, force_side=None):
+    return terms.close_level([dense_term(t, config.slots) for t in lin_terms], var, last, n,
+                             config, force_side)
 
 
 def merge_like_terms(lin_terms):
@@ -108,9 +96,3 @@ def merge_like_terms(lin_terms):
 
 def final_level_value(term, var):
     return terms.final_level_value(dense_term(term, (var,)))
-
-
-def perturb_abscissa(config, var, level_sites, history):
-    slots = config.slots
-    sites = [dense_form(s.factor.primitive()[1], slots) for s in level_sites]
-    return terms.perturb_abscissa(config, var, sites, dense_history(history, slots))

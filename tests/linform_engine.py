@@ -3,12 +3,11 @@
 This is the residue engine as it was before ``lapvol.terms`` moved onto
 int tuples over one slot layout: terms are :class:`Term` dataclasses of
 :class:`linform.LinForm` exponents and primitive LinForm
-factors, pole sites are :class:`PoleSite` values, and the history holds
-PoleSites.  ``dense.py`` converts between the two; the kernel tests
-require the dense engine, converted back, to return exactly what this
-one returns.  The contour, side and stats types are shared with
-``lapvol.terms``; the side rule and the closed form are this engine's
-own.
+factors and pole sites are :class:`PoleSite` values.  ``dense.py``
+converts between the two; the kernel tests require the dense engine,
+converted back, to return exactly what this one returns.  The contour,
+side and stats types are shared with ``lapvol.terms``; the side rule
+and the closed form are this engine's own.
 """
 from __future__ import annotations
 
@@ -16,9 +15,9 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from lapvol.errors import DegenerateInstance, DivergentSlice, MalformedH, NoAdmissiblePerturbation
+from lapvol.errors import DegenerateInstance, DivergentSlice, MalformedH
 from lapvol.linforms import var_name
 from lapvol.terms import ContourConfig, LevelStats, PerturbationRecord, Side
 
@@ -80,7 +79,7 @@ class PoleSite:
     """One distinct root of ``var`` in a term's denominator: the zero of
     the primitive ``factor``.  A slotted value built once per distinct
     factor and level; the root (cached) and the leading coefficient are
-    derived from the factor when read (perturbation and messages only).
+    derived from the factor when read (messages only).
     """
 
     factor: LinForm
@@ -100,23 +99,22 @@ class PoleSite:
         return self._root
 
 
-# level history entries: (var, classified pole sites under the final config)
-History = List[Tuple[int, Tuple[PoleSite, ...]]]
-
-
 class _Classifier:
     """Classifies each distinct primitive factor once per level.
 
     With factor = a*var + rest, the factor's value at the path point is
     a*(path - root), so the side follows from the signs of that value
     and of a, both read in one pass over the factor's integer
-    coefficients at the config's integer point.
+    coefficients at the config's integer point.  A root on the path
+    counts as left of it, the path read as moved right by an
+    infinitesimal; ``on_path`` counts those factors.
     """
 
     def __init__(self, var: int, config: ContourConfig):
         self.var = var
         self.point = dict(zip(config.slots, config.point))
         self.sites: Dict[LinForm, Optional[PoleSite]] = {}
+        self.on_path = 0
 
     def site(self, factor: LinForm) -> Optional[PoleSite]:
         """Classify a factor not seen before at this level: its
@@ -130,7 +128,8 @@ class _Classifier:
         site = None
         if a:
             if at_path == 0:
-                side = Side.ON_PATH
+                side = Side.LEFT
+                self.on_path += 1
             elif (at_path > 0) == (a > 0):
                 side = Side.LEFT
             else:
@@ -231,11 +230,6 @@ def _collected(term: Term, term_sites: Sequence[PoleSite], var: int, rule: SideR
                force_side: Optional[Side]) -> Tuple[int, List[PoleSite]]:
     """The closure of the term's integral over ``var``: its sign (-1 for
     a clockwise right closure) and the simple poles it collects."""
-    if any(s.side is Side.ON_PATH for s in term_sites):
-        raise RuntimeError(
-            f"pole on the integration path Re({var_name(var)}); "
-            "perturb_abscissa must run before integrate_var"
-        )
     a = term.exponent.coeff(var)
     if rule is SideRule.FEWER_POLES:
         assert a == 0, "fewer-poles rule requires a pure-rational term"
@@ -273,10 +267,10 @@ def integrate_var(
     """Integrate every term over Re(var) = abscissa(var) by residues and
     return the residues, one term each, unmerged.
 
-    Precondition: no pole sits on the path (repair first with
-    :func:`perturb_abscissa`).  ``force_side`` overrides the fewer-poles
-    choice for zero-exponent terms; it exists for the side-consistency
-    tests and must not be used when the exponent decides the side.
+    A root on the path counts as left of it.  ``force_side`` overrides
+    the fewer-poles choice for zero-exponent terms; it exists for the
+    side-consistency tests and must not be used when the exponent
+    decides the side.
     ``sites`` are the canonical terms' classified poles, one list per
     term; without them the terms are canonicalized and classified here.
     """
@@ -354,78 +348,19 @@ def final_level_value(term: Term, var: int) -> Fraction:
     return power_sum(power_terms([term], var))
 
 
-def perturb_abscissa(
-    config: ContourConfig,
-    var: int,
-    level_sites: Sequence[PoleSite],
-    history: History,
-) -> ContourConfig:
-    """Move the path Re(var) off a colliding pole without disturbing any
-    earlier classification.
-
-    The shift epsilon > 0 is halved from 1 until three exact conditions
-    hold: (a) the method's strict domain constraint still holds, (b) no
-    pole of this level sits on the new path, (c) every pole recorded at
-    the earlier levels keeps its original side once re-evaluated with
-    the shifted abscissa.  A valid epsilon always exists because each
-    condition is a finite set of strict inequalities satisfied for all
-    small enough shifts; if 512 halvings find none, the engine is at
-    fault and :class:`NoAdmissiblePerturbation` is raised.
-    """
-    values = sorted({site.root.evaluate(config.abscissae) for site in level_sites})
-    path = config.abscissa(var)
-    if path not in values:
-        return config  # nothing on the path; no repair needed
-    eps = Fraction(1)
-    for _ in range(512):
-        candidate = path + eps
-        trial = dict(config.abscissae)
-        trial[var] = candidate
-        if (
-            config.domain_ok(trial)
-            and all(v != candidate for v in values)
-            and _sides_stable(history, trial)
-        ):
-            delta = min(abs(v - candidate) for v in values)
-            record = PerturbationRecord(var, delta, eps)
-            return config.with_abscissa(var, candidate, record)
-        eps /= 2
-    raise NoAdmissiblePerturbation(
-        f"no admissible perturbation of the path Re({var_name(var)}) within "
-        "512 halvings of the shift"
-    )
-
-
-def _sides_stable(history: History, trial: Mapping[int, Fraction]) -> bool:
-    for lvl_var, sites in history:
-        path = trial[lvl_var]
-        for site in sites:
-            value = site.root.evaluate(trial)
-            if site.side is Side.LEFT and not value < path:
-                return False
-            if site.side is Side.RIGHT and not value > path:
-                return False
-    return True
-
-
 def _classified(
-    terms: Sequence[Term], var: int, config: ContourConfig, history: History
+    terms: Sequence[Term], var: int, config: ContourConfig
 ) -> Tuple[Sequence[Term], List[List[PoleSite]], ContourConfig, int]:
-    """Classify the poles of canonical terms in ``var``, repairing an
-    on-path collision first, and record the classification in
-    ``history``.  Returns the terms, their sites, the (possibly
-    perturbed) config and the number of repairs."""
+    """Classify the poles of canonical terms in ``var``; a level whose
+    path meets a root adds the variable and its count of on-path factors
+    to the ledger.  Returns the terms, their sites, the config and 1
+    where the path met a root, else 0."""
     classify = _Classifier(var, config)
     sites = [_sites(t, classify) for t in terms]
-    repaired = 0
-    if any(s.side is Side.ON_PATH for s in classify.distinct()):
-        config = perturb_abscissa(config, var, classify.distinct(), history)
-        repaired = 1
-        classify = _Classifier(var, config)
-        sites = [_sites(t, classify) for t in terms]
-        assert not any(s.side is Side.ON_PATH for s in classify.distinct())
-    history.append((var, tuple(classify.distinct())))
-    return terms, sites, config, repaired
+    if not classify.on_path:
+        return terms, sites, config, 0
+    record = PerturbationRecord(var, classify.on_path)
+    return terms, sites, ContourConfig(config.abscissae, config.ledger + (record,)), 1
 
 
 def _level_stats(var: int, terms: Sequence[Term], sites: Sequence[Sequence[PoleSite]],
@@ -448,18 +383,16 @@ def integrate_level(
     var: int,
     config: ContourConfig,
     rule: SideRule,
-    history: History,
     force_side: Optional[Side] = None,
 ) -> Tuple[List[Term], ContourConfig, LevelStats]:
-    """One full level: classify poles, repair on-path collisions, record
-    the classification, integrate, then merge like terms.  Returns the
-    new term list, the (possibly perturbed) config and the level
-    diagnostics.
+    """One full level: classify poles, integrate, then merge like terms.
+    Returns the new term list, the config (its ledger extended where the
+    path met a root) and the level diagnostics.
 
     The terms must be canonical (:func:`canonical_term`); the start
     terms of both methods are, and so is every term this returns, so
     they are not canonicalized again here."""
-    terms, sites, config, repaired = _classified(terms, var, config, history)
+    terms, sites, config, repaired = _classified(terms, var, config)
     residues = integrate_var(terms, var, config, rule, force_side, sites)
     out = merge_like_terms(residues)
     return out, config, _level_stats(var, terms, sites, repaired, len(residues), len(out))
@@ -472,15 +405,14 @@ def close_level(
     n: int,
     config: ContourConfig,
     rule: SideRule,
-    history: History,
     force_side: Optional[Side] = None,
     implicit: Fraction = 0,
 ) -> Tuple[Dict[Fraction, Fraction], ContourConfig, LevelStats]:
     """The last residue level, where only ``var`` and ``last`` are left,
     fused with the closed form that follows it.
 
-    The terms must be canonical; classification, repair and the closure
-    side are those of :func:`integrate_level`.  At the zero of
+    The terms must be canonical; classification and the closure side
+    are those of :func:`integrate_level`.  At the zero of
     g = a*var + g_last*last a factor f = b*var + c*last becomes
     (s/a)*last with the integer s = a*c - b*g_last, so a residue is
     K * exp(alpha*last) / last^q with K = sign * coeff * a^(q-1) /
@@ -493,7 +425,7 @@ def close_level(
     config and the level's stats (``terms_out`` is the number of powers
     returned).
     """
-    terms, sites, config, repaired = _classified(terms, var, config, history)
+    terms, sites, config, repaired = _classified(terms, var, config)
     # alpha as a reduced integer pair (N, D > 0)
     powers: Dict[Tuple[int, int], Fraction] = {}
     residues = 0

@@ -15,8 +15,7 @@ import pytest
 
 import lapvol as lv
 from lapvol import cli
-from lapvol.direct import method, run_direct
-from lapvol.engine import _domain
+from lapvol.direct import run_direct
 from lapvol.terms import ContourConfig
 from lapvol.transform import run_transform
 
@@ -43,15 +42,11 @@ def test_criterion_01_direct_worked_example(worked):
     norm, vol = worked
     t0 = time.perf_counter()
     run = run_direct(norm, abscissae=(3, 2, 1))
-    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)},
-                           domain_ok=_domain(norm.columns, method(norm.columns)))
-    history = []
-    branches, config, _ = integrate_level(
-        [initial_term(norm)], 1, config, history
-    )
+    config = ContourConfig({1: F(3), 2: F(2), 3: F(1)})
+    branches, config, _ = integrate_level([initial_term(norm)], 1, config)
     partials = []
     for branch in branches:
-        out, _, _ = integrate_level([branch], 2, config, list(history))
+        out, _, _ = integrate_level([branch], 2, config)
         partials.append(sum((final_level_value(t, 3) for t in out), F(0)))
     elapsed = time.perf_counter() - t0
     ok = (

@@ -1,18 +1,19 @@
 """The fused closing level against the unfused path it replaces.
 
 The reference drivers below are the drivers as they were before the last
-residue level was fused with the closed form: every level through
-``integrate_level`` (residues built as Terms, then ``merge_like_terms``),
-then ``final_level_value`` per surviving term for direct and the C loop
-for transform.  The start terms are checked against the Fraction-built
-forms they replace.  Both methods must give the same Fraction, the same
+residue level was fused with the closed form, on the LinForm engine of
+:mod:`linform_engine`, which shares no code with ``lapvol.terms``: every
+level through its ``integrate_level`` (residues built as Terms, then
+merged), then ``final_level_value`` per surviving term for direct and
+the C loop for transform.  The start terms are checked against the
+Fraction-built forms they replace.  Both methods must give the same Fraction, the same
 LevelStats, the same closed-form variable and count of alpha > 0 powers
 reaching it, the same perturbation ledger, the same C and the same
 refusal.  The closing level counts only the powers the closed form
 keeps, so the reference's last level counts its alpha > 0 terms, and
 the reference direct driver applies the exponent bound of
-:mod:`lapvol.engine` at its inner levels.  Without it, the reference is
-the unpruned driver that the bound is checked against.
+:mod:`lapvol.engine` after its inner levels.  Without it, the reference
+is the unpruned driver that the bound is checked against.
 """
 import dataclasses
 import random
@@ -23,7 +24,7 @@ from operator import mul
 import pytest
 
 import lapvol as lv
-from lapvol import direct, engine, terms as terms_module, transform
+from lapvol import direct, terms as terms_module, transform
 from lapvol.direct import integration_order, run_direct
 from lapvol.engine import contour
 from lapvol.linforms import P_VAR
@@ -36,8 +37,6 @@ from dense import (
     Term,
     canonical_term,
     close_level,
-    dense_term,
-    final_level_value,
     initial_term,
     integrate_level,
     substituted_term,
@@ -45,36 +44,34 @@ from dense import (
 from facet_volume import facet_volume
 from linform import LinForm
 
+BY_EXPONENT_SIGN = reference.SideRule.BY_EXPONENT_SIGN
 
-def reference_direct(norm, abscissae=None, prune=True):
+
+def reference_direct(norm, abscissae=None, prune=True, pruned=None):
     """The unfused direct driver; with ``prune`` it drops, after every
     level but the closing one, the terms whose exponent is negative at
-    the contour point, and a later repair keeps those exponents
-    negative."""
+    the contour point, and appends their exponents to the list
+    ``pruned`` if one is given."""
     n = norm.n
-    pruned = set()
-    config = contour(norm, direct.method(norm.columns), abscissae, pruned)
+    config = contour(norm, direct.method(norm.columns), abscissae)
     order = integration_order(norm.columns)
-    terms, history, levels = [initial_term(norm)], [], []
+    terms, levels = [initial_term(norm)], []
     for level, k in enumerate(order[:-1], 1):
-        terms, config, stats = integrate_level(terms, k, config, history)
+        terms, config, stats = reference.integrate_level(terms, k, config, BY_EXPONENT_SIGN)
         assert stats.residues <= (n + 1) ** level
         if prune and level < len(order) - 1:
-            kept = []
-            for t in terms:
-                if t.exponent.evaluate(config.abscissae) < 0:
-                    pruned.add(dense_term(t, config.slots)[1][1])
-                else:
-                    kept.append(t)
-            terms = kept
-            stats = dataclasses.replace(stats, terms_out=len(kept))
+            negative = [t.exponent.evaluate(config.abscissae) < 0 for t in terms]
+            if pruned is not None:
+                pruned += [t.exponent for t, neg in zip(terms, negative) if neg]
+            terms = [t for t, neg in zip(terms, negative) if not neg]
+            stats = dataclasses.replace(stats, terms_out=len(terms))
         levels.append(stats)
     assert all(t.total_multiplicity == n + 1 for t in terms)
     last = order[-1]
     kept = sum(t.exponent.coeff(last) > 0 for t in terms)
     if levels:
         levels[-1] = dataclasses.replace(levels[-1], terms_out=kept)
-    result = sum((final_level_value(t, last) for t in terms), Fraction(0))
+    result = sum((reference.final_level_value(t, last) for t in terms), Fraction(0))
     return result, tuple(levels), (last, kept), config.ledger, result * factorial(n)
 
 
@@ -83,10 +80,11 @@ def reference_transform(norm, abscissae=None, force_sides=None):
     config = contour(norm, transform.method(norm.columns), abscissae)
     r = eliminated_var(norm.columns)
     others = [j for j in range(1, m + 1) if j != r]
-    terms, history, levels = [substituted_term(norm)], [], []
+    terms, levels = [substituted_term(norm)], []
     for level, k in enumerate(others, 1):
         force = (force_sides or {}).get(k)
-        terms, config, stats = integrate_level(terms, k, config, history, force_side=force)
+        terms, config, stats = reference.integrate_level(terms, k, config,
+                                                         reference.SideRule.FEWER_POLES, force)
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level
     C = Fraction(0)
@@ -220,25 +218,17 @@ def residue_builds(monkeypatch):
     return built
 
 
-def test_exponent_bound_builds_only_the_residues_it_keeps(residue_builds, monkeypatch):
-    real, runs = engine._domain, []
-    monkeypatch.setattr(engine, "_domain", lambda columns, method, pruned: (
-        runs.append(pruned) or real(columns, method, pruned)))
+def test_exponent_bound_builds_only_the_residues_it_keeps(residue_builds):
     built = counted = 0
     for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
-        reference = reference_direct(norm)[1]
+        levels = reference_direct(norm)[1]
         residue_builds.clear()
         run = run_direct(norm)
         inner = [s.residues for s in run.levels[:-1]]
-        assert inner == [s.residues for s in reference[:-1]]
-        # no repair, so every inner level reads the final point, and every
-        # residue built there has exponent >= 0 at it
-        assert not run.config.ledger
+        assert inner == [s.residues for s in levels[:-1]]
+        # every residue built at an inner level has exponent >= 0 at the
+        # point, and the dropped ones are counted but never built
         assert all(sum(map(mul, L, run.config.point)) >= 0 for _, (_, L), _ in residue_builds)
-        # the dropped residues are counted and kept as jobs, never built
-        pruned = runs[-1]
-        assert not pruned.exponents
-        assert len(residue_builds) + sum(map(len, pruned.levels)) == sum(inner)
         built += len(residue_builds)
         counted += sum(inner)
     assert (built, counted) == (104, 209)
@@ -262,8 +252,7 @@ def random_dense_terms(rng):
 
 def test_sign_test_drops_exactly_the_negative_exponents():
     # the level with the bound keeps exactly the merged terms whose
-    # exponent is >= 0 at the point after its repair, its dropped jobs
-    # merge to exactly the others, and its counts are those of the level
+    # exponent is >= 0 at the point, and its counts are those of the level
     # without the bound but for terms_out
     rng = random.Random(24)
     checked = held_out = 0
@@ -271,16 +260,13 @@ def test_sign_test_drops_exactly_the_negative_exponents():
         terms = random_dense_terms(rng)
         config = ContourConfig({v: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in (1, 2, 3)})
         try:
-            every = terms_module.integrate_level(terms, 1, config, [])
+            every = terms_module.integrate_level(terms, 1, config)
         except lv.DivergentSlice:
             continue
-        dropped = []
-        kept, after, stats = terms_module.integrate_level(terms, 1, config, [], None, dropped)
+        kept, after, stats = terms_module.integrate_level(terms, 1, config, prune=True)
         assert after == every[1]
         negative = [sum(map(mul, t[1][1], after.point)) < 0 for t in every[0]]
         assert kept == [t for t, neg in zip(every[0], negative) if not neg]
-        assert (terms_module.dropped_exponents(dropped)
-                == [t[1][1] for t, neg in zip(every[0], negative) if neg])
         assert stats == dataclasses.replace(every[2], terms_out=len(kept))
         held_out += any(neg and not t[1][1][0] for t, neg in zip(every[0], negative))
         checked += 1
@@ -326,48 +312,38 @@ def test_repeated_pole_below_a_pruned_term(key):
     assert unpruned_volume(norm)[0] is lv.DegenerateInstance
 
 
-# (seed, abscissae): a repair moves a path that a pruned exponent holds
+def repair_draw(seed):
+    """The instance that a REPAIR_DRAWS seed draws."""
+    rng = random.Random(seed)
+    m, n = rng.randint(3, 5), rng.randint(2, 5)
+    return lv.random_instance(rng, m, n, signed=rng.random() < 0.5)
+
+
+# (seed, abscissae): a path meets a root, and an exponent that the bound
+# prunes at an earlier level holds that path's variable
 REPAIR_DRAWS = [(5013, (1, 1, 1, 3)), (5058, (1, 1, 1, 1, 2)), (5067, (1, 1, 1, 1, 3))]
 
 
 @pytest.mark.parametrize("seed,abscissae", REPAIR_DRAWS)
-def test_repair_keeps_pruned_exponents_negative(seed, abscissae, monkeypatch):
-    rng = random.Random(seed)
-    m, n = rng.randint(3, 5), rng.randint(2, 5)
-    inst = lv.random_instance(rng, m, n, signed=rng.random() < 0.5)
+def test_repair_keeps_pruned_exponents_negative(seed, abscissae):
+    # the root on the path counts as left of it, and no shift of the
+    # path can turn a pruned exponent nonnegative: the pruned run gives
+    # the volume of facet_volume and of the unpruned driver
+    inst = repair_draw(seed)
     norm = lv.normalize(inst)
     assert fused(run_direct, norm, abscissae=abscissae) == outcome(
         reference_direct, norm, abscissae=abscissae)
-    real, seen = engine._domain, []
-    for check in (True, False):
-        # the run's pruned exponents, which the domain test leaves out
-        # when check is False
-        seen.clear()
-        monkeypatch.setattr(engine, "_domain", lambda columns, method, pruned: (
-            seen.append(pruned) or real(columns, method, pruned if check else ())))
-        run = run_direct(norm, abscissae)
-        assert run.config.ledger and set(seen[0])
-        # each pruned exponent stays negative at the final point, and only
-        # the domain test keeps it so
-        assert (max(sum(map(mul, L, run.config.point)) for L in seen[0]) < 0) == check
-        assert run.result == facet_volume(inst.rows, inst.rhs)
-
-    def domain_reads(run_fn):
-        """The exponents each domain test of ``run_fn``'s repairs reads."""
-        reads = []
-
-        def domain(columns, method, pruned):
-            ok = real(columns, method, pruned)
-            return lambda abscissae: reads.append(frozenset(pruned)) or ok(abscissae)
-
-        monkeypatch.setattr(engine, "_domain", domain)
-        run_fn(norm, abscissae)
-        return reads
-
-    # exactly the exponents the reference prunes after merging, at every
-    # domain test: not the unmerged residues' exponents, a superset
-    want = domain_reads(reference_direct)
-    assert any(want) and domain_reads(run_direct) == want
+    run, pruned = run_direct(norm, abscissae), []
+    reference_direct(norm, abscissae, pruned=pruned)
+    assert any(L.coeff(rec.var) for L in pruned for rec in run.config.ledger)
+    volume = facet_volume(inst.rows, inst.rhs)
+    assert run.result == volume
+    unpruned = outcome(reference_direct, norm, abscissae, prune=False)
+    if seed == 5013:
+        # unpruned, the run meets a repeated pole below a pruned term
+        assert unpruned[0] is lv.DegenerateInstance
+    else:
+        assert unpruned[0] == volume and unpruned[3] == run.config.ledger
 
 
 # -- the pruned closing level -------------------------------------------
@@ -379,13 +355,12 @@ def closing_shapes(norm):
     left is the primitive last variable, so a residue's coefficient is K."""
     config = contour(norm, direct.method(norm.columns))
     order = integration_order(norm.columns)
-    terms, history = [initial_term(norm)], []
+    terms = [initial_term(norm)]
     for k in order[:-2]:
-        terms, config, _ = integrate_level(terms, k, config, history)
-    terms, sites, config, _ = reference._classified(terms, order[-2], config, history)
+        terms, config, _ = reference.integrate_level(terms, k, config, BY_EXPONENT_SIGN)
+    terms, sites, config, _ = reference._classified(terms, order[-2], config)
     shapes = {}
-    for t in reference.integrate_var(terms, order[-2], config,
-                                     reference.SideRule.BY_EXPONENT_SIGN, sites=sites):
+    for t in reference.integrate_var(terms, order[-2], config, BY_EXPONENT_SIGN, sites=sites):
         entry = shapes.setdefault((t.exponent.coeff(order[-1]), t.total_multiplicity), [0, 0])
         entry[0] += 1
         entry[1] += t.coeff
@@ -459,8 +434,8 @@ def config_31():
 def test_close_level_keeps_the_alpha_positive_powers(k_builds):
     for terms in (two_variable_terms()[:1], two_variable_terms()):
         k_builds.clear()
-        powers, _, stats = close_level(terms, 1, 2, 3, config_31(), [])
-        merged, _, unfused = integrate_level(terms, 1, config_31(), [])
+        powers, _, stats = close_level(terms, 1, 2, 3, config_31())
+        merged, _, unfused = integrate_level(terms, 1, config_31())
         every = reference.power_terms(merged, 2)
         assert {q for _, q in every} == {4}
         assert powers == {alpha: K for (alpha, _), K in every.items() if alpha > 0}
@@ -475,7 +450,7 @@ def test_close_level_keeps_the_alpha_positive_powers(k_builds):
         assert len(k_builds) == 1
         # every term has degree 4 in l2, which is n + 1 for n = 3 only
         with pytest.raises(lv.MalformedH, match="l2-multiplicity 4, expected 3"):
-            close_level(terms, 1, 2, 2, config_31(), [])
+            close_level(terms, 1, 2, 2, config_31())
 
 
 def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
@@ -486,12 +461,12 @@ def test_close_level_checks_terms_whose_poles_all_have_alpha_at_most_0():
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2 + l3,))))
     for n in (2, 3):  # the stray factor is refused before the degree is read
         with pytest.raises(lv.MalformedH, match="other than l1 and l2"):
-            close_level([term], 1, 2, n, config, [])
+            close_level([term], 1, 2, n, config)
     term = canonical_term(Term(Fraction(1), exponent, tuple((f, 1) for f in factors + (l2,))))
-    powers, _, stats = close_level([term], 1, 2, 2, config, [])
+    powers, _, stats = close_level([term], 1, 2, 2, config)
     assert powers == {} and stats.terms_out == 0
     with pytest.raises(lv.MalformedH) as exc:
-        close_level([term], 1, 2, 3, config, [])
+        close_level([term], 1, 2, 3, config)
     assert str(exc.value) == "surviving term has l2-multiplicity 3, expected 4"
 
 
@@ -502,7 +477,7 @@ def test_close_level_message_names_the_stray_factor():
     term = (Fraction(5, 7), (2, (1, 1, 1)), (((0, 1, 1), 1), ((3, -2, 1), 2)))
     config = ContourConfig({1: Fraction(1), 2: Fraction(1), P_VAR: Fraction(3)})
     with pytest.raises(lv.MalformedH) as exc:
-        terms_module.close_level([term], 2, P_VAR, 1, config, [])
+        terms_module.close_level([term], 2, P_VAR, 1, config)
     assert str(exc.value) == ("denominator factor 3*l1 - 2*l2 + p of the last residue level "
                               "holds a variable other than l2 and p")
 
@@ -526,7 +501,7 @@ REPEATED = (Fraction(3), (1, (1, 1)), (((1, 2), 2), ((0, 1), 2)))
 
 def refusal(terms, config, n):
     with pytest.raises(lv.VolumeEngineError) as exc:
-        terms_module.close_level(terms, 1, 2, n, config, [])
+        terms_module.close_level(terms, 1, 2, n, config)
     return type(exc.value)
 
 
@@ -553,7 +528,7 @@ def test_close_level_never_scans_a_term_without_poles_on_its_closing_side():
     # nor its degree 2 (n + 1 only for n = 1, not for the n = 3 passed) is
     # checked
     term = (Fraction(3), (1, (1, 1, 0)), (((1, -5, 0), 1), ((0, 1, 1), 2)))
-    powers, _, stats = terms_module.close_level([term], 1, 2, 3, CONFIG_3, [])
+    powers, _, stats = terms_module.close_level([term], 1, 2, 3, CONFIG_3)
     assert powers == {}
     assert (stats.poles_found, stats.left, stats.residues, stats.terms_out) == (1, 0, 0, 0)
     # the same stray factor is refused once the term collects a pole

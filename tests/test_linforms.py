@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lapvol.linforms import P_VAR, form_str, integer_scaled, rat, var_name
-from lapvol.terms import _root_value
 
 from linform import LinForm
 
@@ -188,21 +187,6 @@ def test_form_str_examples():
     assert form_str([]) == "0" == form_str([(1, 0)])
     assert form_str([(1, -1), (P_VAR, 1)]) == "-l1 + p"
     assert form_str([(2, Fraction(-2, 3)), (3, 1), (P_VAR, -5)]) == "-2/3*l2 + l3 - 5*p"
-
-
-int_forms = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
-slot_points = st.lists(small_rats, min_size=4, max_size=4)
-
-
-@given(int_forms, st.integers(0, 3), slot_points)
-def test_root_value_on_ints_is_the_linform_root(g, k, z):
-    slots = (1, 2, 3, P_VAR)
-    if g[k] == 0:
-        g[k] = 1
-    root = LinForm(zip(slots, g)).solve_for(slots[k])[1]
-    value = _root_value(tuple(g), k, z)
-    assert type(value) is Fraction
-    assert value == root.evaluate(dict(zip(slots, z)))
 
 
 def test_module_doctests():

@@ -1,4 +1,5 @@
 """Residue engine tests against the worked traces and random oracles."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,13 +13,12 @@ from lapvol.linforms import P_VAR
 from lapvol.terms import ContourConfig, Side
 
 from dense import (
-    PoleSite,
     Term,
     canonical_term,
+    classified,
     final_level_value,
     integrate_level,
     merge_like_terms,
-    perturb_abscissa,
 )
 from linform import LinForm
 
@@ -83,11 +83,10 @@ def branch_I3():
 
 
 def level_sites(term, var, config, **kwargs):
-    """The pole sites of one term's level in ``var`` as its history
-    records them, with the level's output and stats."""
-    history = []
-    out, _, stats = integrate_level([term], var, config, history, **kwargs)
-    return history[-1][1], out, stats
+    """The pole sites of one term's level in ``var`` as the level
+    classifies them, with the level's output and stats."""
+    out, _, stats = integrate_level([term], var, config, **kwargs)
+    return classified([term], var, config)[0], out, stats
 
 
 def residues_by_root(term, var, config, **kwargs):
@@ -146,13 +145,12 @@ def test_poles_of_groups_scaled_factors_into_one_site():
 
 
 def test_poles_of_on_path_reported():
-    # the root l3 = l2 sits on the path Re(l3) = 1: the level repairs it
+    # the root l3 = l2 sits on the path Re(l3) = 1: it counts as left of
+    # the path, and the ledger records the level
     t = Term(F(1), LinForm.zero(), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 2)))
-    history = []
-    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1),
-                                         history, force_side=Side.RIGHT)
-    assert stats.repaired == 1 and [rec.var for rec in config.ledger] == [3]
-    assert {s.side for s in history[0][1]} == {Side.LEFT}
+    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1), force_side=Side.RIGHT)
+    assert stats.repaired == 1 and [(rec.var, rec.on_path) for rec in config.ledger] == [(3, 1)]
+    assert {s.side for s in classified([t], 3, cfg(c2=1, c3=1))[0]} == {Side.LEFT}
     assert out == [] and stats.poles_found == 2
 
 
@@ -240,7 +238,7 @@ def test_factor_count_conservation():
 
 
 def integrate(terms, var, config, **kwargs):
-    return integrate_level(terms, var, config, [], **kwargs)[0]
+    return integrate_level(terms, var, config, **kwargs)[0]
 
 
 def test_integrate_I3_closes_right():
@@ -279,13 +277,17 @@ def test_integrate_I4_closes_left():
     assert final_level_value(t, 2) == 0
 
 
-def test_integrate_raises_on_unrepaired_path():
-    # the root l3 = l2 sits on the path, and a domain that admits no
-    # shift leaves it there: the level refuses instead of integrating
+def test_integrate_counts_an_on_path_root_left():
+    # the root l3 = l2 sits on the path Re(l3) = 1 and counts as left of
+    # it: the level is the level on the path moved right by 2^-32, where
+    # the root lies strictly left, and only the ledger tells them apart
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1), (3, -1)]), 1), (lf([(3, 1)]), 1)))
-    config = cfg(c2=1, c3=1, domain_ok=lambda _: False)
-    with pytest.raises(lv.errors.NoAdmissiblePerturbation):
-        integrate([t], 3, config)
+    out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1))
+    moved, moved_config, moved_stats = integrate_level([t], 3, cfg(c2=1, c3=1 + F(1, 2**32)))
+    assert out == moved and len(out) == 2 and stats.left == 2
+    assert dataclasses.replace(stats, repaired=0) == moved_stats and stats.repaired == 1
+    assert [(rec.var, rec.on_path) for rec in config.ledger] == [(3, 1)]
+    assert not moved_config.ledger
 
 
 def test_divergent_slice_when_no_decay_and_degree_one():
@@ -301,7 +303,7 @@ def test_divergent_slice_message_names_the_whole_term():
     term = (F(-3, 4), (6, (2, 0, -3)), (((-1, 0, 2), 2), ((0, -1, 1), 1)))
     config = ContourConfig({2: F(1), 3: F(2), P_VAR: F(5)})
     with pytest.raises(lv.DivergentSlice) as exc:
-        kernel.integrate_level([term], 3, config, [])
+        kernel.integrate_level([term], 3, config)
     assert str(exc.value) == (
         "term -3/4 * e^(1/3*l2 - 1/2*p) / [(-l2 + 2*p)^2 * (-l3 + p)] has degree 1 in l3 "
         "and no exponential decay")
@@ -313,7 +315,7 @@ def test_pole_of_order_message_gives_the_root():
     term = (F(2, 3), (1, (0, 1, 0)), (((-1, 2, 3), 2), ((0, 1, 0), 1)))
     config = ContourConfig({2: F(1), 3: F(2), P_VAR: F(5)})
     with pytest.raises(lv.DegenerateInstance) as exc:
-        kernel.integrate_level([term], 3, config, [])
+        kernel.integrate_level([term], 3, config)
     assert str(exc.value) == (
         "pole of order 2 at l3 = 1/2*l2 - 3/2*p; coincident denominator factors before the "
         "final level. A tiny random perturbation of A removes the coincidence at the price "
@@ -326,10 +328,9 @@ def test_exponent_sign_rule_falls_back_on_zero_coefficient():
     # cancel, matching the empty right closure
     t = Term(F(1), lf([(3, 1)]), ((lf([(2, 1)]), 1), (lf([(2, 1), (3, -1)]), 1)))
     config = cfg(c2=2, c3=1)
-    fewer, _, stats = integrate_level([t], 2, config, [])
+    fewer, _, stats = integrate_level([t], 2, config)
     assert fewer == [] and stats.residues == 0  # right half-plane holds no poles
-    left, _, stats = integrate_level([t], 2, config, [],
-                                     force_side=Side.LEFT)
+    left, _, stats = integrate_level([t], 2, config, force_side=Side.LEFT)
     # two residues of the same shape e^{l3}/l3, whose sum is zero
     assert stats.residues == 2 and stats.terms_out == 0 and left == []
 
@@ -416,38 +417,28 @@ def test_final_level_zero_exponent_is_zero():
 
 
 def test_perturb_noop_without_collision():
-    config = cfg(3, 2, 1)
-    site = PoleSite(lf([(2, 1), (3, -1)]), 2, Side.LEFT, 1)  # root l2 = l3, leading 1
-    assert perturb_abscissa(config, 2, [site], []) is config
+    # no root on the path: the level returns the config it was given
+    config = cfg(c2=2, c3=1)
+    _, after, stats = integrate_level([branch_I2()], 2, config)
+    assert after is config and stats.repaired == 0
 
 
 def test_perturb_repairs_worked_collision():
-    # c = (1,1,1) puts the pole l2 = l3 exactly on Re(l2) = 1
-    inst, _ = lv.paper_example()
-    norm = lv.normalize(inst)
-    from lapvol import direct, engine
-
-    config = cfg(1, 1, 1, domain_ok=engine._domain(norm.columns, direct.method(norm.columns)))
+    # c = (1,1,1) puts the pole l2 = l3 exactly on Re(l2) = 1: it counts
+    # as left of the path, as on the path moved right by 2^-32
+    config = cfg(1, 1, 1)
+    _, after, _ = integrate_level([worked_initial_term()], 1, config)
+    assert after is config  # level 1 meets no root on its path
     term = branch_I2()
-    history = []
-    integrate_level([worked_initial_term()], 1, config, history)
-    # l2, l3 - l2 (on the path) and 2*l2 - l3 hold l2
-    sites = [PoleSite(f, 2, Side.ON_PATH, 1) for f, _ in term.denom if f.coeff(2)]
-    assert integrate_level([term], 2, config,
-                           list(history))[2].repaired == 1
-    repaired = perturb_abscissa(config, 2, sites, history)
-    assert len(repaired.ledger) == 1
-    rec = repaired.ledger[0]
-    assert rec.var == 2 and rec.epsilon > 0 and rec.delta > 0
-    # domain still strictly feasible and every earlier side unchanged
-    assert repaired.domain_ok(repaired.abscissae)
-    for lvl_var, old_sites in history:
-        for s in old_sites:
-            value = s.root.evaluate(repaired.abscissae)
-            path = repaired.abscissa(lvl_var)
-            assert (value < path) == (s.side is Side.LEFT)
-    assert integrate_level([term], 2, repaired,
-                           list(history))[2].repaired == 0
+    out, after, stats = integrate_level([term], 2, config)
+    assert stats.repaired == 1 and [(rec.var, rec.on_path) for rec in after.ledger] == [(2, 1)]
+    # l2, l3 - l2 (on the path) and 2*l2 - l3 hold l2, all left
+    sites, _ = classified([term], 2, config)
+    assert [str(s.root) for s in sites] == ["0", "l3", "1/2*l3"]
+    assert {s.side for s in sites} == {Side.LEFT}
+    moved, moved_config, moved_stats = integrate_level([term], 2, cfg(1, 1 + F(1, 2**32), 1))
+    assert moved == out and not moved_config.ledger
+    assert moved_stats == dataclasses.replace(stats, repaired=0)
 
 
 def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
@@ -458,7 +449,7 @@ def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
     term = canonical_term(
         Term(F(1), lf([(1, 1), (2, 1), (3, 1)]), ((g, 1), (f, 1), (lf([(2, 1), (3, 2)]), 1)))
     )
-    out, _, stats = integrate_level([term], 1, cfg(3, 2, 1), [])
+    out, _, stats = integrate_level([term], 1, cfg(3, 2, 1))
     assert stats.residues == len(out) == 2
     for t in out:
         assert [h for h, _ in t.denom] == [lf([(2, 1)]), lf([(2, 1), (3, 2)])]
@@ -468,16 +459,13 @@ def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():
     assert [t.coeff for t in out] == [F(-1), F(1)]
 
 
-def test_integrate_level_records_history_and_stats():
+def test_integrate_level_records_ledger_and_stats():
     config = cfg(3, 2, 1)
-    history = []
-    out, config2, stats = integrate_level(
-        [canonical_term(worked_initial_term())], 1, config, history
-    )
+    out, config2, stats = integrate_level([canonical_term(worked_initial_term())], 1, config)
     assert stats.terms_in == 1 and stats.poles_found == 3
     assert stats.left == 3 and stats.right == 0 and stats.repaired == 0
     assert stats.residues == stats.terms_out == len(out) == 3
-    assert len(history) == 1 and history[0][0] == 1
+    assert stats.var == 1 and config2.ledger == ()
 
 
 # -- like-term merging -------------------------------------------------
