@@ -33,19 +33,20 @@ from .polytope import (
 from .engine import Run
 from .direct import run_direct
 from .transform import run_transform
-from .oracle import (
-    McEstimate,
-    box_instance,
-    identity_check,
-    known_instance,
-    m2_closed_form,
-    mc_volume,
-    paper_example,
-    random_instance,
-    simplex_instance,
-)
 
 __version__ = "0.1.0"
+
+# the oracle's names load it on first use (PEP 562): `lapvol volume` never needs it
+_ORACLE = {"McEstimate", "box_instance", "identity_check", "known_instance", "m2_closed_form",
+           "mc_volume", "paper_example", "random_instance", "simplex_instance"}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DegenerateInstance",

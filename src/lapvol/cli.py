@@ -39,7 +39,6 @@ from .errors import (
 )
 from .direct import run_direct
 from .linforms import var_name
-from .oracle import known_instance, mc_volume
 from .polytope import PolytopeInstance, certify, make_instance, normalize
 from .terms import LevelStats
 from .transform import run_transform
@@ -299,6 +298,7 @@ def _volume_report(inst: PolytopeInstance, args) -> int:
     if args.verify_mc:
         # sampled before anything is printed: a body outside the float
         # range is refused with one error line
+        from .oracle import mc_volume  # loaded on first use, as is numpy
         try:
             est = mc_volume(inst, args.samples, args.seed, norm)
         except ValueError as exc:
@@ -320,6 +320,8 @@ def _volume_report(inst: PolytopeInstance, args) -> int:
 
 
 def _cmd_gen(spec: str) -> int:
+    from .oracle import known_instance  # loaded on first use: `volume` never needs it
+
     kind, _, arg = spec.partition(":")
     digits = arg.lstrip("0")
     if kind in ("simplex", "box") and re.fullmatch("[0-9]{1,4}", digits) and int(digits) <= _MAX_GEN:

@@ -47,7 +47,6 @@ at c.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -74,8 +73,7 @@ class Method(NamedTuple):
     last: int                             # the variable left for the closed form
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     instance: NormalizedInstance
     config: ContourConfig
     levels: Tuple[LevelStats, ...]  # the residue levels, in order
@@ -154,6 +152,8 @@ def run(norm: NormalizedInstance, method: Method, abscissae: Optional[Sequence] 
         levels.append(stats)
         assert stats.residues <= (n + 1) ** level, "level node bound (n+1)^k exceeded"
     # the closed form of K * e^(alpha*x) / x^(n+1): K * alpha^n / n! for alpha > 0
-    volume = Fraction(tree_sum([K * alpha ** n for alpha, K in powers.items()]), factorial(n))
+    # (the sum is already reduced, so / cross-reduces against n! alone;
+    # Fraction() keeps an empty sum, the int 0, exact)
+    volume = Fraction(tree_sum([K * alpha ** n for alpha, K in powers.items()])) / factorial(n)
     leaves = levels[-1].terms_out if levels else 1
     return Run(norm, config, tuple(levels), last, leaves, volume)

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lp
 from .errors import GenericityViolated
@@ -139,8 +138,7 @@ def random_instance(rng: random.Random, m: int, n: int, signed: bool = False) ->
     return make_instance(rows, [1] * m)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     estimate: float
     stderr: float
     samples: int

@@ -30,17 +30,15 @@ so no rational row is built on the way.  The margin relaxation, the
 seed check c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to
 integers too), the margin min_j (A'c)_j, the start terms of both
 methods and their sign-read variable choices all read these ints.  The rational
-rows (``NormalizedInstance.rows``) are derived from the columns on first
-use, by the Monte Carlo sampler.
+rows (``NormalizedInstance.rows``) are derived from the columns on each
+read; the Monte Carlo sampler reads them once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lp
 from .errors import EmptyAfterCleanup, NonpositiveB, NotCompact, NotPointed
@@ -51,8 +49,7 @@ Matrix = Tuple[Row, ...]
 Column = Tuple[int, Tuple[int, ...]]  # (D_j, the ints D_j * A[i][j] over rows i)
 
 
-@dataclass(frozen=True)
-class PolytopeInstance:
+class PolytopeInstance(NamedTuple):
     """Raw half-space data: rows of A and the right-hand side b, each
     entry an int or a Fraction."""
 
@@ -80,8 +77,7 @@ def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
     return PolytopeInstance(rows, rhs)
 
 
-@dataclass(frozen=True)
-class NormalizedInstance:
+class NormalizedInstance(NamedTuple):
     """Validated instance with implied right-hand side all-ones, held as
     its integer columns, and the contour seed c of the margin LP (only a
     certified instance is constructed; the witness u is
@@ -90,9 +86,9 @@ class NormalizedInstance:
     columns: Tuple[Column, ...]          # integer_columns(rows)
     interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
 
-    @cached_property
+    @property
     def rows(self) -> Matrix:
-        """The normalized rows in Fractions, built on first use."""
+        """The normalized rows in Fractions, built on each read."""
         return column_rows(self.columns)
 
     @property

@@ -94,12 +94,10 @@ collected pole of order > 1 rather than differentiate through it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, gcd, prod
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateInstance, DivergentSlice, MalformedH
 from .linforms import form_str, integer_scaled, var_name
@@ -131,34 +129,37 @@ def primitive(ints: Sequence[int]) -> Tuple[int, Factor]:
     return s, tuple([c // s for c in ints])
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
+class PerturbationRecord(NamedTuple):
     var: int      # the level whose path met poles
     on_path: int  # its distinct factors with their root on the path
 
 
-@dataclass(frozen=True)
-class ContourConfig:
-    """Real abscissae of the vertical integration paths plus the ledger
-    of the levels whose path met a pole, in level order."""
-
+class _Contour(NamedTuple):
     abscissae: Mapping[int, Fraction]
-    ledger: Tuple[PerturbationRecord, ...] = ()
-
-    @cached_property
-    def slots(self) -> Tuple[int, ...]:
-        """The variables in ascending id: the terms' slot layout."""
-        return tuple(sorted(self.abscissae))
-
-    @cached_property
-    def point(self) -> Factor:
-        """The abscissae in slot order times their common denominator:
-        integers whose signs and ratios are those of the abscissae."""
-        return integer_scaled([self.abscissae[v] for v in self.slots])[1]
+    ledger: Tuple[PerturbationRecord, ...]
+    slots: Tuple[int, ...]  # the variables in ascending id: the terms' slot layout
+    point: Factor           # the abscissae in slot order times their common
+                            # denominator: ints with the abscissae's signs and ratios
 
 
-@dataclass(frozen=True)
-class LevelStats:
+class ContourConfig(_Contour):
+    """Real abscissae of the vertical integration paths plus the ledger
+    of the levels whose path met a pole, in level order.  ``slots`` and
+    ``point`` are derived once, here; ``_replace`` keeps them."""
+
+    __slots__ = ()
+
+    def __new__(cls, abscissae: Mapping[int, Fraction],
+                ledger: Tuple[PerturbationRecord, ...] = ()):
+        slots = tuple(sorted(abscissae))
+        point = integer_scaled([abscissae[v] for v in slots])[1]
+        return super().__new__(cls, abscissae, ledger, slots, point)
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return self.abscissae, self.ledger
+
+
+class LevelStats(NamedTuple):
     """Counts of one level: ``residues`` before like-term merging, the
     residues the exponent bound drops unbuilt included, ``terms_out``
     after it.  At the closing level ``terms_out`` is the number of
@@ -200,8 +201,7 @@ def _classified(terms: Sequence[Term], var: int, config: ContourConfig):
                     sides[f] = LEFT
                     on_path += 1
     if on_path:
-        config = ContourConfig(config.abscissae,
-                               config.ledger + (PerturbationRecord(var, on_path),))
+        config = config._replace(ledger=config.ledger + (PerturbationRecord(var, on_path),))
     return k, sides, config, min(on_path, 1)
 
 

@@ -1,6 +1,5 @@
 """CLI behavior: report lines, exit codes, file format."""
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -607,7 +606,7 @@ def test_exit_7_method_disagreement(monkeypatch, capsys):
 
     def off_by_one(norm):
         run_ = real(norm)
-        return dataclasses.replace(run_, result=run_.result + 1)
+        return run_._replace(result=run_.result + 1)
 
     monkeypatch.setattr(cli, "run_transform", off_by_one)
     code, out, err = run(capsys, "volume", str(INSTANCES / "paper-example.json"))
@@ -615,17 +614,27 @@ def test_exit_7_method_disagreement(monkeypatch, capsys):
     assert "direct=17/48" in err and "transform=65/48" in err
 
 
-def test_import_does_not_load_numpy():
-    # numpy is needed only by the Monte Carlo estimator, which imports it
-    # on first use
-    src = str(REPO / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {src!r}); import lapvol.cli; "
-         "print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "False"
+IMPORT_CHECK = """\
+import sys
+sys.path.insert(0, {src!r})
+import lapvol.cli
+print(sorted(m for m in ("numpy", "dataclasses", "inspect", "lapvol.oracle") if m in sys.modules))
+names = {{}}
+exec("from lapvol import *", names)
+import lapvol
+print([n for n in lapvol.__all__ if n not in names], len(lapvol.__all__))
+print(lapvol.known_instance("paper-example")[1])
+"""
+
+
+def test_cli_import_loads_only_what_volume_needs():
+    # numpy is needed only by the Monte Carlo estimator, the oracle only by
+    # --gen and --verify-mc, and both load on first use; dataclasses (and
+    # with it inspect) is not used.  A fresh interpreter, because pytest
+    # itself loads dataclasses.
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK.format(src=str(REPO / "src"))],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[] 32", "17/48"]
 
 
 # -- generators ---------------------------------------------------------------

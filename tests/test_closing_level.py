@@ -15,7 +15,6 @@ the reference direct driver applies the exponent bound of
 :mod:`lapvol.engine` after its inner levels.  Without it, the reference
 is the unpruned driver that the bound is checked against.
 """
-import dataclasses
 import random
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -64,13 +63,13 @@ def reference_direct(norm, abscissae=None, prune=True, pruned=None):
             if pruned is not None:
                 pruned += [t.exponent for t, neg in zip(terms, negative) if neg]
             terms = [t for t, neg in zip(terms, negative) if not neg]
-            stats = dataclasses.replace(stats, terms_out=len(terms))
+            stats = stats._replace(terms_out=len(terms))
         levels.append(stats)
     assert all(t.total_multiplicity == n + 1 for t in terms)
     last = order[-1]
     kept = sum(t.exponent.coeff(last) > 0 for t in terms)
     if levels:
-        levels[-1] = dataclasses.replace(levels[-1], terms_out=kept)
+        levels[-1] = levels[-1]._replace(terms_out=kept)
     result = sum((reference.final_level_value(t, last) for t in terms), Fraction(0))
     return result, tuple(levels), (last, kept), config.ledger, result * factorial(n)
 
@@ -126,9 +125,9 @@ def assert_same(norm, **kwargs):
     assert fused(run_direct, norm, **kwargs) == outcome(reference_direct, norm, **kwargs)
     assert fused(run_transform, norm, **kwargs) == outcome(reference_transform, norm, **kwargs)
     direct, transform = fraction_start_terms(norm)
-    if not isinstance(outcome(initial_term, norm), tuple):
+    if type(outcome(initial_term, norm)) is not tuple:
         assert initial_term(norm) == direct
-    if not isinstance(outcome(substituted_term, norm), tuple):
+    if type(outcome(substituted_term, norm)) is not tuple:
         assert substituted_term(norm) == transform
 
 
@@ -137,7 +136,7 @@ def test_fused_closing_level_matches_reference(signed):
     refused = 0
     for norm in draws(signed, 60, 8 + signed):
         assert_same(norm)
-        refused += isinstance(outcome(run_direct, norm), tuple)
+        refused += type(outcome(run_direct, norm)) is tuple
     if signed:
         assert refused > 0  # the draws include refusals, compared by type and message
 
@@ -195,7 +194,7 @@ def test_pruned_volume_equals_the_unpruned_drivers():
     compared = 0
     for norm in draws(True, 60, 9) + prime_row_draws(20, "deep", (5, 8), (3, 7)):
         want = unpruned_volume(norm)
-        if not isinstance(want, tuple):
+        if type(want) is not tuple:
             assert run_direct(norm).result == want
             compared += 1
     assert compared >= 60
@@ -267,7 +266,7 @@ def test_sign_test_drops_exactly_the_negative_exponents():
         assert after == every[1]
         negative = [sum(map(mul, t[1][1], after.point)) < 0 for t in every[0]]
         assert kept == [t for t, neg in zip(every[0], negative) if not neg]
-        assert stats == dataclasses.replace(every[2], terms_out=len(kept))
+        assert stats == every[2]._replace(terms_out=len(kept))
         held_out += any(neg and not t[1][1][0] for t, neg in zip(every[0], negative))
         checked += 1
     assert held_out > 0  # some term whose exponent does not hold l1 is dropped
@@ -381,7 +380,7 @@ def k_builds_per_draw(draws, k_builds):
     close_level builds, the alpha > 0 residues, the alpha <= 0 ones), the
     residues counted on the unfused path."""
     for norm in draws:
-        if isinstance(outcome(run_direct, norm), tuple):
+        if type(outcome(run_direct, norm)) is tuple:
             continue
         shapes = closing_shapes(norm)
         k_builds.clear()
@@ -442,7 +441,7 @@ def test_close_level_keeps_the_alpha_positive_powers(k_builds):
         assert powers and len(every) > len(powers)  # both kinds occur
         # terms_out counts the powers kept, the rest of the level's stats
         # are those of the unfused level
-        assert stats == dataclasses.replace(unfused, terms_out=len(powers))
+        assert stats == unfused._replace(terms_out=len(powers))
         closed = sum(K * alpha ** 3 for alpha, K in powers.items()) / 6
         assert closed == reference.power_sum(every)
         # one K per alpha > 0 residue: the second term collects only the

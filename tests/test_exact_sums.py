@@ -5,18 +5,24 @@
 ``merge_like_terms``.  Fraction
 addition is exact, so the order must not change a value; the pinned
 digests below were recorded with the running (one term at a time) sums
-the tree replaced.
+the tree replaced.  ``engine.run`` divides the closed form's sum by n!
+as a Fraction, so every volume is a Fraction in lowest terms.
 """
 import hashlib
 import importlib.util
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import lapvol as lv
+from lapvol import engine
 from lapvol.terms import tree_sum
+
+from conftest import prime_row_draws
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -60,3 +66,24 @@ def test_shuffled_volumes_are_pinned():
         norm = lv.normalize(draw(rng, 3, 24))
         for volume in (lv.run_direct(norm).result, lv.run_transform(norm).result):
             assert hashlib.sha256(str(volume).encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("run", [lv.run_direct, lv.run_transform])
+def test_every_volume_is_a_fraction_in_lowest_terms(run):
+    # m = 1 (the simplices) has no residue level, its sum a single term
+    instances = [lv.simplex_instance(n)[0] for n in (1, 2, 7)] + [lv.paper_example()[0]]
+    norms = [lv.normalize(inst) for inst in instances] + prime_row_draws(12, "fraction")
+    for norm in norms:
+        volume = run(norm).result
+        assert type(volume) is Fraction and volume > 0
+        assert gcd(volume.numerator, volume.denominator) == 1
+
+
+def test_an_empty_closing_sum_is_the_fraction_zero(monkeypatch):
+    # tree_sum of no powers is the int 0, which the division by n! must
+    # not turn into a float
+    real = engine.close_level
+    monkeypatch.setattr(engine, "close_level", lambda *a: ({},) + real(*a)[1:])
+    for run in (lv.run_direct, lv.run_transform):
+        volume = run(lv.normalize(lv.paper_example()[0])).result
+        assert type(volume) is Fraction and volume == 0

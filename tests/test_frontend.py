@@ -86,7 +86,7 @@ def refusal(fn, *args):
 
 def integer_front_end(doc):
     inst = refusal(lv.make_instance, doc["A"], doc["b"])
-    return inst if isinstance(inst, tuple) else refusal(polytope.scale_and_dedupe, inst)
+    return inst if type(inst) is tuple else refusal(polytope.scale_and_dedupe, inst)
 
 
 def fraction_front_end(doc):

@@ -15,7 +15,6 @@ happens (ZERO_KEPT) the pruned runs differ in their counts but not in
 their volume, and the unpruned reference driver, which the bound does
 not touch, gives the same LevelStats on both contours.
 """
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -81,7 +80,7 @@ def moved_run(norm, method, abscissae, ledger):
 
 def unrepaired(levels):
     """The LevelStats as a run on a contour without on-path roots has them."""
-    return tuple(dataclasses.replace(s, repaired=0) for s in levels)
+    return tuple(s._replace(repaired=0) for s in levels)
 
 
 @pytest.mark.parametrize("name,method,abscissae", CASES)

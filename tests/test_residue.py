@@ -1,6 +1,7 @@
 """Residue engine tests against the worked traces and random oracles."""
-import dataclasses
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -285,9 +286,22 @@ def test_integrate_counts_an_on_path_root_left():
     out, config, stats = integrate_level([t], 3, cfg(c2=1, c3=1))
     moved, moved_config, moved_stats = integrate_level([t], 3, cfg(c2=1, c3=1 + F(1, 2**32)))
     assert out == moved and len(out) == 2 and stats.left == 2
-    assert dataclasses.replace(stats, repaired=0) == moved_stats and stats.repaired == 1
+    assert stats._replace(repaired=0) == moved_stats and stats.repaired == 1
     assert [(rec.var, rec.on_path) for rec in config.ledger] == [(3, 1)]
     assert not moved_config.ledger
+
+
+def test_config_derives_slots_and_point_at_construction(monkeypatch):
+    # every level reads both; extending the ledger with _replace keeps
+    # them, and a copy or a pickle gives an equal config
+    derived = []
+    real = kernel.integer_scaled
+    monkeypatch.setattr(kernel, "integer_scaled", lambda v: derived.append(v) or real(v))
+    config = cfg(F(1, 2), 3, F(5, 4))
+    assert config.slots == (1, 2, 3) and config.point == (2, 12, 5) and len(derived) == 1
+    moved = config._replace(ledger=(kernel.PerturbationRecord(2, 1),))
+    assert (moved.slots, moved.point) == (config.slots, config.point) and len(derived) == 1
+    assert copy.copy(moved) == moved == pickle.loads(pickle.dumps(moved))
 
 
 def test_divergent_slice_when_no_decay_and_degree_one():
@@ -438,7 +452,7 @@ def test_perturb_repairs_worked_collision():
     assert {s.side for s in sites} == {Side.LEFT}
     moved, moved_config, moved_stats = integrate_level([term], 2, cfg(1, 1 + F(1, 2**32), 1))
     assert moved == out and not moved_config.ledger
-    assert moved_stats == dataclasses.replace(stats, repaired=0)
+    assert moved_stats == stats._replace(repaired=0)
 
 
 def test_eliminated_factor_sign_is_read_on_its_highest_remaining_variable():

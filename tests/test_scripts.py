@@ -1,6 +1,5 @@
 """Smoke tests of the scripts under scripts/: each runs to its summary
 on tiny arguments against the package in src/."""
-import dataclasses
 import hashlib
 import importlib.util
 import os
@@ -49,7 +48,7 @@ def test_cross_check_exits_1_on_disagreement(monkeypatch, capsys):
 
     def off_by_one(norm):
         run = real(norm)
-        return dataclasses.replace(run, result=run.result + 1)
+        return run._replace(result=run.result + 1)
 
     monkeypatch.setattr(cross_check.lv, "run_transform", off_by_one)
     monkeypatch.setattr(sys, "argv", ["cross_check.py", "--count", "3"])
