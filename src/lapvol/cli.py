@@ -301,6 +301,11 @@ def _volume_report(inst: PolytopeInstance, args) -> int:
         from .oracle import mc_volume  # loaded on first use, as is numpy
         try:
             est = mc_volume(inst, args.samples, args.seed, norm)
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            print("error: --verify-mc needs numpy", file=sys.stderr)
+            return EXIT_BAD_FILE
         except ValueError as exc:
             print(f"error: --verify-mc: {exc}", file=sys.stderr)
             return EXIT_BAD_FILE

@@ -119,12 +119,12 @@ def start_term(norm: NormalizedInstance, method: Method) -> Term:
 
 def contour(norm: NormalizedInstance, method: Method,
             abscissae: Optional[Sequence] = None) -> ContourConfig:
-    """The paths of the seed c (``abscissae`` overrides the LP-found one):
-    c_j on l_j, and d = sum(c) on p."""
+    """The paths of the seed c (``abscissae`` overrides the LP-found one,
+    whose ints make d an int): c_j on l_j, and d = sum(c) on p."""
     c = contour_seed(norm, abscissae)
     points = {v: c[v - 1] for v in method.slots if v != P_VAR}
     if method.last == P_VAR:
-        points[P_VAR] = sum(c, Fraction(0))
+        points[P_VAR] = sum(c)
     return ContourConfig(points)
 
 

@@ -10,7 +10,7 @@ For b > 0, compactness (the body is bounded) and pointedness (some
 c > 0 has A'c > 0) are the same condition: both say the recession cone
 {x >= 0, Ax <= 0} is {0}.  One LP therefore certifies both: maximize a
 margin t over {c, t >= 0, c >= t, A'c >= t, sum(c) <= 1} and accept iff
-the optimum is strictly positive.  An optimal c, scaled to integers,
+the optimum is strictly positive.  An optimal c, scaled to ints,
 seeds the integration abscissae and is all that :func:`normalize` keeps;
 the volume does not depend on which strictly feasible c seeds the
 contour.  Where A'1 >= 1 the optimum is known in closed form; elsewhere
@@ -29,7 +29,7 @@ form.  Each column j is held as an integer column with its scale D_j,
 so no rational row is built on the way.  The margin relaxation, the
 seed check c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to
 integers too), the margin min_j (A'c)_j, the start terms of both
-methods and their sign-read variable choices all read these ints.  The rational
+methods and their variable choices all read these ints.  The rational
 rows (``NormalizedInstance.rows``) are derived from the columns on each
 read; the Monte Carlo sampler reads them once.
 """
@@ -84,7 +84,7 @@ class NormalizedInstance(NamedTuple):
     ``certify(columns)[1]``)."""
 
     columns: Tuple[Column, ...]          # integer_columns(rows)
-    interior: Tuple[Fraction, ...]       # c > 0 with A'c > 0, integer-scaled
+    interior: Tuple[int, ...]            # c > 0 with A'c > 0, as ints
 
     @property
     def rows(self) -> Matrix:
@@ -170,10 +170,11 @@ def relaxed_lp(columns: Sequence[Column], kept: Sequence[int]) -> Tuple[list, li
     return [0] * m + [1], A, [0] * len(kept) + [1]
 
 
-def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
-    """A strictly feasible c > 0 with A'c > 0, scaled to integers, for
-    the rows whose :func:`integer_columns` are ``columns``: an optimal c
-    of the margin LP.
+def find_strict_interior(columns: Sequence[Column]) -> Tuple[int, ...]:
+    """A strictly feasible c > 0 with A'c > 0 as coprime ints, for the
+    rows whose :func:`integer_columns` are ``columns``: an optimal c of
+    the margin LP, scaled by the lcm of its denominators (the optimum
+    has sum(c) = 1, so the ints sum to that lcm and share no factor).
 
     Where every column has sum(col) >= D_j, that is A'1 >= 1, no LP is
     solved: t <= c_i and sum(c) <= 1 give t <= 1/m, c = t = 1/m is then
@@ -192,7 +193,7 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
     m = len(columns[0][1])
     kept = [j for j, (den, col) in enumerate(columns) if sum(col) < den]
     if not kept:
-        return (Fraction(1),) * m
+        return (1,) * m
     while True:
         status, x, t_star = lp.maximize(*relaxed_lp(columns, kept))
         assert status == lp.OPTIMAL  # bounded by t <= sum(s) + m t <= 1
@@ -201,16 +202,18 @@ def find_strict_interior(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
                              "{x >= 0, Ax <= 0} has a nonzero solution")
         _, (*s, t) = integer_scaled(x)   # c = s + t*1 over a common denominator
         ci = [v + t for v in s]
-        cut = [j for j, (den, col) in enumerate(columns) if den * t > sum(map(mul, col, ci))]
+        sums = [sum(map(mul, col, ci)) for _, col in columns]
+        cut = [j for j, ((den, _), v) in enumerate(zip(columns, sums)) if den * t > v]
         if not cut:
             break
         kept += cut
-    c = tuple(map(Fraction, integer_scaled([v + x[m] for v in x[:m]])[1]))
-    assert is_strict_interior(columns, c)
-    return c
+    # c >= t > 0 and A'c >= D t > 0 on every column: c is strictly interior
+    assert all(v > 0 for v in ci) and all(v > 0 for v in sums)
+    g = gcd(*ci)
+    return tuple([v // g for v in ci])
 
 
-def _seed(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
+def _seed(columns: Sequence[Column]) -> Tuple[int, ...]:
     """:func:`find_strict_interior`, raising NotCompact where it raises
     NotPointed: for b > 0 the body is then unbounded as well as not
     pointed."""
@@ -220,7 +223,7 @@ def _seed(columns: Sequence[Column]) -> Tuple[Fraction, ...]:
         raise NotCompact("polytope is unbounded (no u >= 0 with A'u >= 1)") from exc
 
 
-def certify(columns: Sequence[Column]) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+def certify(columns: Sequence[Column]) -> Tuple[Tuple[int, ...], Tuple[Fraction, ...]]:
     """The certificate (c, u) of the cleaned rows, given by their
     integer columns: the contour seed c of :func:`find_strict_interior`
     and the compactness witness u = c / min_j (A'c)_j, which has u >= 0
@@ -265,7 +268,7 @@ def is_strict_interior(columns: Sequence[Column], c: Sequence) -> bool:
     return all(v > 0 for v in ci) and all(s > 0 for s in sums)
 
 
-def contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> Tuple[Fraction, ...]:
+def contour_seed(norm: NormalizedInstance, abscissae: Optional[Sequence]) -> tuple:
     """The LP-found seed ``norm.interior``, or the caller's ``abscissae``
     once checked to be a valid seed of length m."""
     if abscissae is None:

@@ -48,8 +48,13 @@ def slots_of(lin_terms):
                          for v in f.variables}))
 
 
+def rule_order(norm):
+    """The order in which ``run_direct`` first integrates the instance."""
+    return direct.integration_order(norm.columns, norm.interior)
+
+
 def direct_slots(norm):
-    return direct.method(norm.columns).slots
+    return direct.method(rule_order(norm)).slots
 
 
 def transform_slots(norm):
@@ -61,7 +66,7 @@ def _start_term(norm, method):
 
 
 def initial_term(norm):
-    return _start_term(norm, direct.method(norm.columns))
+    return _start_term(norm, direct.method(rule_order(norm)))
 
 
 def substituted_term(norm):

@@ -154,6 +154,23 @@ def test_verify_mc_line(capsys):
     assert "seed=3" in mc_lines[0] and "stderr=" in mc_lines[0]
 
 
+WITHOUT_NUMPY = """\
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["numpy"] = None  # every import of numpy fails
+from lapvol import cli
+sys.exit(cli.main(["volume", {path!r}, "--verify-mc", "--samples", "1000"]))
+"""
+
+
+def test_verify_mc_without_numpy_is_one_error_line():
+    # a fresh interpreter, so that no numpy is loaded already
+    code = WITHOUT_NUMPY.format(src=str(REPO / "src"), path=str(INSTANCES / "paper-example.json"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: --verify-mc needs numpy\n")
+
+
 # -- exit codes --------------------------------------------------------------
 
 

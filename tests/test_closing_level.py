@@ -13,7 +13,9 @@ refusal.  The closing level counts only the powers the closed form
 keeps, so the reference's last level counts its alpha > 0 terms, and
 the reference direct driver applies the exponent bound of
 :mod:`lapvol.engine` after its inner levels.  Without it, the reference
-is the unpruned driver that the bound is checked against.
+is the unpruned driver that the bound is checked against.  Both engines
+integrate direct's variables in one order: ``run_direct``'s, or each of
+the bound's order and the sign order where a test names one.
 """
 import random
 from fractions import Fraction
@@ -23,8 +25,8 @@ from operator import mul
 import pytest
 
 import lapvol as lv
-from lapvol import direct, terms as terms_module, transform
-from lapvol.direct import integration_order, run_direct
+from lapvol import direct, engine, terms as terms_module, transform
+from lapvol.direct import run_direct, sign_order
 from lapvol.engine import contour
 from lapvol.linforms import P_VAR
 from lapvol.terms import ContourConfig, Side
@@ -38,6 +40,7 @@ from dense import (
     close_level,
     initial_term,
     integrate_level,
+    rule_order,
     substituted_term,
 )
 from facet_volume import facet_volume
@@ -46,14 +49,40 @@ from linform import LinForm
 BY_EXPONENT_SIGN = reference.SideRule.BY_EXPONENT_SIGN
 
 
-def reference_direct(norm, abscissae=None, prune=True, pruned=None):
-    """The unfused direct driver; with ``prune`` it drops, after every
-    level but the closing one, the terms whose exponent is negative at
-    the contour point, and appends their exponents to the list
-    ``pruned`` if one is given."""
+def order_of(run):
+    """The order in which a direct run integrated its variables."""
+    return tuple(s.var for s in run.levels) + (run.last,)
+
+
+def in_order(order):
+    """``run_direct`` without its choice of order: the direct run in
+    ``order``, with the same arguments."""
+    return lambda norm, abscissae=None: engine.run(norm, direct.method(order), abscissae)
+
+
+def sign_run(norm, abscissae=None):
+    """The direct run in the sign order, in which the on-path, repair and
+    pruned-pole cases were chosen to meet their poles."""
+    return in_order(sign_order(norm.columns))(norm, abscissae)
+
+
+def reference_direct(norm, abscissae=None, prune=True, pruned=None, order=None):
+    """The unfused direct driver in ``order``, by default that of
+    ``run_direct``: the bound's order, rerun in the sign order where it
+    meets a repeated pole.  With ``prune`` it drops, after every level
+    but the closing one, the terms whose exponent is negative at the
+    contour point, and appends their exponents to the list ``pruned`` if
+    one is given."""
+    if order is None:
+        first, fallback = rule_order(norm), sign_order(norm.columns)
+        try:
+            return reference_direct(norm, abscissae, prune, pruned, first)
+        except lv.DegenerateInstance:
+            if fallback == first:
+                raise
+            return reference_direct(norm, abscissae, prune, pruned, fallback)
     n = norm.n
-    config = contour(norm, direct.method(norm.columns), abscissae)
-    order = integration_order(norm.columns)
+    config = contour(norm, direct.method(order), abscissae)
     terms, levels = [initial_term(norm)], []
     for level, k in enumerate(order[:-1], 1):
         terms, config, stats = reference.integrate_level(terms, k, config, BY_EXPONENT_SIGN)
@@ -123,6 +152,9 @@ def fraction_start_terms(norm):
 
 def assert_same(norm, **kwargs):
     assert fused(run_direct, norm, **kwargs) == outcome(reference_direct, norm, **kwargs)
+    for order in {rule_order(norm), sign_order(norm.columns)}:
+        assert fused(in_order(order), norm, **kwargs) == outcome(
+            reference_direct, norm, order=order, **kwargs)
     assert fused(run_transform, norm, **kwargs) == outcome(reference_transform, norm, **kwargs)
     direct, transform = fraction_start_terms(norm)
     if type(outcome(initial_term, norm)) is not tuple:
@@ -186,8 +218,8 @@ def test_m1_volume_is_the_simplex_volume(n):
 # At every inner level integrate_level builds no residue whose exponent
 # is negative at the contour point; every power below it has alpha < 0.
 
-def unpruned_volume(norm):
-    return outcome(lambda: reference_direct(norm, prune=False)[0])
+def unpruned_volume(norm, order=None):
+    return outcome(lambda: reference_direct(norm, prune=False, order=order)[0])
 
 
 def test_pruned_volume_equals_the_unpruned_drivers():
@@ -203,8 +235,10 @@ def test_pruned_volume_equals_the_unpruned_drivers():
 def test_exponent_bound_cuts_the_residues_of_deep_draws():
     pruned = unpruned = 0
     for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
-        pruned += sum(s.residues for s in run_direct(norm).levels)
-        unpruned += sum(s.residues for s in reference_direct(norm, prune=False)[1])
+        run = run_direct(norm)
+        pruned += sum(s.residues for s in run.levels)
+        unpruned += sum(s.residues for s in reference_direct(norm, prune=False,
+                                                             order=order_of(run))[1])
     assert 5 * pruned <= 3 * unpruned  # at most 60%
 
 
@@ -218,19 +252,26 @@ def residue_builds(monkeypatch):
 
 
 def test_exponent_bound_builds_only_the_residues_it_keeps(residue_builds):
-    built = counted = 0
-    for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
-        levels = reference_direct(norm)[1]
-        residue_builds.clear()
-        run = run_direct(norm)
-        inner = [s.residues for s in run.levels[:-1]]
-        assert inner == [s.residues for s in levels[:-1]]
-        # every residue built at an inner level has exponent >= 0 at the
-        # point, and the dropped ones are counted but never built
-        assert all(sum(map(mul, L, run.config.point)) >= 0 for _, (_, L), _ in residue_builds)
-        built += len(residue_builds)
-        counted += sum(inner)
-    assert (built, counted) == (104, 209)
+    # (built, counted) on the six draws in the sign order and in the
+    # bound's, which builds fewer
+    totals = {}
+    for name, order_for in (("signs", lambda norm: sign_order(norm.columns)),
+                            ("bound", rule_order)):
+        built = counted = 0
+        for norm in prime_row_draws(6, "deep", (5, 8), (3, 7)):
+            order = order_for(norm)
+            levels = reference_direct(norm, order=order)[1]
+            residue_builds.clear()
+            run = in_order(order)(norm)
+            inner = [s.residues for s in run.levels[:-1]]
+            assert inner == [s.residues for s in levels[:-1]]
+            # every residue built at an inner level has exponent >= 0 at the
+            # point, and the dropped ones are counted but never built
+            assert all(sum(map(mul, L, run.config.point)) >= 0 for _, (_, L), _ in residue_builds)
+            built += len(residue_builds)
+            counted += sum(inner)
+        totals[name] = built, counted
+    assert totals == {"signs": (104, 209), "bound": (75, 166)}
 
 
 def random_dense_terms(rng):
@@ -272,19 +313,24 @@ def test_sign_test_drops_exactly_the_negative_exponents():
     assert held_out > 0  # some term whose exponent does not hold l1 is dropped
 
 
+def sweep_draws(seeds=range(25)):
+    """The draws ((seed, m, n), instance) of the sweep: signed draws from
+    random.Random(seed) for m 2-5 and n 2-7, in that loop order.  The 461
+    of seeds 0-24 that pass the gates are the 461-draw sweep."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for m in range(2, 6):
+            for n in range(2, 8):
+                yield (seed, m, n), lv.random_instance(rng, m, n, signed=True)
+
+
 def sweep_instance(seed, m, n):
-    """Draw (m, n) of the 461-draw sweep: signed draws from
-    random.Random(seed) for m 2-5 and n 2-7, in that loop order."""
-    rng = random.Random(seed)
-    for m_ in range(2, 6):
-        for n_ in range(2, 8):
-            inst = lv.random_instance(rng, m_, n_, signed=True)
-            if (m_, n_) == (m, n):
-                return inst
+    """Draw (m, n) of the 461-draw sweep."""
+    return next(inst for key, inst in sweep_draws([seed]) if key == (seed, m, n))
 
 
-# Sweep draws (seed, m, n) whose direct run meets a repeated pole only
-# below pruned terms, with their volume by facet_volume.  facet_volume
+# Sweep draws (seed, m, n) whose direct run in the sign order meets a
+# repeated pole only below pruned terms, with their volume by facet_volume.  facet_volume
 # takes about 4 s on each m = 5, n = 7 draw, so those two are checked
 # against the pinned volume and the transform's.
 PRUNED_POLES = {
@@ -307,8 +353,8 @@ def test_repeated_pole_below_a_pruned_term(key):
         assert run_transform(norm).result == volume
     else:
         assert facet_volume(inst.rows, inst.rhs) == volume
-    assert run_direct(norm).result == volume
-    assert unpruned_volume(norm)[0] is lv.DegenerateInstance
+    assert run_direct(norm).result == sign_run(norm).result == volume
+    assert unpruned_volume(norm, sign_order(norm.columns))[0] is lv.DegenerateInstance
 
 
 def repair_draw(seed):
@@ -318,8 +364,9 @@ def repair_draw(seed):
     return lv.random_instance(rng, m, n, signed=rng.random() < 0.5)
 
 
-# (seed, abscissae): a path meets a root, and an exponent that the bound
-# prunes at an earlier level holds that path's variable
+# (seed, abscissae): in the sign order a path meets a root, and an
+# exponent that the bound prunes at an earlier level holds that path's
+# variable
 REPAIR_DRAWS = [(5013, (1, 1, 1, 3)), (5058, (1, 1, 1, 1, 2)), (5067, (1, 1, 1, 1, 3))]
 
 
@@ -330,14 +377,16 @@ def test_repair_keeps_pruned_exponents_negative(seed, abscissae):
     # the volume of facet_volume and of the unpruned driver
     inst = repair_draw(seed)
     norm = lv.normalize(inst)
-    assert fused(run_direct, norm, abscissae=abscissae) == outcome(
-        reference_direct, norm, abscissae=abscissae)
-    run, pruned = run_direct(norm, abscissae), []
-    reference_direct(norm, abscissae, pruned=pruned)
+    order = sign_order(norm.columns)
+    assert fused(sign_run, norm, abscissae=abscissae) == outcome(
+        reference_direct, norm, abscissae=abscissae, order=order)
+    run, pruned = sign_run(norm, abscissae), []
+    reference_direct(norm, abscissae, pruned=pruned, order=order)
+    assert run.config.ledger
     assert any(L.coeff(rec.var) for L in pruned for rec in run.config.ledger)
     volume = facet_volume(inst.rows, inst.rhs)
-    assert run.result == volume
-    unpruned = outcome(reference_direct, norm, abscissae, prune=False)
+    assert run.result == run_direct(norm, abscissae).result == volume
+    unpruned = outcome(reference_direct, norm, abscissae, prune=False, order=order)
     if seed == 5013:
         # unpruned, the run meets a repeated pole below a pruned term
         assert unpruned[0] is lv.DegenerateInstance
@@ -348,12 +397,12 @@ def test_repair_keeps_pruned_exponents_negative(seed, abscissae):
 # -- the pruned closing level -------------------------------------------
 # close_level builds K only for alpha > 0 residues.
 
-def closing_shapes(norm):
-    """Direct's closing-level residues, built as Terms by the unfused
-    path, grouped by shape: (alpha, q) -> [hits, sum of K].  Every factor
-    left is the primitive last variable, so a residue's coefficient is K."""
-    config = contour(norm, direct.method(norm.columns))
-    order = integration_order(norm.columns)
+def closing_shapes(norm, order):
+    """Direct's closing-level residues in ``order``, built as Terms by the
+    unfused path, grouped by shape: (alpha, q) -> [hits, sum of K].  Every
+    factor left is the primitive last variable, so a residue's
+    coefficient is K."""
+    config = contour(norm, direct.method(order))
     terms = [initial_term(norm)]
     for k in order[:-2]:
         terms, config, _ = reference.integrate_level(terms, k, config, BY_EXPONENT_SIGN)
@@ -382,10 +431,11 @@ def k_builds_per_draw(draws, k_builds):
     for norm in draws:
         if type(outcome(run_direct, norm)) is tuple:
             continue
-        shapes = closing_shapes(norm)
         k_builds.clear()
-        run_direct(norm)
-        yield (len(k_builds), sum(hits for (alpha, _), (hits, _) in shapes.items() if alpha > 0),
+        run = run_direct(norm)
+        built = len(k_builds)
+        shapes = closing_shapes(norm, order_of(run))
+        yield (built, sum(hits for (alpha, _), (hits, _) in shapes.items() if alpha > 0),
                sum(hits for (alpha, _), (hits, _) in shapes.items() if alpha <= 0))
 
 

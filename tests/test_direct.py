@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
+from lapvol import direct, engine, terms
 from lapvol.direct import run_direct
 from lapvol.polytope import contour_seed
 from lapvol.terms import ContourConfig
 
-from conftest import SKIPPABLE, draw_valid_instance, frac_vec
+from conftest import SKIPPABLE, draw_valid_instance, frac_vec, outcome
 from dense import final_level_value, initial_term, integrate_level
+from facet_volume import facet_volume
 from linform import LinForm
+from test_closing_level import order_of, sign_run, sweep_draws, sweep_instance
 
 
 def F(a, b=1):
@@ -233,10 +236,46 @@ def test_every_integration_order_gives_the_volume(A, b):
     assert run.result == lv.run_transform(norm).result
 
 
+def surviving_residues(norm):
+    """For each variable k, the level-1 residues that survive the
+    exponent bound at the seed c when k goes first, from the rational
+    rows: its own factor's, and column j's where A_kj > 0 and
+    A_kj * sum(c) >= (A'c)_j."""
+    c = norm.interior
+    at_c = [sum(row[j] * ci for row, ci in zip(norm.rows, c)) for j in range(norm.n)]
+    return [1 + sum(1 for a, v in zip(row, at_c) if a > 0 and a * sum(c) >= v)
+            for row in norm.rows]
+
+
 @pytest.mark.parametrize("A,b", ORDER_CASES)
-def test_sign_order_and_first_level_residues(A, b):
+def test_bound_order_and_first_level_residues(A, b, monkeypatch):
     norm = lv.normalize(lv.make_instance(A, b))
     run = run_direct(norm)
+    order = [lvl.var for lvl in run.levels] + [run.last]
+    assert sorted(order) == list(range(1, norm.m + 1))
+    # fewest surviving level-1 residues first, most last, ties to the lower index
+    scores = surviving_residues(norm)
+    assert order == sorted(order, key=lambda k: (scores[k - 1], k))
+    # level 1 collects as in the sign order, and builds exactly the
+    # scored residues, whichever variable goes first
+    positives = [sum(1 for a in row if a > 0) for row in norm.rows]
+    assert run.levels[0].residues == 1 + positives[order[0] - 1]
+    built = []
+    real = terms._residue
+    monkeypatch.setattr(terms, "_residue", lambda *a: built.append(1) or real(*a))
+    method = direct.method(order)
+    start, config = engine.start_term(norm, method), engine.contour(norm, method)
+    for k in range(1, norm.m + 1):
+        built.clear()
+        terms.integrate_level([start], k, config, prune=True)
+        assert len(built) == scores[k - 1]
+
+
+@pytest.mark.parametrize("A,b", ORDER_CASES)
+def test_sign_order_and_first_level_residues(A, b):
+    # the fallback order
+    norm = lv.normalize(lv.make_instance(A, b))
+    run = sign_run(norm)
     positives = [sum(1 for a in row if a > 0) for row in norm.rows]
     order = [lvl.var for lvl in run.levels] + [run.last]
     assert sorted(order) == list(range(1, norm.m + 1))
@@ -251,8 +290,8 @@ def test_sign_order_and_first_level_residues(A, b):
 def test_refused_deep_draw_returns_its_volume():
     # the benchmark's deep seed-12 draw r78-m5n6: integrated in ascending
     # variable order it met a pole of order 2 at l4 = -8/79*l5 and was
-    # refused (exit 6); the sign order integrates l2, l4, l3, l5 and
-    # returns the volume transform finds
+    # refused (exit 6); the order of the bound and the sign order both
+    # return the volume transform finds
     A = [[7507, 4177, 4957, 7481, 1097, 2803],
          [-328, -760, 205, -815, 142, -789],
          [631, 532, -556, 781, -906, 885],
@@ -261,5 +300,52 @@ def test_refused_deep_draw_returns_its_volume():
     b = [81, 679, 199, 32, 316]
     norm = lv.normalize(lv.make_instance(A, b))
     run = run_direct(norm)
-    assert [lvl.var for lvl in run.levels] + [run.last] == [2, 4, 3, 5, 1]
-    assert run.result == lv.run_transform(norm).result == F(31381059609, 286041585816420767146640)
+    assert [lvl.var for lvl in run.levels] + [run.last] == list(
+        direct.integration_order(norm.columns, norm.interior))
+    volume = F(31381059609, 286041585816420767146640)
+    assert run.result == lv.run_transform(norm).result == volume
+    by_signs = direct.method(direct.sign_order(norm.columns))
+    assert engine.run(norm, by_signs).result == volume
+
+
+def test_repeated_pole_in_the_bound_order_reruns_the_sign_order():
+    # sweep draw (0, 4, 5): the bound's order meets a repeated pole, the
+    # sign order answers
+    inst = sweep_instance(0, 4, 5)
+    norm = lv.normalize(inst)
+    order = direct.integration_order(norm.columns, norm.interior)
+    with pytest.raises(lv.DegenerateInstance):
+        engine.run(norm, direct.method(order))
+    run = run_direct(norm)
+    assert order_of(run) == direct.sign_order(norm.columns) != order
+    assert run.result == facet_volume(inst.rows, inst.rhs)
+
+
+def test_sweep_keeps_every_volume_and_answers_18_more_draws():
+    # On the 461-draw sweep the sign order alone refuses 96 draws.  Every
+    # draw it answers keeps its volume, every draw it refuses keeps its
+    # refusal or gets facet_volume's volume (the transform's at n = 7,
+    # where facet_volume is slow, unless the transform refuses too), and
+    # direct refuses 78.
+    by_signs_refused = refused = answered = 0
+    for (_, _, n), inst in sweep_draws():
+        try:
+            norm = lv.normalize(inst)
+        except lv.VolumeEngineError:
+            continue
+        got, by_signs = outcome(lambda: run_direct(norm).result), outcome(
+            lambda: sign_run(norm).result)
+        if type(by_signs) is not tuple:
+            assert got == by_signs
+            continue
+        by_signs_refused += 1
+        if type(got) is tuple:
+            assert got == by_signs  # the sign order's refusal
+            refused += 1
+            continue
+        want = outcome(lambda: lv.run_transform(norm).result) if n == 7 else ()
+        if type(want) is tuple:
+            want = facet_volume(inst.rows, inst.rhs)
+        assert got == want
+        answered += 1
+    assert (by_signs_refused, refused, answered) == (96, 78, 18)

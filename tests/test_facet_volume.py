@@ -14,6 +14,7 @@ from lapvol.direct import run_direct
 from lapvol.transform import run_transform
 
 from conftest import outcome
+from dense import rule_order
 from facet_volume import facet_volume
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -101,7 +102,7 @@ def test_equal_start_factors(k):
     b = [1] * len(A)
     assert facet_volume(A, b) == volume
     norm = lv.normalize(lv.make_instance([[Fraction(v) for v in row] for row in A], b))
-    start = engine.start_term(norm, direct.method(norm.columns))
+    start = engine.start_term(norm, direct.method(rule_order(norm)))
     assert max(mult for _, mult in start[2]) > 1  # a repeated factor from the input
     assert outcome(lambda: run_direct(norm).result) == (by_direct or volume)
     assert outcome(lambda: run_transform(norm).result) == (by_transform or volume)

@@ -375,13 +375,14 @@ def test_closed_form_seed_is_the_margin_lps_unique_optimum(lp_calls):
             # the reference's optimum is the uniform c at t* = 1/m, and the
             # seed is all ones without an LP
             assert t_star == Fraction(1, m) and x[:m] == (Fraction(1, m),) * m
-            assert c == (1,) * m and all(type(v) is Fraction for v in c)
+            assert c == (1,) * m and all(type(v) is int for v in c)
             assert not lp_calls and path == "closed form"
             closed += 1
             ties += any(sum(col) == den for den, col in columns)
         else:
             scale = lcm(*(v.denominator for v in x[:m]))
             assert lp_calls == calls and c == tuple(v * scale for v in x[:m])
+            assert all(type(v) is int for v in c)
             solved += 1
     assert closed and solved and ties
 

@@ -7,7 +7,8 @@ The tests below rerun every on-path case on a contour moved so by small
 nested shifts, where no root sits on a path, and require the same volume
 and LevelStats; and they check the on-path runs of the 461-draw sweep
 against :func:`facet_volume.facet_volume`, which shares no code with
-the residue engine.
+the residue engine.  The direct cases were chosen in the sign order
+(:func:`lapvol.direct.sign_order`), so they run in it.
 
 The exponent bound keeps an exponent that is zero at the seed c, and
 the moved contour can make it negative and prune it.  Where that
@@ -20,16 +21,23 @@ from fractions import Fraction
 import pytest
 
 import lapvol as lv
+from lapvol.direct import sign_order
 from lapvol.transform import eliminated_var
 
 from conftest import outcome
 from facet_volume import facet_volume
-from test_closing_level import REPAIR_DRAWS, reference_direct, repair_draw, sweep_instance
+from test_closing_level import (
+    REPAIR_DRAWS,
+    reference_direct,
+    repair_draw,
+    sign_run,
+    sweep_instance,
+)
 
-RUNS = {"direct": lv.run_direct, "transform": lv.run_transform}
+RUNS = {"direct": sign_run, "transform": lv.run_transform}
 
 # (seed, m, n) of the 461-draw sweep, n <= 5, whose run of the method
-# meets a root on a path at the LP-found seed
+# (direct: in the sign order) meets a root on a path at the LP-found seed
 SWEEP_ON_PATH = {
     "direct": [(10, 5, 2), (17, 3, 2), (1, 4, 3), (12, 4, 4), (13, 5, 5), (14, 5, 5),
                (16, 5, 5), (2, 5, 5), (22, 5, 5), (24, 3, 5), (9, 4, 5)],
@@ -95,8 +103,9 @@ def test_the_moved_contour_gives_the_same_run(name, method, abscissae):
     assert (moved.result, moved.leaves) == (run.result, run.leaves)
     assert (moved.levels == unrepaired(run.levels)) == (name not in ZERO_KEPT)
     if method == "direct":
-        want = outcome(reference_direct, norm, abscissae, prune=False)
-        got = outcome(reference_direct, norm, seed, prune=False)
+        order = sign_order(norm.columns)
+        want = outcome(reference_direct, norm, abscissae, prune=False, order=order)
+        got = outcome(reference_direct, norm, seed, prune=False, order=order)
         if isinstance(want[0], type):
             assert got == want  # a repeated pole below a pruned term
         else:

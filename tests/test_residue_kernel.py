@@ -28,6 +28,7 @@ from dense import (
     direct_slots,
     initial_term,
     integrate_level,
+    rule_order,
     substituted_term,
     transform_slots,
 )
@@ -82,7 +83,7 @@ def check_instances(norms):
     seen = Counter()
     rules = reference.SideRule
     for norm in norms:
-        methods = direct.method(norm.columns), transform.method(norm.columns)
+        methods = direct.method(rule_order(norm)), transform.method(norm.columns)
         configs = [contour(norm, method) for method in methods]
         assert [config.slots for config in configs] == [direct_slots(norm), transform_slots(norm)]
         starts = outcome(initial_term, norm), outcome(substituted_term, norm)
