@@ -75,11 +75,14 @@ def reference_direct(norm, abscissae=None, prune=True, pruned=None, order=None):
     one is given."""
     if order is None:
         first, fallback = rule_order(norm), sign_order(norm.columns)
+        before = len(pruned or ())
         try:
             return reference_direct(norm, abscissae, prune, pruned, first)
         except lv.DegenerateInstance:
             if fallback == first:
                 raise
+            if pruned is not None:
+                del pruned[before:]  # the refused run's exponents
             return reference_direct(norm, abscissae, prune, pruned, fallback)
     n = norm.n
     config = contour(norm, direct.method(order), abscissae)
