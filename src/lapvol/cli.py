@@ -39,7 +39,7 @@ from .errors import (
 )
 from .direct import run_direct
 from .linforms import var_name
-from .polytope import PolytopeInstance, certify, make_instance, normalize
+from .polytope import PolytopeInstance, certify, normalize
 from .terms import LevelStats
 from .transform import run_transform
 
@@ -67,9 +67,9 @@ def decimal_string(x: Fraction, digits: int) -> str:
     """Exact rational-to-decimal rendering to ``digits`` places by long
     division, rounding the last digit half-up.  No binary floating point
     is involved anywhere."""
-    sign = "-" if x < 0 else ""
-    num, den = abs(x).numerator, abs(x).denominator
-    whole, rem = divmod(num, den)
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    whole, rem = divmod(abs(num), den)
     frac, r = divmod(rem * 10 ** digits, den)
     if 2 * r >= den:
         frac += 1
@@ -154,9 +154,10 @@ def _not_a_number(text: str):
 
 
 def _parse_rational(value, tolerate_floats: bool):
-    """A JSON int as it is, a string read by :func:`_exact_text`;
+    """An entry that is not a JSON int: a Fraction (read by the
+    parse_float hook) as it is, a string read by :func:`_exact_text`;
     InstanceFormatError for anything else."""
-    if type(value) is int or isinstance(value, Fraction):  # Fraction: read by the parse_float hook
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return _exact_text(value, tolerate_floats)
@@ -164,20 +165,28 @@ def _parse_rational(value, tolerate_floats: bool):
     raise InstanceFormatError(f"not a rational: {shown[:40]}{'...' * (len(shown) > 40)}")
 
 
+@functools.lru_cache(maxsize=None)
+def _decoder(tolerate_floats: bool):
+    """The decoder of instance files, built once per process for each
+    ``tolerate_floats``.  json hands the parse_float hook the literal's
+    text, so a decimal converts exactly (0.1 -> 1/10, not the binary
+    float)."""
+    return json.JSONDecoder(parse_constant=_not_a_number,
+                            parse_float=lambda t: _exact_text(t, tolerate_floats, "float literal"))
+
+
 def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
     """Read the JSON instance document {"A": [[...]], "b": [...]} with
     entries given as integers (kept as ints) or "p/q" strings (read as
-    Fractions)."""
+    Fractions), converting each entry once."""
     try:
         with open(path) as fh:
-            # json hands the hook the literal's text, so a decimal
-            # converts exactly (0.1 -> 1/10, not the binary float)
-            doc = json.load(fh, parse_constant=_not_a_number,
-                            parse_float=lambda t: _exact_text(t, tolerate_floats, "float literal"))
+            text = fh.read()
+        if text.startswith("\ufeff"):  # refused as json.load refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _decoder(tolerate_floats).decode(text)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}")
-    except InstanceFormatError:
-        raise
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise InstanceFormatError(f"{path}: invalid JSON (nested too deeply)")
     except ValueError as exc:
@@ -189,10 +198,11 @@ def load_instance(path: str, tolerate_floats: bool = False) -> PolytopeInstance:
     if not (isinstance(doc["A"], list) and all(isinstance(row, list) for row in doc["A"])
             and isinstance(doc["b"], list)):
         raise InstanceFormatError(f'{path}: "A" must be a list of rows and "b" a list')
+
+    def entries(values):
+        return tuple([v if type(v) is int else _parse_rational(v, tolerate_floats) for v in values])
     try:
-        A = [[_parse_rational(v, tolerate_floats) for v in row] for row in doc["A"]]
-        b = [_parse_rational(v, tolerate_floats) for v in doc["b"]]
-        return make_instance(A, b)
+        return polytope._checked_instance(tuple(map(entries, doc["A"])), entries(doc["b"]))
     except ValueError as exc:
         raise InstanceFormatError(f"{path}: {exc}")
 
@@ -209,7 +219,7 @@ def write_instance_json(inst: PolytopeInstance, out) -> None:
 
 
 def _fmt_vec(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return f"({', '.join(map(str, values))})"
 
 
 def _cmd_check_only(inst: PolytopeInstance) -> int:
@@ -289,12 +299,12 @@ def _volume_report(inst: PolytopeInstance, args) -> int:
     if args.method in ("transform", "both"):
         runs["transform"] = run_transform(norm)
     values = {k: r.result for k, r in runs.items()}
-    if len(set(values.values())) != 1:
+    volume, *others = values.values()
+    if any(v != volume for v in others):  # not set(): a Fraction's hash costs more
         found = " ".join(f"{k}={v}" for k, v in values.items())
         print(f"error: method disagreement on {args.file}: {found}; this is an "
               "engine bug, please report the instance", file=sys.stderr)
         return EXIT_INTERNAL
-    volume = next(iter(values.values()))
     if args.verify_mc:
         # sampled before anything is printed: a body outside the float
         # range is refused with one error line

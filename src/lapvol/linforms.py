@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 RatLike = Union[Fraction, int, str]
@@ -38,10 +39,17 @@ def exact(value):
     return value if type(value) is int else rat(value)
 
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
 def integer_scaled(values: Sequence) -> Tuple[int, Tuple[int, ...]]:
     """``(k, ints)`` with ``values[i] == ints[i] / k``, k > 0 the lcm of
-    the denominators of the exact ``values`` (1 for none)."""
-    k = lcm(*(v.denominator for v in values))
+    the denominators of the exact ``values`` (1 for none).  Where k is 1
+    no entry is multiplied: the ints are the values' numerators, every
+    int given kept as it is."""
+    k = lcm(*map(_denominator, values))
+    if k == 1:
+        return 1, tuple(map(_numerator, values))
     return k, tuple([v.numerator * (k // v.denominator) for v in values])
 
 

@@ -22,16 +22,21 @@ the body), is derived from c by :func:`certify` only where it is asked
 for (``--check-only``).
 
 Integer front end.  Instance entries stay ints where the input gives
-ints.  :func:`scale_and_dedupe` is the one pass from the raw rows to the
-normalized instance's integer columns: each row and its b_i are scaled
-to integers, and rows are dropped and merged on their reduced integer
-form.  Each column j is held as an integer column with its scale D_j,
-so no rational row is built on the way.  The margin relaxation, the
-seed check c > 0, A'c > 0 (:func:`is_strict_interior`, with c scaled to
-integers too), the margin min_j (A'c)_j, the start terms of both
-methods and their variable choices all read these ints.  The rational
-rows (``NormalizedInstance.rows``) are derived from the columns on each
-read; the Monte Carlo sampler reads them once.
+ints.  The file reader (:func:`lapvol.cli.load_instance`) converts each
+entry once, keeping a JSON int as it is, and builds the instance
+through the shape check of :func:`make_instance`, which converts its
+entries with :func:`lapvol.linforms.exact`.  :func:`scale_and_dedupe`
+is the one pass from the raw rows to the normalized instance's integer
+columns: each row and its b_i are scaled to integers (an all-int row
+with no rational arithmetic: :func:`lapvol.linforms.integer_scaled`
+returns ints as they are), and rows are dropped and merged on their
+reduced integer form.  Each column j is held as an integer column with
+its scale D_j, so no rational row is built on the way.  The margin
+relaxation, the seed check c > 0, A'c > 0 (:func:`is_strict_interior`,
+with c scaled to integers too), the margin min_j (A'c)_j, the start
+terms of both methods and their variable choices all read these ints.
+The rational rows (``NormalizedInstance.rows``) are derived from the
+columns on each read; the Monte Carlo sampler reads them once.
 """
 from __future__ import annotations
 
@@ -66,8 +71,12 @@ class PolytopeInstance(NamedTuple):
 
 
 def make_instance(A: Sequence[Sequence], b: Sequence) -> PolytopeInstance:
-    rows = tuple(tuple(exact(v) for v in row) for row in A)
-    rhs = tuple(exact(v) for v in b)
+    return _checked_instance(tuple([tuple(map(exact, row)) for row in A]), tuple(map(exact, b)))
+
+
+def _checked_instance(rows: Matrix, rhs: Row) -> PolytopeInstance:
+    """The instance of ``rows`` and ``rhs``, tuples of ints and
+    Fractions, once their shape is checked (ValueError otherwise)."""
     if not rows or not rows[0]:
         raise ValueError("need m >= 1 constraint rows and n >= 1 columns")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -106,29 +115,30 @@ def scale_and_dedupe(inst: PolytopeInstance) -> Tuple[Tuple[Column, ...], int, i
     ``columns`` being the :func:`integer_columns` of the cleaned rows.
 
     Row i and b_i are scaled to integers by the lcm of their
-    denominators and the pair is reduced by its gcd: because b_i > 0,
+    denominators (an all-int row is taken as it is, with no
+    multiplication) and the pair is reduced by its gcd: because b_i > 0,
     two rows are equal after division by their b entries exactly when
     their reduced pairs (b_i/g, A_i/g) are equal.
     """
     bad = [i for i, bi in enumerate(inst.rhs) if bi <= 0]
     if bad:
         raise NonpositiveB(f"b must be strictly positive; offending rows: {bad}")
-    seen = {}  # reduced (b_i, A_i) -> None, in first-seen order
+    seen = {}  # reduced (b_i, *A_i) -> None, in first-seen order
     dropped = merged = 0
     for row, bi in zip(inst.rows, inst.rhs):
         if not any(row):
             dropped += 1
             continue
-        _, (d, *ints) = integer_scaled((bi, *row))
-        g = gcd(d, *ints)
-        key = (d, tuple(ints)) if g == 1 else (d // g, tuple(v // g for v in ints))
+        key = integer_scaled((bi, *row))[1]
+        g = gcd(*key)
+        key = key if g == 1 else tuple([v // g for v in key])
         if key in seen:
             merged += 1
             continue
         seen[key] = None
     if not seen:
         raise EmptyAfterCleanup("no nontrivial constraint row survived cleanup")
-    return _columns(seen), dropped, merged
+    return _columns([(key[0], key[1:]) for key in seen]), dropped, merged
 
 
 def integer_columns(rows) -> Tuple[Column, ...]:

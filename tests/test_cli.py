@@ -49,6 +49,10 @@ def run(capsys, *argv):
         (Fraction(7), 2, "7.00"),
         (Fraction(999, 1000), 2, "1.00"),
         (Fraction(5, 2), 0, "3"),  # rounds half up at the boundary
+        (Fraction(-5, 2), 0, "-3"),  # the magnitude is rounded, then signed
+        (Fraction(-999, 1000), 2, "-1.00"),
+        (Fraction(-1, 1000), 2, "-0.00"),
+        (0, 3, "0.000"),
     ],
 )
 def test_decimal_string(value, digits, expected):
@@ -186,6 +190,16 @@ def test_exit_2_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_2_utf8_bom(tmp_path, capsys):
+    # refused as json.load refuses a text that starts with a byte order mark
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"A": [[1, 1]], "b": [1]}).encode())
+    code, out, err = run(capsys, "volume", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: invalid JSON (Unexpected UTF-8 BOM (decode using "
+                   "utf-8-sig): line 1 column 1 (char 0))\n")
+
+
 def test_exit_2_missing_keys(tmp_path, capsys):
     code, _, _ = run(capsys, "volume", write(tmp_path, "x.json", {"A": [["1"]]}))
     assert code == 2
@@ -304,7 +318,7 @@ def test_check_only_witness_beyond_int_str_limit(tmp_path, capsys, int_str_limit
     assert code == 0 and err == ""
     assert sys.get_int_max_str_digits() == 4300
     sys.set_int_max_str_digits(0)
-    c, u = polytope.certify(polytope.scale_and_dedupe(cli.make_instance(A, b))[0])
+    c, u = polytope.certify(polytope.scale_and_dedupe(polytope.make_instance(A, b))[0])
     assert out.splitlines()[1:] == [f"compact: true witness={cli._fmt_vec(u)}",
                                     f"pointed: true witness={cli._fmt_vec(c)}",
                                     "valid: true"]
@@ -456,6 +470,30 @@ def test_tolerate_floats_converts_exactly(tmp_path, capsys):
     # 0.5 became exactly 1/2; the first row is then redundant and the body
     # is the triangle {x >= 0, x1 + 3 x2 <= 1} of area 1/6
     assert out.splitlines()[0].split()[0] == "1/6"
+
+
+@pytest.mark.parametrize("tolerate_first", [True, False])
+def test_float_hooks_follow_the_option_in_one_process(tmp_path, capsys, tolerate_first):
+    # the decoder is built once per process for each setting of the
+    # option; whichever runs first, a later run uses its own setting
+    path = tmp_path / "f.json"
+    path.write_text('{"A": [[0.5, 1], [1, 2.5e-1]], "b": [1, 1.0]}')
+    refused = ("error: float literal '0.5' not accepted: exact rationals only "
+               "(use \"p/q\" strings, or pass --tolerate-floats)\n")
+    warnings = ("warning: converting decimal literal '0.5' to 1/2 exactly\n"
+                "warning: converting decimal literal '2.5e-1' to 1/4 exactly\n"
+                "warning: converting decimal literal '1.0' to 1 exactly\n")
+    cli._decoder.cache_clear()
+    for tolerate in (tolerate_first, not tolerate_first) * 2:
+        options = ["--tolerate-floats"] * tolerate
+        code, out, err = run(capsys, "volume", str(path), "--method", "direct", *options)
+        if tolerate:
+            # {x >= 0, x1/2 + x2 <= 1, x1 + x2/4 <= 1}: the quadrilateral
+            # with vertices 0, (1, 0), (6/7, 4/7) and (0, 1)
+            assert (code, out, err) == (0, "5/7 (0.714285714286)\n", warnings)
+        else:
+            assert (code, out, err) == (2, "", refused)
+    assert cli._decoder.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("literal", ["1e999999999", "-2.5E+1000", "1." + "0" * 100 + "1"])

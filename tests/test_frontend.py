@@ -119,6 +119,27 @@ def test_json_ints_stay_ints_and_strings_become_fractions(tmp_path):
 
 
 @pytest.mark.parametrize("doc", DOCS)
+def test_load_instance_matches_make_instance(doc, tmp_path):
+    # the reader converts each entry once and checks the shape as
+    # make_instance does: the same instance, entry types included, or the
+    # same refusal
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        want = lv.make_instance(doc["A"], doc["b"])
+    except ValueError as exc:
+        with pytest.raises(lv.InstanceFormatError) as info:
+            cli.load_instance(str(path))
+        assert str(info.value) == f"{path}: {exc}"
+        return
+    got = cli.load_instance(str(path))
+    assert got == want and type(got.rows) is type(got.rhs) is tuple
+    types = [[type(v) for v in row] for row in (*got.rows, got.rhs)]
+    assert types == [[type(v) for v in row] for row in (*want.rows, want.rhs)]
+    assert all(type(row) is tuple for row in got.rows)
+
+
+@pytest.mark.parametrize("doc", DOCS)
 def test_front_end_matches_fraction_reference(doc, tmp_path, capsys):
     # columns and counts, or the refusal with its message
     assert integer_front_end(doc) == fraction_front_end(doc)

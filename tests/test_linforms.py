@@ -33,6 +33,14 @@ def test_integer_scaled_is_the_least_common_scale(values):
     assert k == math.lcm(*(Fraction(v).denominator for v in values))  # 1 for no values
 
 
+def test_integer_scaled_keeps_ints_as_they_are():
+    values = (3, -10**30, 0)
+    k, ints = integer_scaled(values)
+    assert k == 1 and all(a is b for a, b in zip(ints, values))
+    k, ints = integer_scaled([Fraction(4, 2), 5])  # integral Fractions become ints
+    assert (k, ints) == (1, (2, 5)) and type(ints[0]) is int
+
+
 def test_canonical_form_drops_zeros():
     f = lf([(1, 1), (2, 0), (3, "2/2"), (3, -1)])
     assert f.items() == ((1, Fraction(1)),)
