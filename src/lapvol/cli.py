@@ -14,17 +14,21 @@ The parse keeps a JSON int as an int and makes a "p/q" string (or, under
 ``normalize`` and ``--check-only`` then clean and scale the rows in one
 integer pass, :func:`lapvol.polytope.scale_and_dedupe`.  ``--verify-mc``
 alone solves one bounding LP per coordinate for its sampling box.
+
+The command line is read in one pass where it is `volume FILE` and
+options spelled in full (:func:`_volume_args`); argparse, loaded then,
+reads every other form and writes every usage, help and error message.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import re
 import sys
+import types
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__, polytope
 from .errors import (
@@ -42,6 +46,9 @@ from .linforms import var_name
 from .polytope import PolytopeInstance, certify, normalize
 from .terms import LevelStats
 from .transform import run_transform
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 2
@@ -358,16 +365,37 @@ def _int_in_range(least: int, most: Callable[[], int] = lambda: 0):
     built."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         cap = most()
-        if cap and value > cap:
-            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        if value < least or cap and value > cap:
+            from argparse import ArgumentTypeError  # loaded only to refuse
+            bound = f"at least {least}" if value < least else f"at most {cap}"
+            raise ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     return integer
 
 
+# The options of `volume` and their add_argument keywords: build_parser
+# adds them, and _volume_args reads them.
+_VOLUME_OPTIONS = {
+    "--method": {"choices": ("direct", "transform", "both"), "default": "both"},
+    # the rendered digits pass through one int-to-str conversion
+    "--digits": {"type": _int_in_range(0, _int_str_cap), "default": 12,
+                 "help": "decimal digits to render (default 12)"},
+    "--check-only": {"action": "store_true",
+                     "help": "run the validation gates and report flags/witnesses only"},
+    "--verify-mc": {"action": "store_true", "help": "append a Monte Carlo cross-check line"},
+    "--samples": {"type": _int_in_range(1), "default": 1_000_000},
+    "--seed": {"type": _int_in_range(0), "default": 0},
+    "--stats": {"action": "store_true",
+                "help": "print per-level node counts and the perturbation ledger"},
+    "--tolerate-floats": {"action": "store_true",
+                          "help": "convert decimal literals to exact rationals with a warning"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded only where the command line needs argparse
+
     parser = argparse.ArgumentParser(
         prog="lapvol",
         description="Exact polytope volume from half-spaces by Laplace-transform inversion.",
@@ -381,20 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     vol = sub.add_parser("volume", help="compute the exact volume of an instance file")
     vol.add_argument("file")
-    vol.add_argument("--method", choices=("direct", "transform", "both"), default="both")
-    # the rendered digits pass through one int-to-str conversion
-    vol.add_argument("--digits", type=_int_in_range(0, _int_str_cap), default=12,
-                     help="decimal digits to render (default 12)")
-    vol.add_argument("--check-only", action="store_true",
-                     help="run the validation gates and report flags/witnesses only")
-    vol.add_argument("--verify-mc", action="store_true",
-                     help="append a Monte Carlo cross-check line")
-    vol.add_argument("--samples", type=_int_in_range(1), default=1_000_000)
-    vol.add_argument("--seed", type=_int_in_range(0), default=0)
-    vol.add_argument("--stats", action="store_true",
-                     help="print per-level node counts and the perturbation ledger")
-    vol.add_argument("--tolerate-floats", action="store_true",
-                     help="convert decimal literals to exact rationals with a warning")
+    for option, keywords in _VOLUME_OPTIONS.items():
+        vol.add_argument(option, **keywords)
     return parser
 
 
@@ -404,14 +420,55 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _volume_args(argv=None):
+    """The attributes of ``_parser().parse_args(argv)`` in a
+    SimpleNamespace (an argparse.Namespace would load argparse), read in
+    one pass where argv is `volume FILE` and options of _VOLUME_OPTIONS
+    spelled in full, each value a token of its own, in any order (the
+    last of a repeated option wins); None for any other argv, and for a
+    value that the option's type or choices refuse, which argparse then
+    reports.  FILE and the values may not start with "-"."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] != "volume":
+        return None
+    args = {"gen": None, "command": "volume", "file": None}
+    for option, keywords in _VOLUME_OPTIONS.items():
+        args[option[2:].replace("-", "_")] = keywords.get("default", False)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = _VOLUME_OPTIONS.get(token)
+        if keywords is None:
+            if token.startswith("-") or args["file"] is not None:
+                return None
+            args["file"] = token
+            continue
+        value = True
+        if "action" not in keywords:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except Exception:
+                # argparse calls the type again: it reports a ValueError, a
+                # TypeError or its own error, and raises any other
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        args[token[2:].replace("-", "_")] = value
+    return None if args["file"] is None else types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.gen:
-        return _cmd_gen(args.gen)
-    if args.command != "volume":
-        parser.print_usage(sys.stderr)
-        return EXIT_BAD_FILE
+    args = _volume_args(argv)
+    if args is None:
+        parser = _parser()
+        args = parser.parse_args(argv)
+        if args.gen:
+            return _cmd_gen(args.gen)
+        if args.command != "volume":
+            parser.print_usage(sys.stderr)
+            return EXIT_BAD_FILE
     try:
         return _cmd_volume(args)
     except tuple(cls for cls, _ in _ERROR_CODES) as exc:

@@ -251,12 +251,18 @@ def test_exit_2_digits_above_int_str_limit(capsys, int_str_limit_4300):
 
 
 def test_parser_built_once(monkeypatch, capsys):
+    # the one-pass reader takes the plain forms and builds no parser; a
+    # fallback form builds it once for the process
     cli._parser.cache_clear()
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    path = str(INSTANCES / "paper-example.json")
     for _ in range(3):
-        assert run(capsys, "volume", str(INSTANCES / "paper-example.json"))[0] == 0
+        assert run(capsys, "volume", path)[0] == 0
+    assert built == []
+    for _ in range(3):
+        assert run(capsys, "volume", path, "--method=direct")[0] == 0
     assert len(built) == 1
     cli._parser.cache_clear()
 
@@ -673,7 +679,10 @@ IMPORT_CHECK = """\
 import sys
 sys.path.insert(0, {src!r})
 import lapvol.cli
-print(sorted(m for m in ("numpy", "dataclasses", "inspect", "lapvol.oracle") if m in sys.modules))
+LAZY = ("numpy", "dataclasses", "inspect", "lapvol.oracle", "argparse", "gettext")
+print(sorted(m for m in LAZY if m in sys.modules))
+lapvol.cli.main(["volume", "instances/paper-example.json"])
+print(sorted(m for m in LAZY if m in sys.modules))
 names = {{}}
 exec("from lapvol import *", names)
 import lapvol
@@ -684,12 +693,15 @@ print(lapvol.known_instance("paper-example")[1])
 
 def test_cli_import_loads_only_what_volume_needs():
     # numpy is needed only by the Monte Carlo estimator, the oracle only by
-    # --gen and --verify-mc, and both load on first use; dataclasses (and
-    # with it inspect) is not used.  A fresh interpreter, because pytest
-    # itself loads dataclasses.
+    # --gen and --verify-mc, argparse (with gettext) only by a command
+    # line that the one-pass reader leaves to it, and each loads on first
+    # use; dataclasses (and with it inspect) is not used.  A fresh
+    # interpreter, because pytest itself loads dataclasses and argparse.
     proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK.format(src=str(REPO / "src"))],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[] 32", "17/48"]
+                          capture_output=True, text=True, check=True, cwd=REPO)
+    assert proc.stdout.splitlines() == [
+        "[]", "17/48 (0.354166666667)", "methods agree: direct == transform (exact)", "[]",
+        "[] 32", "17/48"]
 
 
 # -- generators ---------------------------------------------------------------
